@@ -39,8 +39,9 @@ def main():
             row = [f"{snr:8.0f}"] + [f"{report.mean_rho(kind, snr, m):8.3f}" for m in methods]
             print("  " + " ".join(row))
 
-    print("\ntiming (seconds accumulated across cells):")
-    for method in ("cmf", "mode", "swim_w5"):
+    print("\ntiming (seconds accumulated across cells; the bank row holds all six")
+    print("forests' training and prediction, fusion rows only their own fusion):")
+    for method in ("bank", "mode", "swim_w5"):
         t = report.timings[method]
         print(f"  {method:8s} train {t['train_s']:7.2f}  test {t['test_s']:7.3f}  "
               f"predictions {t['predictions']}")

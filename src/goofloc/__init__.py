@@ -42,7 +42,6 @@ from .experiments import (
 from .fingerprints import (
     KIND_ORDER,
     FingerprintKind,
-    FingerprintSample,
     Goof,
     build_goof,
     est_covariance,
@@ -81,7 +80,6 @@ from .fusion import (
     constrained_mode,
     full_matrix_mode,
     prediction_probability,
-    sample_entropy,
     select_classifier,
     swim,
 )

@@ -19,6 +19,7 @@ from .dataset import save_snapshot_dataset
 from .errors import ConfigError, FormatError, NumericalFailure
 from .experiments import (
     ExperimentConfig,
+    cell_key,
     config_from_mapping,
     config_from_text,
     config_hash,
@@ -101,7 +102,7 @@ def _cmd_train(args) -> int:
         args.tree_count,
         args.depth_limit,
         WeakLearnerSpec(**spec_kwargs),
-        args.seed,
+        cell_key(args.seed, goof.noise_kind, goof.snr_db),
     )
     save_bank(bank, args.out)
     print(f"trained {len(KIND_ORDER)} forests ({args.tree_count} trees each) -> {args.out}")
@@ -113,10 +114,10 @@ def _cmd_test(args) -> int:
     if args.skip_count:
         _, goof = goof.split(args.skip_count, goof.group_count - args.skip_count)
     bank = load_bank(args.bank)
-    matrices = {}
-    for grid in goof.grids():
-        samples = {kind: goof.features(kind, grid) for kind in KIND_ORDER}
-        matrices[grid] = predict_matrix(bank, samples, true_label=grid)
+    matrices = {
+        grid: predict_matrix(bank, {k: goof.features(k, grid) for k in KIND_ORDER}, true_label=grid)
+        for grid in goof.grids()
+    }
     save_bmatrices(args.out, matrices)
     print(f"wrote prediction matrices for {len(matrices)} grids -> {args.out}")
     return 0
@@ -198,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the random-forest classifier bank")
     p.add_argument("--goof", required=True, help="fingerprint store directory")
     p.add_argument("--train-count", type=int, default=None, help="groups per grid to train on")
-    p.add_argument("--tree-count", type=int, default=50)
+    p.add_argument("--tree-count", type=int, default=40)
     p.add_argument("--depth-limit", type=int, default=8)
     p.add_argument("--primitive", default="axis_aligned_stump")
     p.add_argument("--feature-subspace", type=int, default=None)
     p.add_argument("--threshold-candidates", type=int, default=10)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="seed of the sweep cell in --goof")
     p.add_argument("--out", required=True, help="output bank directory")
     p.set_defaults(func=_cmd_train)
 

@@ -2,9 +2,10 @@
 sweeps, timing, and report emission.
 
 Every sweep is a deterministic function of (config, seed): all random
-streams are derived from the seed and the cell key (repetition, noise
-kind, SNR, grid), so cells could run in any order or in parallel without
-changing the results.
+streams are derived from the cell key (seed, repetition, noise kind, SNR;
+see :func:`cell_key`), so cells could run in any order or in parallel
+without changing the results, and the staged CLI rebuilds a cell's bank
+from the same key.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from .channel import ArrayGeometry, NoiseSpec, Scenario, make_grid_scenario
 from .dataset import load_snapshot_dataset
 from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, build_goof
-from .forest import ClassifierBank, PredictionMatrix, WeakLearnerSpec, train_forest
+from .forest import (
+    PredictionMatrix,
+    WeakLearnerSpec,
+    key_seed,
+    predict_matrix,
+    train_bank,
+    train_forest,
+)
 from .fusion import full_matrix_mode, prediction_probability, swim
 from .textio import check_magic, fmt_value, parse_kv
 
@@ -241,12 +249,13 @@ def _snr_key(snr_db: float) -> int:
     return (int(round(snr_db * 1000)) + 2**31) if math.isfinite(snr_db) else 2**62
 
 
-def _cell_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
-
-
-def _cell_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence((seed, *key)).generate_state(1)[0])
+def cell_key(seed: int, noise_kind: str, snr_db: float, repetition: int = 0) -> tuple:
+    """Key of one (noise kind, SNR, repetition) cell; every random stream
+    of the cell (simulation and training) is derived from it. Noise kinds
+    outside ``channel.NOISE_KINDS`` (recorded data) share one index."""
+    kinds = channel.NOISE_KINDS
+    kind_idx = kinds.index(noise_kind) if noise_kind in kinds else len(kinds)
+    return (seed, repetition, kind_idx, _snr_key(snr_db))
 
 
 def simulate_cell(
@@ -258,26 +267,24 @@ def simulate_cell(
     """Snapshot blocks for every grid of one (noise kind, SNR, rep) cell."""
     scenario = config.scenario()
     geometry = config.geometry()
-    kind_idx = channel.NOISE_KINDS.index(noise_kind)
-    snr_key = _snr_key(snr_db)
+    key = cell_key(config.seed, noise_kind, snr_db, repetition)
     spread_rad = math.radians(config.angular_spread_deg)
     blocks = []
     for gi, pos in enumerate(scenario.grid_positions):
         theta0, tau0 = channel.geometry_to_channel(pos, scenario)
-        base = (repetition, kind_idx, snr_key, gi)
         paths = channel.generate_paths(
             theta0,
             tau0,
             spread_rad,
             tau0 * config.delay_spread_ratio,
             config.path_count,
-            _cell_rng(config.seed, *base, 0),
+            np.random.default_rng((*key, gi, 0)),
         )
         block = channel.synthesize_snapshots(
             paths,
             geometry,
             config.snapshot_count,
-            _cell_rng(config.seed, *base, 1),
+            np.random.default_rng((*key, gi, 1)),
             grid_label=gi + 1,
             source_freq=config.source_freq,
         )
@@ -289,59 +296,13 @@ def simulate_cell(
             beta=config.impulse_beta,
             delta=config.impulse_delta,
         )
-        blocks.append(channel.add_noise(block, spec, _cell_rng(config.seed, *base, 2)))
+        blocks.append(channel.add_noise(block, spec, np.random.default_rng((*key, gi, 2))))
     return blocks
 
 
 def _distance_matrix(scenario: Scenario) -> np.ndarray:
     pos = scenario.grid_positions
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-
-
-def _train_bank_timed(config, goof_train, rep, kind_idx, snr_key, report):
-    """Train all six forests, recording per-kind training seconds."""
-    spec = config.learner_spec()
-    forests = {}
-    total = 0.0
-    for ki, kind in enumerate(KIND_ORDER):
-        x, y = goof_train.stack(kind)
-        seed = _cell_seed(config.seed, rep, kind_idx, snr_key, 100 + ki)
-        t0 = time.perf_counter()
-        forests[kind] = train_forest(
-            x,
-            y,
-            config.tree_count,
-            config.depth_limit,
-            spec,
-            seed,
-            class_count=config.grid_count,
-            kind=kind,
-        )
-        dt = time.perf_counter() - t0
-        total += dt
-        report.add_timing(kind.value, train_s=dt)
-    return ClassifierBank(forests=forests), total
-
-
-def _predict_cells_timed(config, bank, goof_test, report):
-    """Per-grid prediction matrices; returns ({grid: PredictionMatrix}, test seconds)."""
-    grids = goof_test.grids()
-    z = goof_test.group_count
-    columns = {}
-    total = 0.0
-    for kind in KIND_ORDER:
-        x = np.vstack([np.array(goof_test.features(kind, g)) for g in grids])
-        t0 = time.perf_counter()
-        labels = bank.forests[kind].predict_batch(x)
-        dt = time.perf_counter() - t0
-        total += dt
-        report.add_timing(kind.value, test_s=dt, predictions=x.shape[0])
-        columns[kind] = labels.reshape(len(grids), z)
-    matrices = {}
-    for i, grid in enumerate(grids):
-        mat = np.stack([columns[kind][i] for kind in KIND_ORDER], axis=1)
-        matrices[grid] = PredictionMatrix(matrix=mat, true_label=grid)
-    return matrices, total
 
 
 def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
@@ -354,31 +315,32 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     """
     config.validate()
     report = Report(config_hash=config_hash(config), seed=config.seed)
-    scenario = config.scenario()
-    dist = _distance_matrix(scenario)
+    dist = _distance_matrix(config.scenario())
     for rep in range(config.repetitions):
-        for kind_idx, noise_kind in enumerate(config.noise_kinds):
+        for noise_kind in config.noise_kinds:
             for snr in config.snr_grid_db:
-                _run_snr_cell(config, report, scenario, dist, rep, kind_idx, noise_kind, snr)
+                _run_snr_cell(config, report, dist, rep, noise_kind, snr)
                 if verbose:
                     print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
     return report
 
 
-def _run_snr_cell(config, report, scenario, dist, rep, kind_idx, noise_kind, snr):
-    snr_key = _snr_key(snr)
+def _run_snr_cell(config, report, dist, rep, noise_kind, snr):
     blocks = simulate_cell(config, noise_kind, snr, rep)
     goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
     goof_train, goof_test = goof.split(config.train_count, config.test_count)
-    bank, train_total = _train_bank_timed(config, goof_train, rep, kind_idx, snr_key, report)
-    matrices, test_total = _predict_cells_timed(config, bank, goof_test, report)
+    key = cell_key(config.seed, noise_kind, snr, rep)
+    t0 = time.perf_counter()
+    bank = train_bank(goof_train, config.tree_count, config.depth_limit, config.learner_spec(),
+                      key, class_count=config.grid_count)
+    t1 = time.perf_counter()
+    pm = predict_matrix(bank, {kind: goof_test.stack(kind)[0] for kind in KIND_ORDER})
+    report.add_timing(
+        "bank", train_s=t1 - t0, test_s=time.perf_counter() - t1, predictions=len(pm.matrix)
+    )
 
-    fusion_methods = ["mode"] + [f"swim_w{w}" for w in config.windows]
-    for method in fusion_methods:
-        report.add_timing(method, train_s=train_total, test_s=test_total)
-
-    for grid, pm in matrices.items():
-        b = pm.matrix
+    grids = goof_test.grids()
+    for grid, b in zip(grids, pm.matrix.reshape(len(grids), goof_test.group_count, -1)):
         for ki, kind in enumerate(KIND_ORDER):
             rho = float((b[:, ki] == grid).mean())
             err = float(dist[b[:, ki] - 1, grid - 1].mean())
@@ -396,8 +358,9 @@ def _run_snr_cell(config, report, scenario, dist, rep, kind_idx, noise_kind, snr
         for w in config.windows:
             t0 = time.perf_counter()
             result = swim(b, w, class_count=config.grid_count)
-            dt = time.perf_counter() - t0
-            report.add_timing(f"swim_w{w}", test_s=dt, predictions=result.prediction_count)
+            report.add_timing(
+                f"swim_w{w}", test_s=time.perf_counter() - t0, predictions=result.prediction_count
+            )
             report.add(
                 noise_kind, snr, f"swim_w{w}",
                 prediction_probability(result.labels, grid),
@@ -430,7 +393,6 @@ def run_forest_sweep(
         raise ConfigError("vary", "must be tree_depth or tree_number")
     report = Report(config_hash=config_hash(config), seed=config.seed)
     noise_kind = config.noise_kinds[0]
-    kind_idx = 0
     train_count = config.group_count // 2
     test_count = config.group_count - train_count
     spec = config.learner_spec()
@@ -438,18 +400,17 @@ def run_forest_sweep(
 
     for rep in range(config.repetitions):
         for snr in config.snr_grid_db:
-            snr_key = _snr_key(snr)
+            key = cell_key(config.seed, noise_kind, snr, rep)
             blocks = simulate_cell(config, noise_kind, snr, rep)
             goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
             goof_train, goof_test = goof.split(train_count, test_count)
             x_train, y_train = goof_train.stack(rssf)
-            grids = goof_test.grids()
-            x_test = np.vstack([np.array(goof_test.features(rssf, g)) for g in grids])
+            x_test = goof_test.stack(rssf)[0]
             for value in values:
                 depth = value if vary == "tree_depth" else config.depth_limit
                 trees = value if vary == "tree_number" else config.tree_count
                 method = f"rssf_d{value}" if vary == "tree_depth" else f"rssf_t{value}"
-                seed = _cell_seed(config.seed, rep, kind_idx, snr_key, 200 + value)
+                seed = key_seed(*key, 200 + value)
                 t0 = time.perf_counter()
                 forest = train_forest(
                     x_train, y_train, trees, depth, spec, seed, class_count=config.grid_count,
@@ -462,9 +423,9 @@ def run_forest_sweep(
                 report.add_timing(
                     method, train_s=train_dt, test_s=test_dt, predictions=x_test.shape[0]
                 )
-                labels = labels.reshape(len(grids), test_count)
-                for i, grid in enumerate(grids):
-                    rho = float((labels[i] == grid).mean())
+                labels = labels.reshape(-1, test_count)
+                for grid, row in zip(goof_test.grids(), labels):
+                    rho = float((row == grid).mean())
                     report.add(noise_kind, snr, method, rho, 0.0)
             if verbose:
                 print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
@@ -478,7 +439,7 @@ def ingest_recorded_dataset(path) -> list:
 
 
 _METHOD_PREFIX_ORDER = {kind.value: i for i, kind in enumerate(KIND_ORDER)}
-_METHOD_PREFIX_ORDER["mode"] = len(KIND_ORDER)
+_METHOD_PREFIX_ORDER.update(bank=-1, mode=len(KIND_ORDER))
 
 
 def _method_sort_key(method: str):

@@ -17,14 +17,14 @@ are fragile under noise; RSSF and PSDF are already real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .channel import SnapshotBlock
-from .errors import DegenerateInputError, FormatError, NumericalFailure
+from .errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
 from .textio import check_magic, fmt_value, parse_kv
 
 
@@ -49,22 +49,6 @@ def feature_dim(kind: FingerprintKind, num_elements: int, psd_points: int) -> in
     if kind is FingerprintKind.PSDF:
         return num_elements * psd_points
     return num_elements
-
-
-@dataclass
-class FingerprintSample:
-    """One labeled feature vector of a given family."""
-
-    kind: FingerprintKind
-    features: np.ndarray
-    grid_label: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-D real vector")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite entries")
 
 
 def _block_data(block) -> np.ndarray:
@@ -198,62 +182,62 @@ def extract_group(block, flom_p: float = 1.2, psd_points: int | None = None):
 
 @dataclass
 class Goof:
-    """Labeled fingerprint store: per kind, per grid, a list of samples.
+    """Labeled fingerprint store: one dense array per family.
 
-    Every (kind, grid) pair holds exactly ``group_count`` samples, one per
-    snapshot group, in group order.
+    ``data[kind]`` has shape (Q, group_count, dim); row q holds the
+    samples of grid ``labels[q]``, one per snapshot group, in group order.
+    ``labels`` is strictly ascending.
     """
 
     group_count: int
     snapshots_per_group: int
     noise_kind: str = "none"
     snr_db: float = float("inf")
-    samples: dict = field(default_factory=dict)  # kind -> {grid -> [FingerprintSample]}
+    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    data: dict = field(default_factory=dict)  # kind -> (Q, group_count, dim) array
 
     def grids(self) -> list[int]:
-        per_kind = self.samples.get(FingerprintKind.CMF, {})
-        return sorted(per_kind)
+        return self.labels.tolist()
 
-    def features(self, kind: FingerprintKind, grid: int) -> list[np.ndarray]:
-        return [s.features for s in self.samples[kind][grid]]
+    def features(self, kind: FingerprintKind, grid: int) -> np.ndarray:
+        """The (group_count, dim) samples of one grid."""
+        row = int(np.searchsorted(self.labels, grid))
+        if row == self.labels.size or self.labels[row] != grid:
+            raise KeyError(f"no grid {grid} in the store")
+        return self.data[kind][row]
 
     def stack(self, kind: FingerprintKind) -> tuple[np.ndarray, np.ndarray]:
         """All samples of one kind as (X, labels), grids in label order."""
-        xs, ys = [], []
-        for grid in self.grids():
-            for sample in self.samples[kind][grid]:
-                xs.append(sample.features)
-                ys.append(sample.grid_label)
-        return np.array(xs), np.array(ys, dtype=int)
+        x = self.data[kind]
+        return x.reshape(-1, x.shape[2]), np.repeat(self.labels, x.shape[1])
 
     def split(self, train_count: int, test_count: int) -> tuple["Goof", "Goof"]:
         """First ``train_count`` groups per grid for training, the next
         ``test_count`` for testing (groups are i.i.d. given the block)."""
         if train_count + test_count > self.group_count:
             raise ValueError("train_count + test_count exceeds group_count")
-        train = Goof(train_count, self.snapshots_per_group, self.noise_kind, self.snr_db)
-        test = Goof(test_count, self.snapshots_per_group, self.noise_kind, self.snr_db)
-        for kind, per_grid in self.samples.items():
-            train.samples[kind] = {g: s[:train_count] for g, s in per_grid.items()}
-            test.samples[kind] = {
-                g: s[train_count : train_count + test_count] for g, s in per_grid.items()
-            }
-        return train, test
+
+        def part(start: int, count: int) -> Goof:
+            data = {kind: x[:, start : start + count] for kind, x in self.data.items()}
+            return replace(self, group_count=count, data=data)
+
+        return part(0, train_count), part(train_count, test_count)
 
     def validate(self) -> None:
+        if self.group_count < 1:
+            raise ValueError("group_count must be >= 1")
+        labels = self.labels
+        if labels.ndim != 1 or labels.dtype.kind not in "iu" or (np.diff(labels) <= 0).any():
+            raise ValueError("grid labels must be strictly ascending integers")
+        expected = (labels.size, self.group_count)
         for kind in KIND_ORDER:
-            per_grid = self.samples.get(kind)
-            if per_grid is None:
+            x = self.data.get(kind)
+            if x is None:
                 raise ValueError(f"missing fingerprint kind {kind.value}")
-            for grid, samples in per_grid.items():
-                if len(samples) != self.group_count:
-                    raise ValueError(
-                        f"{kind.value} grid {grid}: {len(samples)} samples, "
-                        f"expected {self.group_count}"
-                    )
-                for sample in samples:
-                    if sample.grid_label != grid:
-                        raise ValueError("sample label disagrees with its grid")
+            if x.ndim != 3 or x.shape[:2] != expected or x.shape[2] < 1:
+                raise ValueError(f"{kind.value}: shape {x.shape}, expected {expected + ('dim',)}")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{kind.value}: features contain non-finite entries")
 
 
 def build_goof(
@@ -271,31 +255,29 @@ def build_goof(
     if not blocks:
         raise ValueError("no snapshot blocks supplied")
     length = blocks[0].num_snapshots
-    if length % group_count != 0:
-        raise ValueError(
-            f"snapshot count {length} not divisible into {group_count} groups"
+    if group_count < 1 or length % group_count != 0:
+        raise ConfigError(
+            "group_count", f"snapshot count {length} not divisible into {group_count} groups"
         )
+    if any(block.num_snapshots != length for block in blocks):
+        raise ValueError("all blocks must have the same snapshot count")
     per_group = length // group_count
+    blocks = sorted(blocks, key=lambda block: block.grid_label)
+    groups = [
+        [
+            extract_group(block.data[:, gi * per_group : (gi + 1) * per_group], flom_p, psd_points)
+            for gi in range(group_count)
+        ]
+        for block in blocks
+    ]
     goof = Goof(
         group_count=group_count,
         snapshots_per_group=per_group,
         noise_kind=blocks[0].noise_kind,
         snr_db=blocks[0].snr_db,
+        labels=np.array([block.grid_label for block in blocks], dtype=int),
+        data={kind: np.array([[g[kind] for g in row] for row in groups]) for kind in KIND_ORDER},
     )
-    for kind in KIND_ORDER:
-        goof.samples[kind] = {}
-    for block in blocks:
-        if block.num_snapshots != length:
-            raise ValueError("all blocks must have the same snapshot count")
-        grid = block.grid_label
-        for kind in KIND_ORDER:
-            goof.samples[kind][grid] = []
-        for gi in range(group_count):
-            chunk = block.data[:, gi * per_group : (gi + 1) * per_group]
-            for kind, features in extract_group(chunk, flom_p, psd_points).items():
-                goof.samples[kind][grid].append(
-                    FingerprintSample(kind=kind, features=features, grid_label=grid)
-                )
     goof.validate()
     return goof
 
@@ -318,11 +300,7 @@ def save_goof(goof: Goof, directory) -> None:
         f"grids={','.join(str(g) for g in goof.grids())}",
     ]
     for kind in KIND_ORDER:
-        rows = []
-        for grid in goof.grids():
-            for sample in goof.samples[kind][grid]:
-                rows.append(np.append(sample.features, float(grid)))
-        matrix = np.array(rows)
+        matrix = np.column_stack(goof.stack(kind))
         fname = f"{kind.value}.f64"
         lines.append(
             f"kind={kind.value} dim={matrix.shape[1] - 1} rows={matrix.shape[0]} file={fname}"
@@ -332,49 +310,56 @@ def save_goof(goof: Goof, directory) -> None:
 
 
 def load_goof(directory) -> Goof:
+    """Read a store written by :func:`save_goof`. Every malformed index
+    or matrix file raises :class:`FormatError`."""
     directory = Path(directory)
     index = directory / "index.txt"
     if not index.exists():
         raise FormatError(f"no fingerprint index in {directory}")
-    lines = index.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise FormatError("empty fingerprint index", 0)
-    check_magic(lines[0], GOOF_MAGIC, GOOF_VERSION)
-    meta: dict[str, str] = {}
-    kind_rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("kind="):
-            parts = dict(parse_kv(tok) for tok in line.split())
-            kind_rows.append(parts)
-        else:
-            key, value = parse_kv(line)
-            meta[key] = value
-    goof = Goof(
-        group_count=int(meta["group_count"]),
-        snapshots_per_group=int(meta["snapshots_per_group"]),
-        noise_kind=meta.get("noise_kind", "none"),
-        snr_db=float(meta.get("snr_db", "inf")),
-    )
-    for row in kind_rows:
-        kind = FingerprintKind(row["kind"])
-        dim = int(row["dim"])
-        count = int(row["rows"])
-        blob = (directory / row["file"]).read_bytes()
-        expected = count * (dim + 1) * 8
-        if len(blob) != expected:
-            raise FormatError(
-                f"{row['file']}: expected {expected} bytes, found {len(blob)}",
-                min(len(blob), expected),
-            )
-        matrix = np.frombuffer(blob, dtype="<f8").reshape(count, dim + 1)
-        per_grid: dict[int, list[FingerprintSample]] = {}
-        for feature_row in matrix:
-            grid = int(feature_row[-1])
-            per_grid.setdefault(grid, []).append(
-                FingerprintSample(kind=kind, features=feature_row[:-1].copy(), grid_label=grid)
-            )
-        goof.samples[kind] = per_grid
-    goof.validate()
+    try:
+        lines = index.read_text(encoding="utf-8").splitlines()
+        if not lines:
+            raise FormatError("empty fingerprint index", 0)
+        check_magic(lines[0], GOOF_MAGIC, GOOF_VERSION)
+        meta: dict[str, str] = {}
+        kind_rows = []
+        for line in lines[1:]:
+            if line.startswith("kind="):
+                kind_rows.append(dict(parse_kv(tok) for tok in line.split()))
+            elif line.strip():
+                key, value = parse_kv(line)
+                meta[key] = value
+        goof = Goof(
+            group_count=int(meta["group_count"]),
+            snapshots_per_group=int(meta["snapshots_per_group"]),
+            noise_kind=meta.get("noise_kind", "none"),
+            snr_db=float(meta.get("snr_db", "inf")),
+            labels=np.array([int(g) for g in meta["grids"].split(",")], dtype=int),
+        )
+        rows = goof.labels.size * goof.group_count
+        for row in kind_rows:
+            kind = FingerprintKind(row["kind"])
+            dim = int(row["dim"])
+            count = int(row["rows"])
+            if dim < 1 or count != rows:
+                raise FormatError(
+                    f"{kind.value}: dim={dim} rows={count}, expected dim >= 1 and"
+                    f" {goof.labels.size} grids x {goof.group_count} groups"
+                )
+            blob = (directory / row["file"]).read_bytes()
+            expected = count * (dim + 1) * 8
+            if len(blob) != expected:
+                raise FormatError(
+                    f"{row['file']}: expected {expected} bytes, found {len(blob)}",
+                    min(len(blob), expected),
+                )
+            matrix = np.frombuffer(blob, dtype="<f8").reshape(count, dim + 1)
+            if not np.array_equal(matrix[:, -1], np.repeat(goof.labels, goof.group_count)):
+                raise FormatError(f"{row['file']}: grid labels disagree with the index")
+            goof.data[kind] = matrix[:, :-1].reshape(goof.labels.size, goof.group_count, dim)
+        goof.validate()
+    except KeyError as exc:
+        raise FormatError(f"fingerprint index lacks field {exc}") from exc
+    except (ValueError, OSError) as exc:
+        raise FormatError(f"malformed fingerprint store: {exc}") from exc
     return goof

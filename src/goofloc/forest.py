@@ -338,21 +338,31 @@ class ClassifierBank:
         return self.forests[KIND_ORDER[0]].class_count
 
 
+def key_seed(*key: int) -> int:
+    """One integer seed drawn from the seed sequence of ``key``."""
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
 def train_bank(
     goof: Goof,
     tree_count: int,
     depth_limit: int,
     spec: WeakLearnerSpec,
-    seed: int,
+    seed: int | tuple[int, ...],
     class_count: int | None = None,
 ) -> ClassifierBank:
-    """Train the whole bank from a training fingerprint store."""
+    """Train the whole bank from a training fingerprint store.
+
+    ``seed`` is an int or a key tuple of ints (such as a sweep cell key);
+    forest i is seeded from ``(*key, 100 + i)``.
+    """
+    key = tuple(seed) if isinstance(seed, tuple) else (seed,)
     forests = {}
     for i, kind in enumerate(KIND_ORDER):
         x, y = goof.stack(kind)
-        kind_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
         forests[kind] = train_forest(
-            x, y, tree_count, depth_limit, spec, kind_seed, class_count=class_count, kind=kind
+            x, y, tree_count, depth_limit, spec, key_seed(*key, 100 + i),
+            class_count=class_count, kind=kind,
         )
     return ClassifierBank(forests=forests)
 
@@ -360,19 +370,15 @@ def train_bank(
 def predict_matrix(bank: ClassifierBank, samples_by_kind, true_label=None) -> PredictionMatrix:
     """Prediction matrix B for aligned per-kind test samples.
 
-    ``samples_by_kind`` maps every kind to an equal-length list of feature
-    vectors; row z collects each classifier's label for sample z.
+    ``samples_by_kind`` maps every kind to an equal-length sequence of
+    feature vectors; row z collects each classifier's label for sample z.
     """
-    lengths = {len(samples_by_kind[kind]) for kind in KIND_ORDER}
-    if len(lengths) != 1:
+    xs = [np.asarray(samples_by_kind[kind], dtype=float) for kind in KIND_ORDER]
+    if len({len(x) for x in xs}) != 1:
         raise ValueError("every kind must supply the same number of test samples")
-    z = lengths.pop()
-    if z < 1:
+    if len(xs[0]) < 1:
         raise ValueError("need at least one test sample")
-    cols = []
-    for kind in KIND_ORDER:
-        x = np.array([np.asarray(v, dtype=float) for v in samples_by_kind[kind]])
-        cols.append(bank.forests[kind].predict_batch(x))
+    cols = [bank.forests[kind].predict_batch(x) for kind, x in zip(KIND_ORDER, xs)]
     return PredictionMatrix(matrix=np.stack(cols, axis=1), true_label=true_label)
 
 

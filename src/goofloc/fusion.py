@@ -62,11 +62,6 @@ def classifier_entropy(predictions, class_count: int) -> float:
     return shannon_entropy(arr, class_count)
 
 
-def sample_entropy(row, class_count: int) -> float:
-    """Entropy in bits of the classifiers' predictions for one sample."""
-    return classifier_entropy(row, class_count)
-
-
 def select_classifier(window: np.ndarray, class_count: int | None = None) -> int:
     """Column index (0-based) with minimum prediction entropy; ties go to
     the smallest index."""

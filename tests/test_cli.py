@@ -1,15 +1,17 @@
 """CLI pipeline: simulate -> build-goof -> train -> test -> fuse, sweeps."""
 
+import dataclasses
+
 import pytest
 
 from goofloc.cli import main
-from goofloc.experiments import config_to_text
+from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
+from goofloc.fingerprints import KIND_ORDER
 from goofloc import ExperimentConfig
 
 
-@pytest.fixture
-def config_file(tmp_path):
-    cfg = ExperimentConfig(
+def micro_config():
+    return ExperimentConfig(
         seed=321,
         grid_count=4,
         num_elements=4,
@@ -24,8 +26,12 @@ def config_file(tmp_path):
         windows=(2,),
         repetitions=1,
     )
+
+
+@pytest.fixture
+def config_file(tmp_path):
     path = tmp_path / "config.txt"
-    path.write_text(config_to_text(cfg), encoding="utf-8")
+    path.write_text(config_to_text(micro_config()), encoding="utf-8")
     return path
 
 
@@ -122,5 +128,67 @@ def test_format_error_exit_code(tmp_path, capsys):
         "build-goof", "--dataset", str(bad), "--group-count", "2",
         "--out", str(tmp_path / "g"),
     ])
+    assert code == 3
+    assert "format error" in capsys.readouterr().err
+
+
+def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
+    cfg = dataclasses.replace(micro_config(), noise_kinds=("gaussian", "color", "impulse"))
+    config_file = tmp_path / "config.txt"
+    config_file.write_text(config_to_text(cfg), encoding="utf-8")
+    report = run_snr_sweep(cfg)
+    snr = cfg.snr_grid_db[0]
+    window = cfg.windows[0]
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path)]) == 0
+    for kind in cfg.noise_kinds:
+        cell = tmp_path / kind
+        stages = [
+            ["build-goof", "--dataset", tmp_path / f"snapshots_{kind}_{snr:g}dB.goofsnap",
+             "--group-count", cfg.group_count, "--out", cell / "goof"],
+            ["train", "--goof", cell / "goof", "--train-count", cfg.train_count,
+             "--tree-count", cfg.tree_count, "--depth-limit", cfg.depth_limit,
+             "--seed", cfg.seed, "--out", cell / "bank"],
+            ["test", "--goof", cell / "goof", "--skip-count", cfg.train_count,
+             "--bank", cell / "bank", "--out", cell / "b.txt"],
+            ["fuse", "--bmatrices", cell / "b.txt", "--window", window,
+             "--out", cell / "fusion.txt"],
+        ]
+        for argv in stages:
+            assert main([str(a) for a in argv]) == 0
+
+        matrices = load_bmatrices(cell / "b.txt")
+        grids = sorted(matrices)
+        for ki, family in enumerate(KIND_ORDER):
+            rhos = [float((matrices[g].matrix[:, ki] == g).mean()) for g in grids]
+            assert rhos == report.rows[(kind, snr, family.value)], (kind, family)
+        rows = (cell / "fusion.txt").read_text().splitlines()[2:]
+        fused = [float(row.split("rho=")[1].split()[0]) for row in rows]
+        assert fused == report.rows[(kind, snr, f"swim_w{window}")], kind
+    capsys.readouterr()
+
+
+def test_indivisible_group_count_exit_code(tmp_path, config_file, capsys):
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path)]) == 0
+    code = main([
+        "build-goof", "--dataset", str(tmp_path / "snapshots_gaussian_18dB.goofsnap"),
+        "--group-count", "7", "--out", str(tmp_path / "g"),
+    ])
+    assert code == 2
+    assert "config error: group_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new", [("group_count=4", "group_count=abc"), ("kind=ssf", "kind=ssx")]
+)
+def test_malformed_store_exit_code(tmp_path, config_file, capsys, old, new):
+    assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path)]) == 0
+    goof_dir = tmp_path / "goof"
+    assert main([
+        "build-goof", "--dataset", str(tmp_path / "snapshots_gaussian_18dB.goofsnap"),
+        "--group-count", "4", "--out", str(goof_dir),
+    ]) == 0
+    index = goof_dir / "index.txt"
+    index.write_text(index.read_text().replace(old, new))
+    code = main(["train", "--goof", str(goof_dir), "--seed", "1", "--out", str(tmp_path / "b")])
     assert code == 3
     assert "format error" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from goofloc import (
     simulate_cell,
 )
 from goofloc.experiments import (
+    cell_key,
     config_from_text,
     config_hash,
     config_to_text,
@@ -128,6 +129,36 @@ class TestSnrSweep:
         grids = cfg.grid_count * cfg.repetitions
         assert report.timings["swim_w2"]["predictions"] == u * grids
         assert report.timings["mode"]["predictions"] == grids
+
+    def test_timing_rows_count_bank_training_once(self):
+        cfg = micro_config()
+        report = run_snr_sweep(cfg)
+        assert set(report.timings) == {"bank", "mode", "swim_w2"}
+        bank = report.timings["bank"]
+        assert bank["train_s"] > 0 and bank["test_s"] > 0
+        assert bank["predictions"] == cfg.grid_count * cfg.test_count * cfg.repetitions
+        for method in ("mode", "swim_w2"):
+            assert report.timings[method]["train_s"] == 0.0
+            assert 0 < report.timings[method]["test_s"] < bank["train_s"]
+
+    def test_single_kind_sweep_reproduces_its_rows(self):
+        # a cell's streams depend on its own key, not on the other cells swept
+        kinds = ("gaussian", "color", "impulse")
+        full = run_snr_sweep(micro_config(noise_kinds=kinds, snr_grid_db=(0.0, 12.0)))
+        alone = run_snr_sweep(micro_config(noise_kinds=("impulse",), snr_grid_db=(0.0, 12.0)))
+        impulse = {k: v for k, v in full.rows.items() if k[0] == "impulse"}
+        assert len(impulse) == 2 * 8  # 2 SNRs x (6 SIOF + mode + swim)
+        assert alone.rows == impulse
+
+
+class TestCellKey:
+    def test_key_layout(self):
+        assert cell_key(7, "gaussian", 6.0) == (7, 0, 0, 6000 + 2**31)
+        assert cell_key(7, "impulse", -2.0, repetition=2) == (7, 2, 2, -2000 + 2**31)
+        assert cell_key(7, "color", math.inf)[2:] == (1, 2**62)
+
+    def test_recorded_kinds_share_one_index(self):
+        assert cell_key(1, "none", 0.0)[2] == cell_key(1, "recorded", 0.0)[2] == 3
 
 
 class TestForestSweep:

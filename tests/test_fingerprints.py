@@ -6,7 +6,7 @@ import pytest
 from goofloc import (
     DegenerateInputError,
     FingerprintKind,
-    FingerprintSample,
+    FormatError,
     SnapshotBlock,
     build_goof,
     est_covariance,
@@ -19,7 +19,7 @@ from goofloc import (
     save_goof,
     vectorize,
 )
-from goofloc.fingerprints import KIND_ORDER, extract_group, feature_dim
+from goofloc.fingerprints import KIND_ORDER, Goof, extract_group, feature_dim
 
 
 def random_block(rng, m=None, length=None):
@@ -298,19 +298,35 @@ def make_blocks(q=2, m=3, length=16, seed=0):
 class TestBuildGoof:
     def test_counts_and_labels(self):
         goof = build_goof(make_blocks(q=2, length=16), group_count=4)
+        assert goof.grids() == [1, 2]
         for kind in KIND_ORDER:
-            labels = [s.grid_label for g in (1, 2) for s in goof.samples[kind][g]]
-            assert labels == [1, 1, 1, 1, 2, 2, 2, 2]
+            assert goof.data[kind].shape == (2, 4, feature_dim(kind, 3, 4))
+            assert list(goof.stack(kind)[1]) == [1, 1, 1, 1, 2, 2, 2, 2]
         x, y = goof.stack(FingerprintKind.RSSF)
         assert x.shape == (8, 3)
         assert list(y) == [1, 1, 1, 1, 2, 2, 2, 2]
+
+    def test_store_matches_per_group_extraction(self):
+        # the dense store against extracting every group on its own
+        blocks = make_blocks(q=3, length=24)
+        goof = build_goof(blocks[::-1], group_count=3)
+        for block in blocks:
+            for gi in range(3):
+                expected = extract_group(block.data[:, gi * 8 : (gi + 1) * 8])
+                for kind in KIND_ORDER:
+                    got = goof.features(kind, block.grid_label)[gi]
+                    assert np.array_equal(got, expected[kind])
+        x, y = goof.stack(FingerprintKind.FOCF)
+        for row, (features, label) in enumerate(zip(x, y)):
+            assert label == row // 3 + 1
+            assert np.array_equal(features, goof.features(FingerprintKind.FOCF, label)[row % 3])
 
     def test_simulation_protocol_shape(self):
         # 3200 snapshots in 32-snapshot groups gives 100 samples per grid
         assert 3200 // 32 == 100
         goof = build_goof(make_blocks(q=1, length=3200), group_count=100)
         assert goof.snapshots_per_group == 32
-        assert len(goof.samples[FingerprintKind.CMF][1]) == 100
+        assert len(goof.features(FingerprintKind.CMF, 1)) == 100
 
     def test_recorded_protocol_shape(self):
         # 400 snapshots in 80 groups of 5
@@ -324,24 +340,49 @@ class TestBuildGoof:
     def test_deterministic(self):
         a = build_goof(make_blocks(), group_count=4)
         b = build_goof(make_blocks(), group_count=4)
+        assert np.array_equal(a.labels, b.labels)
         for kind in KIND_ORDER:
-            for grid in (1, 2):
-                for s1, s2 in zip(a.samples[kind][grid], b.samples[kind][grid]):
-                    assert np.array_equal(s1.features, s2.features)
+            assert np.array_equal(a.data[kind], b.data[kind])
 
     def test_split(self):
         goof = build_goof(make_blocks(length=32), group_count=8)
         train, test = goof.split(5, 3)
         assert train.group_count == 5 and test.group_count == 3
-        joined = train.features(FingerprintKind.SSF, 1) + test.features(FingerprintKind.SSF, 1)
-        for a, b in zip(joined, goof.features(FingerprintKind.SSF, 1)):
-            assert np.array_equal(a, b)
+        train.validate()
+        test.validate()
+        joined = np.concatenate(
+            [train.features(FingerprintKind.SSF, 1), test.features(FingerprintKind.SSF, 1)]
+        )
+        assert np.array_equal(joined, goof.features(FingerprintKind.SSF, 1))
         with pytest.raises(ValueError):
             goof.split(6, 3)
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            FingerprintSample(FingerprintKind.RSSF, np.array([1.0, np.inf]), 1)
+        goof = build_goof(make_blocks(), group_count=4)
+        goof.data[FingerprintKind.RSSF][0, 1, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            goof.validate()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda g: g.data.pop(FingerprintKind.SSF), "missing fingerprint kind ssf"),
+            (lambda g: g.data.update({FingerprintKind.CMF: g.data[FingerprintKind.CMF][:, :3]}),
+             "cmf: shape"),
+            (lambda g: setattr(g, "labels", np.array([2, 1])), "strictly ascending"),
+            (lambda g: setattr(g, "labels", np.array([1.0, 2.0])), "strictly ascending"),
+        ],
+    )
+    def test_store_validation(self, corrupt, message):
+        goof = build_goof(make_blocks(), group_count=4)
+        corrupt(goof)
+        with pytest.raises(ValueError, match=message):
+            goof.validate()
+
+    def test_missing_grid_rejected(self):
+        goof = build_goof(make_blocks(), group_count=4)
+        with pytest.raises(KeyError):
+            goof.features(FingerprintKind.CMF, 3)
 
 
 class TestGoofPersistence:
@@ -352,18 +393,105 @@ class TestGoofPersistence:
         assert back.group_count == goof.group_count
         assert back.snapshots_per_group == goof.snapshots_per_group
         assert back.snr_db == goof.snr_db
+        assert back.noise_kind == goof.noise_kind
+        assert back.grids() == [1, 2, 3]
         for kind in KIND_ORDER:
-            for grid in (1, 2, 3):
-                for s1, s2 in zip(goof.samples[kind][grid], back.samples[kind][grid]):
-                    assert np.array_equal(s1.features, s2.features)
-                    assert s1.grid_label == s2.grid_label
+            assert np.array_equal(back.data[kind], goof.data[kind])
+
+    def test_file_layout(self, tmp_path):
+        # one row per sample, grids in label order, groups in order, label last
+        goof = build_goof(make_blocks(q=3, length=32), group_count=4)
+        save_goof(goof, tmp_path / "store")
+        for kind in KIND_ORDER:
+            rows = [
+                np.append(features, float(grid))
+                for grid in goof.grids()
+                for features in goof.features(kind, grid)
+            ]
+            expected = np.array(rows).astype("<f8").tobytes()
+            assert (tmp_path / "store" / f"{kind.value}.f64").read_bytes() == expected
+        index = (tmp_path / "store" / "index.txt").read_text().splitlines()
+        assert index[:6] == [
+            "GOOF-FPSTORE 1", "group_count=4", "snapshots_per_group=8",
+            "noise_kind=gaussian", "snr_db=10.0", "grids=1,2,3",
+        ]
+        assert index[6] == "kind=cmf dim=9 rows=12 file=cmf.f64"
 
     def test_truncated_matrix_rejected(self, tmp_path):
-        from goofloc import FormatError
-
         goof = build_goof(make_blocks(), group_count=4)
         save_goof(goof, tmp_path / "store")
         target = tmp_path / "store" / "cmf.f64"
         target.write_bytes(target.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_goof(tmp_path / "store")
+
+
+def _drop_kind_line(store):
+    index = store / "index.txt"
+    lines = index.read_text().splitlines()
+    index.write_text("\n".join(ln for ln in lines if not ln.startswith("kind=ssf")) + "\n")
+
+
+def _bad_group_count(store):
+    index = store / "index.txt"
+    index.write_text(index.read_text().replace("group_count=4", "group_count=abc"))
+
+
+def _indivisible_rows(store):
+    # drop the last row: 7 rows cannot hold 4 groups per grid
+    index = store / "index.txt"
+    index.write_text(index.read_text().replace("kind=rssf dim=3 rows=8", "kind=rssf dim=3 rows=7"))
+    target = store / "rssf.f64"
+    target.write_bytes(target.read_bytes()[: 7 * 4 * 8])
+
+
+def _disagreeing_labels(store):
+    target = store / "psdf.f64"
+    matrix = np.frombuffer(target.read_bytes(), dtype="<f8").reshape(8, -1).copy()
+    matrix[1, -1] = 2.0
+    target.write_bytes(matrix.tobytes())
+
+
+MALFORMED_STORES = {
+    "group_count_abc": _bad_group_count,
+    "missing_kind": _drop_kind_line,
+    "indivisible_rows": _indivisible_rows,
+    "disagreeing_labels": _disagreeing_labels,
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_STORES.values(), ids=MALFORMED_STORES.keys())
+def test_malformed_store_raises_format_error(tmp_path, corrupt):
+    save_goof(build_goof(make_blocks(), group_count=4), tmp_path / "store")
+    corrupt(tmp_path / "store")
+    with pytest.raises(FormatError):
+        load_goof(tmp_path / "store")
+
+
+def test_mutated_store_raises_only_format_error(tmp_path):
+    # seeded truncations, byte flips and dropped lines of the index and a
+    # matrix file: each store either loads or raises FormatError
+    base = tmp_path / "base"
+    save_goof(build_goof(make_blocks(), group_count=4), base)
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        store = tmp_path / f"s{trial}"
+        store.mkdir()
+        for path in base.iterdir():
+            (store / path.name).write_bytes(path.read_bytes())
+        target = store / ("index.txt" if trial % 2 else "focf.f64")
+        data = bytearray(target.read_bytes())
+        op = trial % 3
+        if op == 0:
+            data = data[: rng.integers(len(data))]
+        elif op == 1:
+            data[rng.integers(len(data))] = rng.integers(256)
+        else:
+            lines = bytes(data).split(b"\n")
+            del lines[rng.integers(len(lines))]
+            data = b"\n".join(lines)
+        target.write_bytes(bytes(data))
+        try:
+            load_goof(store)
+        except FormatError:
+            pass

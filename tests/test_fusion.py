@@ -12,7 +12,6 @@ from goofloc import (
     constrained_mode,
     full_matrix_mode,
     prediction_probability,
-    sample_entropy,
     select_classifier,
     swim,
 )
@@ -28,17 +27,19 @@ class TestEntropies:
     def test_two_even_labels(self):
         assert classifier_entropy([1, 1, 2, 2], 64) == pytest.approx(1.0)
 
+    # the entropy of one sample's row of B (the six classifiers' votes)
+
     def test_sample_entropy_all_agree(self):
-        assert sample_entropy([5, 5, 5, 5, 5, 5], 64) == 0.0
+        assert classifier_entropy([5, 5, 5, 5, 5, 5], 64) == 0.0
 
     def test_sample_entropy_all_disagree(self):
-        assert sample_entropy([1, 2, 3, 4, 5, 6], 64) == pytest.approx(math.log2(6))
+        assert classifier_entropy([1, 2, 3, 4, 5, 6], 64) == pytest.approx(math.log2(6))
 
     def test_sample_entropy_hand_histogram(self):
         # four of one label, two singletons over six classifiers
         row = [9, 3, 7, 9, 9, 9]
         expected = -(4 / 6 * math.log2(4 / 6) + 2 * (1 / 6) * math.log2(1 / 6))
-        assert sample_entropy(row, 64) == pytest.approx(expected)
+        assert classifier_entropy(row, 64) == pytest.approx(expected)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
