@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, NumericalFailure
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -265,6 +265,8 @@ def generate_paths(
         aoas = rng.uniform(theta0 - half_a, theta0 + half_a, path_count)
         if abs(float(aoas.mean()) - theta0) <= mean_tol:
             break
+    else:
+        raise NumericalFailure("1000 angle draws all strayed from the cluster centre")
     delays = np.maximum(rng.uniform(tau0 - half_d, tau0 + half_d, path_count), 0.0)
     gains = rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count)
     gains = gains / np.linalg.norm(gains)

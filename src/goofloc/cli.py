@@ -36,6 +36,7 @@ from .experiments import (
 from .fingerprints import KIND_ORDER, build_goof, load_goof, save_goof
 from .forest import WeakLearnerSpec, load_bank, predict_matrix, save_bank, train_bank
 from .fusion import fusion_report_rows, prediction_probability, swim
+from .textio import fmt_value, read_artifact, write_document
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -45,28 +46,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> ExperimentConfig:
-    raw: dict = {}
+    raw = {}
     if args.config:
-        base = config_from_text(Path(args.config).read_text(encoding="utf-8"))
-        raw = {f.name: getattr(base, f.name) for f in fields(ExperimentConfig)}
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(ExperimentConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    if not raw and not overrides:
+        base = config_from_text(read_artifact(args.config))
+        raw = {f.name: fmt_value(getattr(base, f.name)) for f in fields(ExperimentConfig)}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            raw[f.name] = getattr(args, f.name)
+    if not raw:
         raise ConfigError("config", "provide --config or at least --seed")
-    merged = {k: v for k, v in raw.items() if v is not None}
-    merged.update(overrides)
-    config = config_from_mapping({k: _stringify(v) for k, v in merged.items()})
+    config = config_from_mapping(raw)
     config.validate()
     return config
-
-
-def _stringify(value):
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return value
 
 
 def _cmd_simulate(args) -> int:
@@ -114,6 +105,9 @@ def _cmd_test(args) -> int:
     if args.skip_count:
         _, goof = goof.split(args.skip_count, goof.group_count - args.skip_count)
     bank = load_bank(args.bank)
+    for kind, forest in bank.forests.items():
+        if forest.feature_dim != goof.data[kind].shape[2]:
+            raise FormatError(f"{args.bank}: {kind.value} forest does not fit {args.goof}")
     matrices = {
         grid: predict_matrix(bank, {k: goof.features(k, grid) for k in KIND_ORDER}, true_label=grid)
         for grid in goof.grids()
@@ -132,7 +126,7 @@ def _cmd_fuse(args) -> int:
             result.rho = prediction_probability(result.labels, pm.true_label)
         results[grid] = result
     rows = fusion_report_rows(results, args.window, [k.value for k in KIND_ORDER])
-    text = "GOOF-FUSION 1\n" + f"window={args.window}\n" + "\n".join(rows) + "\n"
+    text = write_document("GOOF-FUSION", 1, {"window": args.window}, rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
@@ -141,29 +135,20 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _emit_sweep_outputs(report, config, fmt, out_dir) -> list:
+def _cmd_sweep(args) -> int:
+    config = _build_config(args)
+    if args.command == "sweep-snr":
+        report = run_snr_sweep(config, verbose=not args.quiet)
+    else:
+        report = run_forest_sweep(config, args.vary, verbose=not args.quiet)
     # the lossless report document is always kept so `goofloc report` can
     # re-emit other formats later
-    paths = emit_report(report, "structured-text", out_dir)
-    if fmt != "structured-text":
-        paths += emit_report(report, fmt, out_dir)
-    echo = Path(out_dir) / "config.txt"
+    paths = emit_report(report, "structured-text", args.out_dir)
+    if args.format != "structured-text":
+        paths += emit_report(report, args.format, args.out_dir)
+    echo = Path(args.out_dir) / "config.txt"
     echo.write_text(config_to_text(config) + f"config_hash={config_hash(config)}\n", "utf-8")
-    return paths + [echo]
-
-
-def _cmd_sweep_snr(args) -> int:
-    config = _build_config(args)
-    report = run_snr_sweep(config, verbose=not args.quiet)
-    for path in _emit_sweep_outputs(report, config, args.format, args.out_dir):
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_sweep_forest(args) -> int:
-    config = _build_config(args)
-    report = run_forest_sweep(config, args.vary, verbose=not args.quiet)
-    for path in _emit_sweep_outputs(report, config, args.format, args.out_dir):
+    for path in paths + [echo]:
         print(f"wrote {path}")
     return 0
 
@@ -226,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_sweep_snr)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("sweep-forest", help="tree depth / tree number study")
     _add_config_flags(p)
@@ -234,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_sweep_forest)
+    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("report", help="re-emit a saved report")
     p.add_argument("--report", required=True, help="structured-text report file")

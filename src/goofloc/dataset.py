@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import SnapshotBlock
 from .errors import FormatError
-from .textio import fmt_value, read_header_lines
+from .textio import positive_int, read_artifact, read_header, write_document
 
 MAGIC = "GOOF-SNAP"
 VERSION = 1
@@ -32,41 +32,26 @@ def save_snapshot_dataset(path, blocks: list[SnapshotBlock]) -> None:
         if block.grid_label != i + 1:
             raise ValueError("blocks must be ordered by grid label 1..Q")
     first = blocks[0]
-    header = [
-        f"{MAGIC} {VERSION}",
-        f"m={m}",
-        f"l={length}",
-        f"q={len(blocks)}",
-        f"noise_kind={first.noise_kind}",
-        f"snr_db={fmt_value(first.snr_db)}",
-        "end-header",
-    ]
-    payload = bytearray()
-    for block in blocks:
-        flat = np.ascontiguousarray(block.data, dtype=np.complex128)
-        payload += flat.astype("<c16").tobytes()
-    Path(path).write_bytes("\n".join(header).encode("utf-8") + b"\n" + bytes(payload))
+    header = {
+        "m": m, "l": length, "q": len(blocks), "noise_kind": first.noise_kind,
+        "snr_db": first.snr_db,
+    }
+    text = write_document(MAGIC, VERSION, header, ["end-header"]).encode("utf-8")
+    Path(path).write_bytes(text + b"".join(block.data.astype("<c16").tobytes() for block in blocks))
 
 
 def load_snapshot_dataset(path) -> list[SnapshotBlock]:
     """Read a snapshot dataset file back into per-grid blocks.
 
-    Raises FormatError (with the offending byte offset) on a bad magic,
-    version, header field, or truncated payload; never returns a partial
-    list.
+    Raises FormatError on a bad magic, version or header field (naming
+    the line) and on a truncated payload (with the offending byte offset);
+    never returns a partial list.
     """
-    raw = Path(path).read_bytes()
-    fields, offset = read_header_lines(raw, MAGIC, VERSION)
-    try:
-        m = int(fields["m"])
-        length = int(fields["l"])
-        q = int(fields["q"])
-        noise_kind = fields.get("noise_kind", "none")
-        snr_db = float(fields.get("snr_db", "inf"))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header field: {exc}", 0) from exc
-    if m < 1 or length < 1 or q < 1:
-        raise FormatError("header dimensions must be positive", 0)
+    raw = read_artifact(path)
+    doc, offset = read_header(raw, MAGIC, VERSION)
+    m, length, q = (doc.get(key, positive_int) for key in ("m", "l", "q"))
+    noise_kind = doc.get("noise_kind", default="none")
+    snr_db = doc.get("snr_db", float, math.inf)
     per_grid = m * length * 16  # complex128
     expected = offset + q * per_grid
     if len(raw) < expected:

@@ -32,7 +32,10 @@ from .forest import (
     train_forest,
 )
 from .fusion import full_matrix_mode, prediction_probability, swim
-from .textio import check_magic, fmt_value, parse_kv
+from .textio import (
+    Fields, comma_list, convert, fmt_value, one_of, positive_int, read_artifact, read_document,
+    write_document,
+)
 
 CONFIG_MAGIC = "GOOF-CONFIG"
 CONFIG_VERSION = 1
@@ -94,7 +97,7 @@ class ExperimentConfig:
                 raise ConfigError("noise_kinds", f"unsupported kind {kind!r}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "must be nonempty")
-        if self.snapshot_count % self.group_count != 0:
+        if self.group_count < 1 or self.snapshot_count % self.group_count != 0:
             raise ConfigError(
                 "group_count",
                 f"snapshot_count {self.snapshot_count} not divisible by {self.group_count}",
@@ -121,10 +124,11 @@ class ExperimentConfig:
                 raise ConfigError("windows", f"window {w} outside 1..{self.test_count}")
         if self.repetitions < 1:
             raise ConfigError("repetitions", "must be >= 1")
-        try:
-            self.scenario()
-        except ValueError as exc:
-            raise ConfigError("grid_count", str(exc)) from exc
+        for name, build in (("grid_count", self.scenario), ("primitive", self.learner_spec)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(name, str(exc)) from exc
 
     def scenario(self) -> Scenario:
         return make_grid_scenario(self.room_width, self.room_height, self.grid_count)
@@ -149,48 +153,41 @@ class ExperimentConfig:
 
 
 _TUPLE_FIELDS = {"noise_kinds": str, "snr_grid_db": float, "windows": int}
-_OPTIONAL_INT_FIELDS = ("feature_subspace", "psd_points")
 
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Canonical structured-text form (also the hash input)."""
-    lines = [f"{CONFIG_MAGIC} {CONFIG_VERSION}"]
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{f.name}={'none' if value is None else fmt_value(value)}")
-    return "\n".join(lines) + "\n"
+    header = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+    return write_document(CONFIG_MAGIC, CONFIG_VERSION, header)
 
 
-def config_from_text(text: str) -> ExperimentConfig:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty config", 0)
-    check_magic(lines[0], CONFIG_MAGIC, CONFIG_VERSION)
-    raw = dict(parse_kv(line) for line in lines[1:])
-    return config_from_mapping(raw)
+def config_from_text(raw) -> ExperimentConfig:
+    """Read a :func:`config_to_text` document (bytes or str)."""
+    doc = read_document(raw, CONFIG_MAGIC, CONFIG_VERSION).header_only()
+    return config_from_mapping({key: doc.get(key) for key in doc.values})
+
+
+def _parse_field(key: str, type_name: str, value):
+    if key in _TUPLE_FIELDS:
+        items = (tok.strip() for tok in str(value).split(","))
+        return tuple(_TUPLE_FIELDS[key](tok) for tok in items if tok)
+    if type_name == "int | None":
+        return None if value in (None, "none") else int(value)
+    return {"int": int, "float": float}.get(type_name, str)(value)
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    """Build a config from string values (config files, CLI flags)."""
+    """Build a config from string values (config files, CLI flags); a
+    value that does not convert raises ConfigError naming its field."""
     kwargs = {}
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(key, "unknown configuration field")
-        if value is None or value == "none":
-            kwargs[key] = None
-            continue
-        if key in _TUPLE_FIELDS:
-            elem = _TUPLE_FIELDS[key]
-            kwargs[key] = tuple(elem(tok.strip()) for tok in str(value).split(",") if tok.strip())
-        elif key in _OPTIONAL_INT_FIELDS:
-            kwargs[key] = int(value)
-        elif known[key].type in ("int", int):
-            kwargs[key] = int(value)
-        elif known[key].type in ("float", float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = str(value)
+        try:
+            kwargs[key] = _parse_field(key, known[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(key, f"cannot read {value!r} ({exc})") from None
     if "seed" not in kwargs:
         raise ConfigError("seed", "a fixed integer seed is mandatory")
     return ExperimentConfig(**kwargs)
@@ -445,7 +442,7 @@ _METHOD_PREFIX_ORDER.update(bank=-1, mode=len(KIND_ORDER))
 def _method_sort_key(method: str):
     if method in _METHOD_PREFIX_ORDER:
         return (0, _METHOD_PREFIX_ORDER[method], 0)
-    if method.startswith("swim_w"):
+    if method.startswith("swim_w") and method[6:].isdigit():
         return (1, int(method[6:]), 0)
     prefix, _, suffix = method.rpartition("_")
     digits = "".join(ch for ch in suffix if ch.isdigit())
@@ -469,105 +466,78 @@ def emit_report(report: Report, fmt: str, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    if fmt == "structured-text":
-        path = out_dir / "report.txt"
-        path.write_text(report_to_text(report), encoding="utf-8")
-        return [path]
 
-    kinds = sorted({key[0] for key in report.rows})
-    for noise_kind in kinds:
-        lines = [
-            f"# config_hash={report.config_hash} seed={report.seed}",
-            "snr_db,method,mean_rho,std_rho,n,mean_centroid_error_m",
-        ]
+    def write(name: str, text: str) -> None:
+        paths.append(out_dir / name)
+        paths[-1].write_text(text, encoding="utf-8")
+
+    if fmt == "structured-text":
+        write("report.txt", report_to_text(report))
+        return paths
+
+    comment = f"# config_hash={report.config_hash} seed={report.seed}"
+    for noise_kind in sorted({key[0] for key in report.rows}):
+        lines = [comment, "snr_db,method,mean_rho,std_rho,n,mean_centroid_error_m"]
         keys = [k for k in report.rows if k[0] == noise_kind]
-        keys.sort(key=lambda k: (k[1], _method_sort_key(k[2])))
-        for key in keys:
+        for key in sorted(keys, key=lambda k: (k[1], _method_sort_key(k[2]))):
             values = np.array(report.rows[key])
             errs = np.array(report.errors_m[key])
-            lines.append(
-                ",".join(
-                    [
-                        fmt_value(key[1]),
-                        key[2],
-                        fmt_value(float(values.mean())),
-                        fmt_value(float(values.std())),
-                        str(values.size),
-                        fmt_value(float(errs.mean())),
-                    ]
-                )
-            )
-        path = out_dir / f"curve_{noise_kind}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
+            lines.append(fmt_value([
+                key[1], key[2], float(values.mean()), float(values.std()), values.size,
+                float(errs.mean()),
+            ]))
+        write(f"curve_{noise_kind}.csv", "\n".join(lines) + "\n")
 
-    lines = [
-        f"# config_hash={report.config_hash} seed={report.seed}",
-        "method,train_seconds,test_seconds,predictions",
-    ]
+    lines = [comment, "method,train_seconds,test_seconds,predictions"]
     for method in sorted(report.timings, key=_method_sort_key):
         entry = report.timings[method]
-        lines.append(
-            f"{method},{fmt_value(entry['train_s'])},{fmt_value(entry['test_s'])},{entry['predictions']}"
-        )
-    timing_path = out_dir / "timing.csv"
-    timing_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths.append(timing_path)
-
-    echo_path = out_dir / "config_echo.txt"
-    echo_path.write_text(
-        f"config_hash={report.config_hash}\nseed={report.seed}\n", encoding="utf-8"
-    )
-    paths.append(echo_path)
+        lines.append(fmt_value([method, entry["train_s"], entry["test_s"], entry["predictions"]]))
+    write("timing.csv", "\n".join(lines) + "\n")
+    write("config_echo.txt", f"config_hash={report.config_hash}\nseed={report.seed}\n")
     return paths
 
 
 def report_to_text(report: Report) -> str:
-    lines = [
-        f"{REPORT_MAGIC} {REPORT_VERSION}",
-        f"config_hash={report.config_hash}",
-        f"seed={report.seed}",
-    ]
+    records = []
     for key in sorted(report.rows, key=lambda k: (k[0], k[1], _method_sort_key(k[2]))):
         noise_kind, snr, method = key
-        values = ",".join(fmt_value(v) for v in report.rows[key])
-        errs = ",".join(fmt_value(v) for v in report.errors_m[key])
-        lines.append(f"curve kind={noise_kind} snr={fmt_value(snr)} method={method} values={values}")
-        lines.append(f"error kind={noise_kind} snr={fmt_value(snr)} method={method} values={errs}")
+        where = f"kind={noise_kind} snr={fmt_value(snr)} method={method}"
+        records.append(f"curve {where} values={fmt_value(report.rows[key])}")
+        records.append(f"error {where} values={fmt_value(report.errors_m[key])}")
     for method in sorted(report.timings, key=_method_sort_key):
         entry = report.timings[method]
-        lines.append(
+        records.append(
             f"timing method={method} train={fmt_value(entry['train_s'])} "
             f"test={fmt_value(entry['test_s'])} predictions={entry['predictions']}"
         )
-    return "\n".join(lines) + "\n"
+    header = {"config_hash": report.config_hash, "seed": report.seed}
+    return write_document(REPORT_MAGIC, REPORT_VERSION, header, records)
 
 
 def load_report(path) -> Report:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise FormatError("empty report file", 0)
-    check_magic(lines[0], REPORT_MAGIC, REPORT_VERSION)
-    meta = dict(parse_kv(ln) for ln in lines[1:3])
-    report = Report(config_hash=meta["config_hash"], seed=int(meta["seed"]))
-    for line in lines[3:]:
-        tag, _, rest = line.partition(" ")
-        parts = dict(parse_kv(tok) for tok in rest.split())
-        if tag == "curve":
-            key = (parts["kind"], float(parts["snr"]), parts["method"])
-            report.rows[key] = [float(v) for v in parts["values"].split(",")]
-        elif tag == "error":
-            key = (parts["kind"], float(parts["snr"]), parts["method"])
-            report.errors_m[key] = [float(v) for v in parts["values"].split(",")]
+    doc = read_document(read_artifact(path), REPORT_MAGIC, REPORT_VERSION)
+    report = Report(config_hash=doc.get("config_hash"), seed=doc.get("seed", int))
+    tables = {"curve": report.rows, "error": report.errors_m}
+    for line, text in doc.records:
+        tag, *tokens = text.split()
+        row = Fields(line, tokens)
+        if tag in tables:
+            kind = row.get("kind", one_of(*channel.NOISE_KINDS))
+            key = (kind, row.get("snr", float), row.get("method"))
+            if key in tables[tag]:
+                raise FormatError(f"line {line}: second {tag} row for {key}")
+            tables[tag][key] = row.get("values", comma_list(float))
         elif tag == "timing":
-            report.timings[parts["method"]] = {
-                "train_s": float(parts["train"]),
-                "test_s": float(parts["test"]),
-                "predictions": int(parts["predictions"]),
+            report.timings[row.get("method")] = {
+                "train_s": row.get("train", float),
+                "test_s": row.get("test", float),
+                "predictions": row.get("predictions", int),
             }
         else:
-            raise FormatError(f"unknown report row tag {tag!r}")
+            raise FormatError(f"line {line}: unknown report row tag {tag!r}")
+    shape = {key: len(values) for key, values in report.rows.items()}
+    if not shape or shape != {key: len(values) for key, values in report.errors_m.items()}:
+        raise FormatError("a report needs matching, nonempty curve and error rows")
     return report
 
 
@@ -577,43 +547,50 @@ def save_bmatrices(path, matrices: dict) -> None:
     if not grids:
         raise ValueError("no prediction matrices to save")
     z = matrices[grids[0]].matrix.shape[0]
-    lines = [
-        f"{BMAT_MAGIC} {BMAT_VERSION}",
-        f"kinds={','.join(kind.value for kind in KIND_ORDER)}",
-        f"grid_count={len(grids)}",
-        f"sample_count={z}",
-    ]
+    header = {
+        "kinds": [kind.value for kind in KIND_ORDER], "grid_count": len(grids), "sample_count": z,
+    }
+    records = []
     for grid in grids:
         pm = matrices[grid]
         true = pm.true_label if pm.true_label is not None else 0
-        lines.append(f"grid {grid} true={true}")
-        for row in pm.matrix:
-            lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records.append(f"grid {grid} true={true}")
+        records.extend(" ".join(str(int(v)) for v in row) for row in pm.matrix)
+    text = write_document(BMAT_MAGIC, BMAT_VERSION, header, records)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _bmat_row(text: str) -> np.ndarray:
+    labels = np.array(text.split(), dtype=int)
+    if labels.shape != (len(KIND_ORDER),) or labels.min() < 1:
+        raise ValueError(f"need {len(KIND_ORDER)} labels >= 1")
+    return labels
 
 
 def load_bmatrices(path) -> dict:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise FormatError("empty prediction matrix file", 0)
-    check_magic(lines[0], BMAT_MAGIC, BMAT_VERSION)
+    """Read :func:`save_bmatrices` output; the records must match the
+    header's kinds, grid count and sample count."""
+    doc = read_document(read_artifact(path), BMAT_MAGIC, BMAT_VERSION)
+    kinds = fmt_value([kind.value for kind in KIND_ORDER])
+    grid_count = doc.get("grid_count", positive_int)
+    z = doc.get("sample_count", positive_int)
+    if doc.get("kinds") != kinds or len(doc.records) != grid_count * (z + 1):
+        raise FormatError(
+            f"expected kinds={kinds} and {grid_count} x (1 + {z}) record lines,"
+            f" found {len(doc.records)}"
+        )
     matrices = {}
-    pos = 1
-    while pos < len(lines) and "=" in lines[pos] and not lines[pos].startswith("grid "):
-        pos += 1
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if parts[0] != "grid":
-            raise FormatError(f"expected grid record, got {lines[pos]!r}", pos)
-        grid = int(parts[1])
-        true = int(dict(parse_kv(tok) for tok in parts[2:])["true"])
-        pos += 1
-        rows = []
-        while pos < len(lines) and not lines[pos].startswith("grid "):
-            rows.append([int(tok) for tok in lines[pos].split()])
-            pos += 1
+    for start in range(0, len(doc.records), z + 1):
+        line, text = doc.records[start]
+        parts = text.split()
+        if len(parts) != 3 or parts[0] != "grid":
+            raise FormatError(f"line {line}: expected 'grid <label> true=<label>', got {text!r}")
+        grid = convert(parts[1], positive_int, "grid", line)
+        if grid in matrices:
+            raise FormatError(f"line {line}: second matrix for grid {grid}")
+        true = Fields(line, parts[2:]).get("true", int)
+        rows = [convert(t, _bmat_row, "row", n) for n, t in doc.records[start + 1 : start + z + 1]]
         matrices[grid] = PredictionMatrix(
-            matrix=np.array(rows, dtype=int), true_label=true if true > 0 else None
+            matrix=np.array(rows), true_label=true if true > 0 else None
         )
     return matrices

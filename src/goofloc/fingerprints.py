@@ -25,7 +25,9 @@ import numpy as np
 
 from .channel import SnapshotBlock
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
-from .textio import check_magic, fmt_value, parse_kv
+from .textio import (
+    Fields, comma_list, positive_int, read_artifact, read_document, write_document,
+)
 
 
 class FingerprintKind(Enum):
@@ -214,8 +216,12 @@ class Goof:
     def split(self, train_count: int, test_count: int) -> tuple["Goof", "Goof"]:
         """First ``train_count`` groups per grid for training, the next
         ``test_count`` for testing (groups are i.i.d. given the block)."""
-        if train_count + test_count > self.group_count:
-            raise ValueError("train_count + test_count exceeds group_count")
+        if min(train_count, test_count) < 1 or train_count + test_count > self.group_count:
+            raise ConfigError(
+                "train_count",
+                f"need >= 1 training and >= 1 test groups, at most {self.group_count}"
+                f" in all; got {train_count} + {test_count}",
+            )
 
         def part(start: int, count: int) -> Goof:
             data = {kind: x[:, start : start + count] for kind, x in self.data.items()}
@@ -291,75 +297,61 @@ def save_goof(goof: Goof, directory) -> None:
     float64 matrix per kind (row = sample, last column = grid label)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"{GOOF_MAGIC} {GOOF_VERSION}",
-        f"group_count={goof.group_count}",
-        f"snapshots_per_group={goof.snapshots_per_group}",
-        f"noise_kind={goof.noise_kind}",
-        f"snr_db={fmt_value(goof.snr_db)}",
-        f"grids={','.join(str(g) for g in goof.grids())}",
-    ]
+    header = {
+        "group_count": goof.group_count,
+        "snapshots_per_group": goof.snapshots_per_group,
+        "noise_kind": goof.noise_kind,
+        "snr_db": goof.snr_db,
+        "grids": goof.grids(),
+    }
+    records = []
     for kind in KIND_ORDER:
         matrix = np.column_stack(goof.stack(kind))
         fname = f"{kind.value}.f64"
-        lines.append(
+        records.append(
             f"kind={kind.value} dim={matrix.shape[1] - 1} rows={matrix.shape[0]} file={fname}"
         )
         (directory / fname).write_bytes(matrix.astype("<f8").tobytes())
-    (directory / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = write_document(GOOF_MAGIC, GOOF_VERSION, header, records)
+    (directory / "index.txt").write_text(text, encoding="utf-8")
 
 
 def load_goof(directory) -> Goof:
     """Read a store written by :func:`save_goof`. Every malformed index
     or matrix file raises :class:`FormatError`."""
     directory = Path(directory)
-    index = directory / "index.txt"
-    if not index.exists():
-        raise FormatError(f"no fingerprint index in {directory}")
+    doc = read_document(read_artifact(directory / "index.txt"), GOOF_MAGIC, GOOF_VERSION)
+    goof = Goof(
+        group_count=doc.get("group_count", positive_int),
+        snapshots_per_group=doc.get("snapshots_per_group", positive_int),
+        noise_kind=doc.get("noise_kind", default="none"),
+        snr_db=doc.get("snr_db", float, float("inf")),
+        labels=doc.get("grids", lambda text: np.array(comma_list(int)(text), dtype=int)),
+    )
+    rows = goof.labels.size * goof.group_count
+    for line, text in doc.records:
+        row = Fields(line, text.split())
+        kind = row.get("kind", FingerprintKind)
+        dim = row.get("dim", positive_int)
+        name = row.get("file")
+        if kind in goof.data:
+            raise FormatError(f"line {line}: second {kind.value} matrix")
+        if row.get("rows", int) != rows:
+            raise FormatError(
+                f"line {line}: rows must be {goof.labels.size} grids x {goof.group_count} groups"
+            )
+        blob = read_artifact(directory / name)
+        expected = rows * (dim + 1) * 8
+        if len(blob) != expected:
+            raise FormatError(
+                f"{name}: expected {expected} bytes, found {len(blob)}", min(len(blob), expected)
+            )
+        matrix = np.frombuffer(blob, dtype="<f8").reshape(rows, dim + 1)
+        if not np.array_equal(matrix[:, -1], np.repeat(goof.labels, goof.group_count)):
+            raise FormatError(f"{name}: grid labels disagree with the index")
+        goof.data[kind] = matrix[:, :-1].reshape(goof.labels.size, goof.group_count, dim)
     try:
-        lines = index.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise FormatError("empty fingerprint index", 0)
-        check_magic(lines[0], GOOF_MAGIC, GOOF_VERSION)
-        meta: dict[str, str] = {}
-        kind_rows = []
-        for line in lines[1:]:
-            if line.startswith("kind="):
-                kind_rows.append(dict(parse_kv(tok) for tok in line.split()))
-            elif line.strip():
-                key, value = parse_kv(line)
-                meta[key] = value
-        goof = Goof(
-            group_count=int(meta["group_count"]),
-            snapshots_per_group=int(meta["snapshots_per_group"]),
-            noise_kind=meta.get("noise_kind", "none"),
-            snr_db=float(meta.get("snr_db", "inf")),
-            labels=np.array([int(g) for g in meta["grids"].split(",")], dtype=int),
-        )
-        rows = goof.labels.size * goof.group_count
-        for row in kind_rows:
-            kind = FingerprintKind(row["kind"])
-            dim = int(row["dim"])
-            count = int(row["rows"])
-            if dim < 1 or count != rows:
-                raise FormatError(
-                    f"{kind.value}: dim={dim} rows={count}, expected dim >= 1 and"
-                    f" {goof.labels.size} grids x {goof.group_count} groups"
-                )
-            blob = (directory / row["file"]).read_bytes()
-            expected = count * (dim + 1) * 8
-            if len(blob) != expected:
-                raise FormatError(
-                    f"{row['file']}: expected {expected} bytes, found {len(blob)}",
-                    min(len(blob), expected),
-                )
-            matrix = np.frombuffer(blob, dtype="<f8").reshape(count, dim + 1)
-            if not np.array_equal(matrix[:, -1], np.repeat(goof.labels, goof.group_count)):
-                raise FormatError(f"{row['file']}: grid labels disagree with the index")
-            goof.data[kind] = matrix[:, :-1].reshape(goof.labels.size, goof.group_count, dim)
         goof.validate()
-    except KeyError as exc:
-        raise FormatError(f"fingerprint index lacks field {exc}") from exc
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"malformed fingerprint store: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"malformed fingerprint store {directory}: {exc}") from exc
     return goof

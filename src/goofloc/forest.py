@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, Goof
-from .textio import check_magic, parse_kv
+from .textio import (
+    comma_list, convert, one_of, positive_int, read_artifact, read_document, write_document,
+)
 
 PRIMITIVES = ("axis_aligned_stump", "oriented_hyperplane_2d")
 
@@ -399,80 +401,73 @@ def _write_node(node: TreeNode, lines: list[str]) -> None:
 
 def serialize_forest(forest: Forest) -> str:
     """Lossless structured-text form; byte-identical for identical forests."""
-    lines = [
-        f"{FOREST_MAGIC} {FOREST_VERSION}",
-        f"kind={forest.kind.value if forest.kind else 'none'}",
-        f"class_count={forest.class_count}",
-        f"depth_limit={forest.depth_limit}",
-        f"tree_count={forest.tree_count}",
-        f"feature_dim={forest.feature_dim}",
-        f"seed={forest.seed}",
-        f"primitive={forest.spec.primitive}",
-        f"feature_subspace={forest.spec.feature_subspace_size or 0}",
-        f"threshold_candidates={forest.spec.threshold_candidates}",
-    ]
+    header = {
+        "kind": forest.kind.value if forest.kind else "none",
+        "class_count": forest.class_count,
+        "depth_limit": forest.depth_limit,
+        "tree_count": forest.tree_count,
+        "feature_dim": forest.feature_dim,
+        "seed": forest.seed,
+        "primitive": forest.spec.primitive,
+        "feature_subspace": forest.spec.feature_subspace_size or 0,
+        "threshold_candidates": forest.spec.threshold_candidates,
+    }
+    records = []
     for i, tree in enumerate(forest.trees):
-        lines.append(f"tree {i}")
-        _write_node(tree, lines)
-    return "\n".join(lines) + "\n"
+        records.append(f"tree {i}")
+        _write_node(tree, records)
+    return write_document(FOREST_MAGIC, FOREST_VERSION, header, records)
 
 
-def _read_node(lines: list[str], pos: int) -> tuple[TreeNode, int]:
-    if pos >= len(lines):
-        raise FormatError("unexpected end of forest document", pos)
-    parts = lines[pos].split()
-    if parts[0] == "leaf":
-        hist = np.array([int(c) for c in parts[1:]], dtype=int)
+def _read_node(records, pos: int, class_count: int, feature_dim: int) -> tuple[TreeNode, int]:
+    """The subtree whose pre-order records start at ``pos``, and the
+    position after it."""
+    if pos >= len(records):
+        raise FormatError("unexpected end of forest document")
+    line, text = records[pos]
+    tag, *parts = text.split()
+    if tag == "leaf" and len(parts) == class_count:
+        hist = convert(parts, lambda p: np.array(p, dtype=int), "leaf", line)
         return TreeNode(histogram=hist), pos + 1
-    if parts[0] != "split" or len(parts) != 4:
-        raise FormatError(f"bad node record: {lines[pos]!r}", pos)
-    feats = tuple(int(t) for t in parts[1].split(","))
-    weights = tuple(float.fromhex(t) for t in parts[2].split(","))
-    threshold = float.fromhex(parts[3])
-    left, pos = _read_node(lines, pos + 1)
-    right, pos = _read_node(lines, pos)
-    return (
-        TreeNode(
-            feature_indices=feats, weights=weights, threshold=threshold, left=left, right=right
-        ),
-        pos,
-    )
+    if tag != "split" or len(parts) != 3:
+        raise FormatError(f"line {line}: bad node record {text!r}")
+    feats = convert(parts[0], comma_list(int), "feature indices", line)
+    weights = convert(parts[1], comma_list(float.fromhex), "weights", line)
+    if len(weights) != len(feats) or not all(0 <= f < feature_dim for f in feats):
+        raise FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
+    threshold = convert(parts[2], float.fromhex, "threshold", line)
+    left, pos = _read_node(records, pos + 1, class_count, feature_dim)
+    right, pos = _read_node(records, pos, class_count, feature_dim)
+    return TreeNode(tuple(feats), tuple(weights), threshold, left, right), pos
 
 
-def deserialize_forest(text: str) -> Forest:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty forest document", 0)
-    check_magic(lines[0], FOREST_MAGIC, FOREST_VERSION)
-    meta = {}
-    pos = 1
-    while pos < len(lines) and "=" in lines[pos]:
-        key, value = parse_kv(lines[pos])
-        meta[key] = value
-        pos += 1
-    kind = None if meta.get("kind", "none") == "none" else FingerprintKind(meta["kind"])
-    subspace = int(meta.get("feature_subspace", "0")) or None
-    spec = WeakLearnerSpec(
-        primitive=meta.get("primitive", "axis_aligned_stump"),
-        feature_subspace_size=subspace,
-        threshold_candidates=int(meta.get("threshold_candidates", "10")),
-    )
+def deserialize_forest(raw) -> Forest:
+    """Read a :func:`serialize_forest` document (bytes or str)."""
+    doc = read_document(raw, FOREST_MAGIC, FOREST_VERSION)
+    kind = doc.get("kind", lambda text: None if text == "none" else FingerprintKind(text), None)
+    class_count = doc.get("class_count", positive_int)
+    feature_dim = doc.get("feature_dim", positive_int)
+    records = doc.records
     trees = []
-    expected = int(meta["tree_count"])
-    for _ in range(expected):
-        if pos >= len(lines) or not lines[pos].startswith("tree "):
-            raise FormatError("missing tree record", pos)
-        pos += 1
-        tree, pos = _read_node(lines, pos)
+    pos = 0
+    for i in range(doc.get("tree_count", positive_int)):
+        if pos >= len(records) or records[pos][1] != f"tree {i}":
+            raise FormatError(f"missing record 'tree {i}'")
+        tree, pos = _read_node(records, pos + 1, class_count, feature_dim)
         trees.append(tree)
-    if pos != len(lines):
-        raise FormatError("trailing content after final tree", pos)
+    if pos != len(records):
+        raise FormatError(f"line {records[pos][0]}: trailing content after final tree")
+    spec = WeakLearnerSpec(
+        primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
+        feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
+        threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
+    )
     return Forest(
         trees=trees,
-        depth_limit=int(meta["depth_limit"]),
-        class_count=int(meta["class_count"]),
-        feature_dim=int(meta["feature_dim"]),
-        seed=int(meta["seed"]),
+        depth_limit=doc.get("depth_limit", positive_int),
+        class_count=class_count,
+        feature_dim=feature_dim,
+        seed=doc.get("seed", int),
         spec=spec,
         kind=kind,
     )
@@ -487,11 +482,8 @@ def save_bank(bank: ClassifierBank, directory) -> None:
 
 
 def load_bank(directory) -> ClassifierBank:
-    directory = Path(directory)
     forests = {}
     for kind in KIND_ORDER:
-        path = directory / f"forest_{kind.value}.txt"
-        if not path.exists():
-            raise FormatError(f"missing forest file {path.name}")
-        forests[kind] = deserialize_forest(path.read_text(encoding="utf-8"))
+        path = Path(directory) / f"forest_{kind.value}.txt"
+        forests[kind] = deserialize_forest(read_artifact(path))
     return ClassifierBank(forests=forests)

@@ -9,11 +9,14 @@ single full-matrix estimate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .forest import PredictionMatrix, shannon_entropy
+from .textio import fmt_value
 
 
 @dataclass
@@ -90,7 +93,7 @@ def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     mat = _as_matrix(b)
     z = mat.shape[0]
     if not 1 <= window_length <= z:
-        raise ValueError(f"window_length must be in 1..{z}")
+        raise ConfigError("window", f"window length {window_length} outside 1..{z}")
     q = int(mat.max()) if class_count is None else class_count
     u = z - window_length + 1
     labels = np.empty(u, dtype=int)
@@ -123,14 +126,10 @@ def fusion_report_rows(results: dict, window_length: int, kind_names) -> list[st
     rows = []
     for grid in sorted(results):
         result = results[grid]
-        hist = {}
-        for g in result.selected:
-            name = kind_names[int(g)]
-            hist[name] = hist.get(name, 0) + 1
+        hist = Counter(kind_names[int(g)] for g in result.selected)
         hist_text = ",".join(f"{name}:{hist[name]}" for name in sorted(hist))
-        rho = "none" if result.rho is None else repr(result.rho)
         rows.append(
             f"grid={grid} w={window_length} u={result.prediction_count} "
-            f"rho={rho} selected={hist_text}"
+            f"rho={fmt_value(result.rho)} selected={hist_text}"
         )
     return rows

@@ -1,71 +1,136 @@
-"""Helpers for the self-describing structured-text headers used by all
-persisted artifacts (snapshot datasets, fingerprint stores, forests,
-reports).
+"""The one codec of every persisted artifact.
 
-Every artifact starts with a magic line ``<magic> <version>`` followed by
-``key=value`` lines. Floats are written with ``repr`` so that round-trips
-are lossless and byte-identical across runs.
+An artifact is UTF-8 text: a ``<MAGIC> <version>`` line, leading
+single-token ``key=value`` header lines, then format-specific record
+lines (a snapshot dataset continues in binary after an ``end-header``
+line). Floats are written with ``repr`` so that round-trips are lossless
+and byte-identical across runs. Every malformed document raises
+:class:`FormatError` naming the line at fault.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .errors import FormatError
 
-
-def fmt_float(x: float) -> str:
-    return repr(float(x))
+_REQUIRED = object()
+_END_HEADER = b"\nend-header\n"
 
 
 def fmt_value(v) -> str:
+    if v is None:
+        return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return fmt_float(v)
+        return repr(float(v))
     if isinstance(v, (list, tuple)):
         return ",".join(fmt_value(x) for x in v)
     return str(v)
 
 
-def check_magic(line: str, magic: str, version: int, offset: int = 0) -> None:
-    parts = line.strip().split()
-    if len(parts) != 2 or parts[0] != magic:
-        raise FormatError(f"expected magic '{magic}', got {line.strip()!r}", offset)
-    if parts[1] != str(version):
-        raise FormatError(
-            f"unsupported {magic} version {parts[1]!r} (expected {version})", offset
-        )
+def comma_list(to):
+    """Converter of ``a,b,c`` into a list of ``to``-converted items."""
+    return lambda text: [to(item) for item in text.split(",")]
 
 
-def parse_kv(line: str, offset: int = 0) -> tuple[str, str]:
-    if "=" not in line:
-        raise FormatError(f"expected key=value line, got {line.strip()!r}", offset)
-    key, _, value = line.partition("=")
-    return key.strip(), value.strip()
+def one_of(*choices):
+    def check(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"not one of {', '.join(choices)}")
+        return text
+
+    return check
 
 
-def read_header_lines(raw: bytes, magic: str, version: int):
-    """Parse the text header of a mixed text/binary artifact.
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
 
-    Returns (fields dict, byte offset of the first payload byte). The
-    header is UTF-8 lines up to and including an ``end-header`` line.
-    """
-    offset = 0
-    fields: dict[str, str] = {}
-    first = True
-    while True:
-        nl = raw.find(b"\n", offset)
-        if nl < 0:
-            raise FormatError("truncated header (no end-header line)", len(raw))
+
+def convert(text, to, what: str, line: int):
+    """``to(text)``; a failure is a FormatError naming ``what`` and the line."""
+    try:
+        return to(text)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"line {line}: bad {what} {text!r} ({exc})") from None
+
+
+class Fields:
+    """The ``key=value`` pairs of a header or of one record, each with its
+    line; a document's header also carries its ``(line, text)`` records."""
+
+    def __init__(self, line: int, tokens=()):
+        self.line = line
+        self.values: dict[str, tuple[str, int]] = {}
+        self.records: list[tuple[int, str]] = []
+        for token in tokens:
+            self._add(token, line)
+
+    def _add(self, token: str, line: int) -> None:
+        key, sep, text = token.partition("=")
+        if not sep or not key:
+            raise FormatError(f"line {line}: expected key=value, got {token!r}")
+        if key in self.values:
+            raise FormatError(f"line {line}: duplicate field {key!r}")
+        self.values[key] = (text, line)
+
+    def get(self, key: str, to=str, default=_REQUIRED):
+        """Field ``key`` converted by ``to``; ``default`` (as is) if absent."""
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise FormatError(f"line {self.line}: missing field {key!r}")
+            return default
+        return convert(self.values[key][0], to, key, self.values[key][1])
+
+    def header_only(self) -> Fields:
+        """These fields, after checking that no record line follows them."""
+        if self.records:
+            line, text = self.records[0]
+            raise FormatError(f"line {line}: expected key=value, got {text!r}")
+        return self
+
+
+def write_document(magic: str, version: int, header: dict, records=()) -> str:
+    lines = [f"{magic} {version}", *(f"{key}={fmt_value(v)}" for key, v in header.items())]
+    return "\n".join([*lines, *records]) + "\n"
+
+
+def read_document(raw, magic: str, version: int) -> Fields:
+    """Decode ``raw`` (bytes or str), skip blank lines, check the magic
+    line and split the header from the numbered record lines."""
+    if isinstance(raw, bytes):
         try:
-            line = raw[offset:nl].decode("utf-8")
+            raw = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError("header is not valid UTF-8", offset) from exc
-        if first:
-            check_magic(line, magic, version, offset)
-            first = False
-        elif line.strip() == "end-header":
-            return fields, nl + 1
+            raise FormatError(f"{magic} document is not valid UTF-8", exc.start) from None
+    lines = [(n, text.strip()) for n, text in enumerate(raw.splitlines(), 1) if text.strip()]
+    if not lines:
+        raise FormatError(f"empty {magic} document", 0)
+    doc = Fields(lines[0][0])
+    if lines[0][1].split() != [magic, str(version)]:
+        raise FormatError(f"line {doc.line}: expected '{magic} {version}', got {lines[0][1]!r}")
+    for n, text in lines[1:]:
+        if doc.records or len(text.split()) != 1 or "=" not in text:
+            doc.records.append((n, text))
         else:
-            key, value = parse_kv(line, offset)
-            fields[key] = value
-        offset = nl + 1
+            doc._add(text, n)
+    return doc
+
+
+def read_header(raw: bytes, magic: str, version: int) -> tuple[Fields, int]:
+    """Header of a text/binary artifact and the offset of its payload."""
+    end = raw.find(_END_HEADER)
+    if end < 0:
+        raise FormatError("truncated header (no end-header line)", len(raw))
+    return read_document(raw[:end], magic, version).header_only(), end + len(_END_HEADER)
+
+
+def read_artifact(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -11,6 +11,7 @@ from goofloc import (
     ArrayGeometry,
     DegenerateGeometryError,
     NoiseSpec,
+    NumericalFailure,
     Scenario,
     SnapshotBlock,
     add_noise,
@@ -111,6 +112,15 @@ class TestMakeGridScenario:
 
 
 class TestGeneratePaths:
+    def test_exhausted_angle_draws_are_a_numerical_failure(self):
+        class OffCentre:
+            # every draw sits at the top of the interval, never near theta0
+            def uniform(self, low, high, size):
+                return np.full(size, high)
+
+        with pytest.raises(NumericalFailure):
+            generate_paths(0.3, 1e-8, 0.4, 1e-9, 20, OffCentre())
+
     def test_zero_spread_collapses_to_los(self):
         rng = np.random.default_rng(0)
         ps = generate_paths(0.3, 1e-8, 0.0, 0.0, 1, rng)

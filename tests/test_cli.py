@@ -1,6 +1,7 @@
 """CLI pipeline: simulate -> build-goof -> train -> test -> fuse, sweeps."""
 
 import dataclasses
+import shutil
 
 import pytest
 
@@ -33,6 +34,29 @@ def config_file(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text(config_to_text(micro_config()), encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """Every artifact of one staged run: config, snapshots, store, bank,
+    prediction matrices, fusion result and a structured-text report."""
+    root = tmp_path_factory.mktemp("staged")
+    (root / "config.txt").write_text(config_to_text(micro_config()), encoding="utf-8")
+    stages = [
+        ["simulate", "--config", root / "config.txt", "--out-dir", root],
+        ["build-goof", "--dataset", root / "snapshots_gaussian_18dB.goofsnap",
+         "--group-count", 4, "--out", root / "goof"],
+        ["train", "--goof", root / "goof", "--train-count", 2, "--tree-count", 3,
+         "--depth-limit", 4, "--seed", 5, "--out", root / "bank"],
+        ["test", "--goof", root / "goof", "--skip-count", 2, "--bank", root / "bank",
+         "--out", root / "b.txt"],
+        ["fuse", "--bmatrices", root / "b.txt", "--window", 2, "--out", root / "fusion.txt"],
+        ["sweep-snr", "--config", root / "config.txt", "--out-dir", root / "sweep",
+         "--format", "structured-text", "--quiet"],
+    ]
+    for argv in stages:
+        assert main([str(a) for a in argv]) == 0
+    return root
 
 
 def test_stagewise_pipeline(tmp_path, config_file, capsys):
@@ -106,7 +130,7 @@ def test_flag_overrides_config(tmp_path, config_file, capsys):
     capsys.readouterr()
 
 
-def test_config_error_exit_code(tmp_path, capsys):
+def test_config_error_exit_code(tmp_path, staged, capsys):
     # group_count does not divide snapshot_count
     code = main([
         "sweep-snr", "--seed", "1", "--snapshot-count", "10", "--group-count", "3",
@@ -114,6 +138,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # values that do not convert, and counts outside the store (4 groups,
+    # 2 test samples per grid)
+    goof, bank, bmat = staged / "goof", staged / "bank", staged / "b.txt"
+    out = str(tmp_path / "out")
+    for argv, field in [
+        (["sweep-snr", "--seed", "3", "--grid-count", "abc", "--out-dir", out], "grid_count"),
+        (["train", "--goof", goof, "--train-count", 99, "--seed", 1, "--out", out], "train_count"),
+        (["train", "--goof", goof, "--train-count", 0, "--seed", 1, "--out", out], "train_count"),
+        (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out], "train_count"),
+        (["fuse", "--bmatrices", bmat, "--window", 9], "window"),
+        (["fuse", "--bmatrices", bmat, "--window", 0], "window"),
+    ]:
+        assert main([str(a) for a in argv]) == 2, argv
+        assert f"config error: {field}" in capsys.readouterr().err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -130,6 +168,12 @@ def test_format_error_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "format error" in capsys.readouterr().err
+    # a config file that is not UTF-8, and one that does not exist
+    config = tmp_path / "config.txt"
+    config.write_bytes(config_to_text(micro_config()).encode("utf-8").replace(b"=", b"=\xff", 1))
+    for path in (config, tmp_path / "absent.txt"):
+        assert main(["sweep-snr", "--config", str(path), "--out-dir", str(tmp_path / "x")]) == 3
+        assert "format error" in capsys.readouterr().err
 
 
 def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
@@ -192,3 +236,39 @@ def test_malformed_store_exit_code(tmp_path, config_file, capsys, old, new):
     code = main(["train", "--goof", str(goof_dir), "--seed", "1", "--out", str(tmp_path / "b")])
     assert code == 3
     assert "format error" in capsys.readouterr().err
+
+
+# (artifact to corrupt, corruption, stage that reads it); each mutant
+# stands for a class of damage the seeded mutation test draws at random
+MUTANTS = {
+    "snap": ("snapshots_gaussian_18dB.goofsnap", lambda raw: raw[:-1],
+             ["build-goof", "--dataset", "{root}/snapshots_gaussian_18dB.goofsnap",
+              "--group-count", "4", "--out", "{root}/g2"]),
+    "fpstore": ("goof/index.txt", lambda raw: raw.replace(b"grids=1,2,3,4", b"grids=1,2,3,"),
+                ["train", "--goof", "{root}/goof", "--seed", "1", "--out", "{root}/b2"]),
+    "forest": ("bank/forest_cmf.txt", lambda raw: raw.replace(b"tree_count=3\n", b""),
+               ["test", "--goof", "{root}/goof", "--skip-count", "2", "--bank", "{root}/bank",
+                "--out", "{root}/b2.txt"]),
+    "forest_dim": ("bank/forest_cmf.txt",
+                   lambda raw: raw.replace(b"feature_dim=16", b"feature_dim=17"),
+                   ["test", "--goof", "{root}/goof", "--bank", "{root}/bank",
+                    "--out", "{root}/b2.txt"]),
+    "bmat": ("b.txt", lambda raw: raw[: raw.rindex(b"\n", 0, -1) + 1],
+             ["fuse", "--bmatrices", "{root}/b.txt", "--window", "2"]),
+    "report": ("sweep/report.txt", lambda raw: raw.replace(b"seed=321", b"seed=3x1"),
+               ["report", "--report", "{root}/sweep/report.txt", "--out-dir", "{root}/csv"]),
+    "config": ("config.txt", lambda raw: raw.replace(b"grid_count=4", b"grid_count=4\xce"),
+               ["sweep-snr", "--config", "{root}/config.txt", "--out-dir", "{root}/s2"]),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutated_artifact_exit_code(tmp_path, staged, capsys, name):
+    root = tmp_path / "run"
+    shutil.copytree(staged, root)
+    target, corrupt, argv = MUTANTS[name]
+    (root / target).write_bytes(corrupt((root / target).read_bytes()))
+    capsys.readouterr()
+    assert main([a.format(root=root) for a in argv]) in (2, 3)
+    err = capsys.readouterr().err
+    assert "format error" in err or "config error" in err

@@ -9,6 +9,7 @@ from goofloc import (
     ConfigError,
     ExperimentConfig,
     FingerprintKind,
+    FormatError,
     Report,
     build_goof,
     emit_report,
@@ -212,6 +213,10 @@ class TestIngest:
             ingest_recorded_dataset(path)
 
 
+# the error row of one curve row
+UNPAIRED = "error kind=gaussian snr=20.0 method=cmf "
+
+
 class TestReports:
     def test_csv_shape_and_determinism(self, tmp_path):
         cfg = micro_config(
@@ -243,6 +248,22 @@ class TestReports:
         assert back.errors_m == report.errors_m
         assert back.timings.keys() == report.timings.keys()
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: [ln for ln in lines if not ln.startswith(UNPAIRED)],
+            lambda lines: [ln.replace("kind=gaussian", "kind=../x") for ln in lines],
+            lambda lines: [ln.replace("seed=123", "seed=1x3") for ln in lines],
+        ],
+        ids=["unpaired_curve", "kind_outside_noise_kinds", "bad_seed"],
+    )
+    def test_malformed_report_rejected(self, tmp_path, corrupt):
+        (path,) = emit_report(run_snr_sweep(micro_config()), "structured-text", tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(corrupt(lines)) + "\n")
+        with pytest.raises(FormatError):
+            load_report(path)
+
     def test_empty_report_refused(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(Report(config_hash="x", seed=1), "csv", tmp_path)
@@ -269,3 +290,23 @@ class TestReports:
         for g in matrices:
             assert np.array_equal(back[g].matrix, matrices[g].matrix)
             assert back[g].true_label == g
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:-1],  # one row fewer than sample_count
+            lambda lines: lines + ["1 1 1 1 1 1"],  # one row more
+            lambda lines: [ln.replace("grid_count=3", "grid_count=2") for ln in lines],
+            lambda lines: [ln.replace("kinds=cmf,", "kinds=") for ln in lines],
+            lambda lines: lines[:-1] + [lines[-1] + " 1"],  # a seventh column
+            lambda lines: lines[:-1] + ["0" + lines[-1][1:]],  # label 0
+        ],
+        ids=["dropped_row", "extra_row", "grid_count", "kinds", "wide_row", "zero_label"],
+    )
+    def test_bmatrices_must_match_their_header(self, tmp_path, corrupt):
+        matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2, 3)}
+        path = tmp_path / "b.txt"
+        save_bmatrices(path, matrices)
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(FormatError):
+            load_bmatrices(path)

@@ -249,6 +249,24 @@ class TestSerialization:
 
         with pytest.raises(FormatError):
             deserialize_forest("GOOF-FOREST 1\nkind=none\ntree_count=1\n")
+        # records that disagree with the header: leaf width is class_count,
+        # split features index 0..feature_dim-1 with one weight each
+        rng = np.random.default_rng(19)
+        forest = train_forest(rng.standard_normal((30, 3)), rng.integers(1, 4, size=30), 2, 3,
+                              WeakLearnerSpec(), seed=20)
+        text = serialize_forest(forest)
+        split = next(ln for ln in text.splitlines() if ln.startswith("split "))
+        _, idx, w, thr = split.split()
+        leaf = next(ln for ln in text.splitlines() if ln.startswith("leaf "))
+        for old, new in [
+            (leaf, leaf + " 0"),
+            (split, f"split 3 {w} {thr}"),
+            (split, f"split {idx} {w},{w} {thr}"),
+            ("tree_count=2", "tree_count=1"),
+            ("class_count=3", "class_count=x"),
+        ]:
+            with pytest.raises(FormatError):
+                deserialize_forest(text.replace(old, new, 1))
 
 
 def tiny_goof(q=2, length=64, seed=0):
