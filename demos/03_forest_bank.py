@@ -31,15 +31,17 @@ def main():
 
     bank = train_bank(train, cfg.tree_count, cfg.depth_limit, WeakLearnerSpec(), seed=cfg.seed)
 
-    print(f"{'family':8s} {'train acc':>10s} {'test acc':>9s} {'mean depth':>11s}")
+    print(f"{'family':8s} {'train acc':>10s} {'test acc':>9s} {'nodes':>6s} {'mean depth':>11s}")
     for kind in KIND_ORDER:
         forest = bank.forests[kind]
         xtr, ytr = train.stack(kind)
         xte, yte = test.stack(kind)
         acc_tr = (forest.predict_batch(xtr) == ytr).mean()
         acc_te = (forest.predict_batch(xte) == yte).mean()
+        # one node table per forest; each tree is a slice of its rows
+        nodes = forest.right.size
         depth = np.mean([t.depth() for t in forest.trees])
-        print(f"{kind.value:8s} {acc_tr:10.3f} {acc_te:9.3f} {depth:11.2f}")
+        print(f"{kind.value:8s} {acc_tr:10.3f} {acc_te:9.3f} {nodes:6d} {depth:11.2f}")
 
     print("\nserialization:")
     with tempfile.TemporaryDirectory() as tmp:

@@ -58,7 +58,6 @@ from .forest import (
     ClassifierBank,
     Forest,
     PredictionMatrix,
-    TreeNode,
     WeakLearnerSpec,
     deserialize_forest,
     information_gain,

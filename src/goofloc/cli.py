@@ -22,7 +22,6 @@ from .experiments import (
     cell_key,
     config_from_mapping,
     config_from_text,
-    config_hash,
     config_to_text,
     emit_report,
     ingest_recorded_dataset,
@@ -147,7 +146,7 @@ def _cmd_sweep(args) -> int:
     if args.format != "structured-text":
         paths += emit_report(report, args.format, args.out_dir)
     echo = Path(args.out_dir) / "config.txt"
-    echo.write_text(config_to_text(config) + f"config_hash={config_hash(config)}\n", "utf-8")
+    echo.write_text(config_to_text(config), "utf-8")
     for path in paths + [echo]:
         print(f"wrote {path}")
     return 0

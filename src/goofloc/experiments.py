@@ -124,11 +124,11 @@ class ExperimentConfig:
                 raise ConfigError("windows", f"window {w} outside 1..{self.test_count}")
         if self.repetitions < 1:
             raise ConfigError("repetitions", "must be >= 1")
-        for name, build in (("grid_count", self.scenario), ("primitive", self.learner_spec)):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(name, str(exc)) from exc
+        self.learner_spec()
+        try:
+            self.scenario()
+        except ValueError as exc:
+            raise ConfigError("grid_count", str(exc)) from exc
 
     def scenario(self) -> Scenario:
         return make_grid_scenario(self.room_width, self.room_height, self.grid_count)

@@ -87,7 +87,7 @@ def est_psd(block, psd_points: int | None = None) -> np.ndarray:
     m, length = y.shape
     k = length if psd_points is None else int(psd_points)
     if not 1 <= k <= length:
-        raise ValueError("psd_points must be in 1..L")
+        raise ConfigError("psd_points", f"must be in 1..{length}")
     spectrum = np.abs(np.fft.fft(y, axis=1) / length) ** 2
     spectrum = spectrum[:, :k]
     totals = spectrum.sum(axis=1)
@@ -101,6 +101,8 @@ def est_signal_subspace(covariance: np.ndarray) -> np.ndarray:
     r = np.asarray(covariance, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError("covariance must be square")
+    if not np.isfinite(r).all():
+        raise NumericalFailure("covariance is not finite: snapshot values overflow")
     if not np.allclose(r, r.conj().T, atol=1e-8 * max(1.0, np.abs(r).max())):
         raise ValueError("covariance must be Hermitian")
     try:
@@ -137,7 +139,7 @@ def est_flom(block, p: float = 1.2) -> np.ndarray:
     """
     y = _block_data(block)
     if not 1.0 < p <= 2.0:
-        raise ValueError("p must satisfy 1 < p <= 2")
+        raise ConfigError("flom_exponent", "must be in (1, 2]")
     length = y.shape[1]
     if p == 2.0:
         return (y @ y.conj().T) / length
@@ -276,13 +278,17 @@ def build_goof(
         ]
         for block in blocks
     ]
+    data = {kind: np.array([[g[kind] for g in row] for row in groups]) for kind in KIND_ORDER}
+    for kind, x in data.items():
+        if not np.isfinite(x).all():
+            raise NumericalFailure(f"{kind.value} fingerprints are not finite: snapshots overflow")
     goof = Goof(
         group_count=group_count,
         snapshots_per_group=per_group,
         noise_kind=blocks[0].noise_kind,
         snr_db=blocks[0].snr_db,
         labels=np.array([block.grid_label for block in blocks], dtype=int),
-        data={kind: np.array([[g[kind] for g in row] for row in groups]) for kind in KIND_ORDER},
+        data=data,
     )
     goof.validate()
     return goof

@@ -5,6 +5,11 @@ random feature subspace and random thresholds at every node and keeping
 the candidate with the largest Shannon information gain; leaves store
 class histograms. Prediction is majority vote over the trees, ties broken
 toward the smallest grid label.
+
+A forest is one node table: flat arrays over every tree's nodes in
+pre-order, tree after tree. A split row's left child is the next row and
+its right child lies ``right`` rows further on; a leaf row has
+``right == 0``.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, Goof
 from .textio import (
     comma_list, convert, one_of, positive_int, read_artifact, read_document, write_document,
 )
 
-PRIMITIVES = ("axis_aligned_stump", "oriented_hyperplane_2d")
+# split primitive -> feature indices (and weights) per split
+PRIMITIVES = {"axis_aligned_stump": 1, "oriented_hyperplane_2d": 2}
 
 
 def node_counts(depth_limit: int) -> tuple[int, int, int]:
@@ -71,44 +77,63 @@ class WeakLearnerSpec:
 
     def __post_init__(self):
         if self.primitive not in PRIMITIVES:
-            raise ValueError(f"unknown primitive {self.primitive!r}")
+            raise ConfigError("primitive", f"unknown primitive {self.primitive!r}")
         if self.threshold_candidates < 1:
-            raise ValueError("threshold_candidates must be >= 1")
+            raise ConfigError("threshold_candidates", "must be >= 1")
 
     def subspace(self, dim: int) -> int:
         m = self.feature_subspace_size
         if m is None:
             m = math.ceil(math.sqrt(dim))
         if not 1 <= m <= dim:
-            raise ValueError(f"feature subspace size {m} outside 1..{dim}")
+            raise ConfigError("feature_subspace", f"size {m} outside 1..{dim}")
         return m
 
 
-@dataclass
-class TreeNode:
-    """Split node (feature indices, projection weights, threshold) or leaf
-    (class histogram). Samples with projection >= threshold go right."""
+_COLUMNS = ("features", "weights", "threshold", "right", "histogram")
 
-    feature_indices: tuple[int, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    histogram: np.ndarray | None = None
+
+@dataclass
+class Tree:
+    """The rows of one tree in a node table (views into the forest's)."""
+
+    features: np.ndarray  # (n, arity) feature indices of a split row
+    weights: np.ndarray  # (n, arity) projection weights of a split row
+    threshold: np.ndarray  # (n,) samples with projection >= threshold go right
+    right: np.ndarray  # (n,) rows from a split to its right child; 0 at a leaf
+    histogram: np.ndarray  # (n, class_count) class counts of a leaf row
 
     @property
     def is_leaf(self) -> bool:
-        return self.histogram is not None
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + max(self.left.depth(), self.right.depth())
+        """True when the whole tree is one leaf."""
+        return not self.right[0]
 
     def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        return len(self.right)
+
+    def depth(self) -> int:
+        """Levels on the longest root-to-leaf path."""
+        level, rows = 0, np.zeros(1, dtype=int)
+        while rows.size:
+            level += 1
+            step = self.right[rows]
+            rows = rows[step > 0]
+            rows = np.concatenate([rows + 1, rows + step[step > 0]])
+        return level
+
+
+def _table(rows: list, class_count: int) -> dict:
+    """Node-table columns of ``[features, weights, threshold, right,
+    histogram]`` rows; split rows (histogram None) count no samples."""
+    features, weights, threshold, right, hists = zip(*rows)
+    zero = np.zeros(class_count, dtype=np.int64)
+    return {
+        "features": np.array(features, dtype=np.intp),
+        "weights": np.array(weights, dtype=float),
+        "threshold": np.array(threshold, dtype=float),
+        "right": np.array(right, dtype=np.intp),
+        "histogram": np.array([zero if h is None else h for h in hists], dtype=np.int64),
+    }
 
 
 def _hist_entropy(hist: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -119,24 +144,19 @@ def _hist_entropy(hist: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _candidate_projections(x_node, spec: WeakLearnerSpec, rng):
-    """Projections, index tuples and weights for m random candidates."""
+    """Projections, (m, arity) feature indices and weights of m random
+    candidates."""
     dim = x_node.shape[1]
     m = spec.subspace(dim)
     if spec.primitive == "axis_aligned_stump":
         feats = rng.choice(dim, size=m, replace=False)
-        proj = x_node[:, feats]
-        indices = [(int(f),) for f in feats]
-        weights = [(1.0,)] * m
-    else:
-        if dim < 2:
-            raise ValueError("oriented_hyperplane_2d needs at least 2 features")
-        pairs = np.array([rng.choice(dim, size=2, replace=False) for _ in range(m)])
-        angles = rng.uniform(0.0, 2.0 * math.pi, m)
-        w = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        proj = x_node[:, pairs[:, 0]] * w[:, 0] + x_node[:, pairs[:, 1]] * w[:, 1]
-        indices = [(int(a), int(b)) for a, b in pairs]
-        weights = [(float(a), float(b)) for a, b in w]
-    return proj, indices, weights
+        return x_node[:, feats], feats[:, None], np.ones((m, 1))
+    if dim < 2:
+        raise ValueError("oriented_hyperplane_2d needs at least 2 features")
+    feats = np.array([rng.choice(dim, size=2, replace=False) for _ in range(m)])
+    angles = rng.uniform(0.0, 2.0 * math.pi, m)
+    weights = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return (x_node[:, feats] * weights).sum(axis=2), feats, weights
 
 
 def _best_split(x_node, onehot_node, spec: WeakLearnerSpec, rng):
@@ -146,9 +166,9 @@ def _best_split(x_node, onehot_node, spec: WeakLearnerSpec, rng):
     chosen over a real split.
     """
     n = x_node.shape[0]
-    proj, indices, weights = _candidate_projections(x_node, spec, rng)
+    proj, feats, weights = _candidate_projections(x_node, spec, rng)
     lo, hi = proj.min(axis=0), proj.max(axis=0)
-    thresholds = rng.uniform(lo, hi, size=(spec.threshold_candidates, len(indices))).T
+    thresholds = rng.uniform(lo, hi, size=(spec.threshold_candidates, len(feats))).T
     go_right = proj[:, :, None] >= thresholds[None, :, :]  # (n, m, t)
     right_hist = np.tensordot(go_right.astype(float), onehot_node, axes=([0], [0]))
     parent_hist = onehot_node.sum(axis=0)
@@ -165,24 +185,25 @@ def _best_split(x_node, onehot_node, spec: WeakLearnerSpec, rng):
     if gain[best] <= 1e-12:
         return None
     ci, ti = best
-    return indices[ci], weights[ci], float(thresholds[ci, ti]), go_right[:, ci, ti]
+    return feats[ci], weights[ci], float(thresholds[ci, ti]), go_right[:, ci, ti]
 
 
-def _grow(x, onehot, labels, idx, depth, depth_limit, class_count, spec, rng) -> TreeNode:
-    node_labels = labels[idx]
-    hist = np.bincount(node_labels, minlength=class_count + 1)[1:]
-    pure = (hist > 0).sum() <= 1
-    if depth >= depth_limit or idx.size < 2 or pure:
-        return TreeNode(histogram=hist)
-    found = _best_split(x[idx], onehot[idx], spec, rng)
+def _grow(x, onehot, labels, idx, depth, depth_limit, spec, rng, rows) -> None:
+    """Append the pre-order rows of the subtree over samples ``idx``."""
+    hist = np.bincount(labels[idx], minlength=onehot.shape[1] + 1)[1:]
+    found = None
+    if depth < depth_limit and idx.size >= 2 and (hist > 0).sum() > 1:
+        found = _best_split(x[idx], onehot[idx], spec, rng)
     if found is None:
-        return TreeNode(histogram=hist)
+        arity = PRIMITIVES[spec.primitive]
+        rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
+        return
     feats, w, threshold, go_right = found
-    left = _grow(x, onehot, labels, idx[~go_right], depth + 1, depth_limit, class_count, spec, rng)
-    right = _grow(x, onehot, labels, idx[go_right], depth + 1, depth_limit, class_count, spec, rng)
-    return TreeNode(
-        feature_indices=feats, weights=w, threshold=threshold, left=left, right=right
-    )
+    at = len(rows)
+    rows.append([feats, w, threshold, 0, None])
+    _grow(x, onehot, labels, idx[~go_right], depth + 1, depth_limit, spec, rng, rows)
+    rows[at][3] = len(rows) - at
+    _grow(x, onehot, labels, idx[go_right], depth + 1, depth_limit, spec, rng, rows)
 
 
 def train_tree(
@@ -192,10 +213,10 @@ def train_tree(
     depth_limit: int,
     rng: np.random.Generator,
     class_count: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Grow one decision tree; path lengths never exceed ``depth_limit``.
 
-    Recursion stops early on purity or when fewer than two samples remain;
+    Growth stops early on purity or when fewer than two samples remain;
     the full-tree node count from :func:`node_counts` stays the hard cap.
     """
     x = np.asarray(samples, dtype=float)
@@ -203,64 +224,73 @@ def train_tree(
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
         raise ValueError("need >= 1 sample with one label per sample")
     if depth_limit < 1:
-        raise ValueError("depth_limit must be >= 1")
+        raise ConfigError("depth_limit", "must be >= 1")
     q = int(y.max()) if class_count is None else class_count
     if y.min() < 1 or y.max() > q:
         raise ValueError("labels must lie in 1..class_count")
     onehot = np.zeros((x.shape[0], q))
     onehot[np.arange(x.shape[0]), y - 1] = 1.0
-    return _grow(x, onehot, y, np.arange(x.shape[0]), 1, depth_limit, q, spec, rng)
+    rows = []
+    _grow(x, onehot, y, np.arange(x.shape[0]), 1, depth_limit, spec, rng, rows)
+    return Tree(**_table(rows, q))
 
 
 @dataclass
 class Forest:
-    """A trained forest for one fingerprint family."""
+    """A trained forest for one fingerprint family: one node table with
+    the columns of :class:`Tree` over all trees, and each tree's first row."""
 
-    trees: list[TreeNode]
+    features: np.ndarray
+    weights: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    histogram: np.ndarray
+    roots: np.ndarray  # (T,) row of each tree's root
     depth_limit: int
-    class_count: int
     feature_dim: int
     seed: int
     spec: WeakLearnerSpec = field(default_factory=WeakLearnerSpec)
     kind: FingerprintKind | None = None
 
     @property
+    def class_count(self) -> int:
+        return self.histogram.shape[1]
+
+    @property
     def tree_count(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
+
+    @property
+    def trees(self) -> list[Tree]:
+        ends = [*self.roots[1:], len(self.right)]
+        columns = [getattr(self, name) for name in _COLUMNS]
+        return [Tree(*(c[a:b] for c in columns)) for a, b in zip(self.roots, ends)]
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        """Majority-vote labels for an (n, dim) sample matrix."""
+        """Majority-vote labels for an (n, dim) sample matrix. All trees
+        descend together: an (n, T) matrix of rows moves one level per
+        step until every entry is a leaf (at most ``depth_limit - 1``)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"expected (n, {self.feature_dim}) features")
-        votes = np.zeros((x.shape[0], self.class_count), dtype=int)
-        order = np.arange(x.shape[0])
-        for tree in self.trees:
-            out = np.empty(x.shape[0], dtype=int)
-            _predict_tree_batch(tree, x, order, out)
-            votes[order, out - 1] += 1
+        n, q = x.shape[0], self.class_count
+        sample = np.arange(n)[:, None]
+        node = np.tile(self.roots, (n, 1))
+        while (step := self.right[node]).any():
+            proj = (x[sample[..., None], self.features[node]] * self.weights[node]).sum(axis=2)
+            node += np.where(proj >= self.threshold[node], step, step > 0)
+        labels = self.histogram[node].argmax(axis=2)  # 0-based
+        votes = np.bincount((labels + q * sample).ravel(), minlength=n * q).reshape(n, q)
         return votes.argmax(axis=1) + 1  # first max: smallest label wins ties
 
 
-def _tree_vote(node: TreeNode, x: np.ndarray) -> int:
-    while not node.is_leaf:
-        proj = sum(w * x[f] for f, w in zip(node.feature_indices, node.weights))
-        node = node.right if proj >= node.threshold else node.left
-    return int(node.histogram.argmax()) + 1
-
-
-def _predict_tree_batch(node: TreeNode, x, idx, out) -> None:
-    if node.is_leaf:
-        out[idx] = int(node.histogram.argmax()) + 1
-        return
-    proj = np.zeros(idx.shape[0])
-    for f, w in zip(node.feature_indices, node.weights):
-        proj += w * x[idx, f]
-    right = proj >= node.threshold
-    if (~right).any():
-        _predict_tree_batch(node.left, x, idx[~right], out)
-    if right.any():
-        _predict_tree_batch(node.right, x, idx[right], out)
+def _tree_vote(tree: Tree, x: np.ndarray) -> int:
+    """Reference walk of one sample down one tree, a row at a time."""
+    row = 0
+    while tree.right[row]:
+        proj = sum(w * x[f] for f, w in zip(tree.features[row], tree.weights[row]))
+        row += int(tree.right[row]) if proj >= tree.threshold[row] else 1
+    return int(tree.histogram[row].argmax()) + 1
 
 
 def train_forest(
@@ -281,7 +311,7 @@ def train_forest(
     x = np.asarray(samples, dtype=float)
     y = np.asarray(labels, dtype=int)
     if tree_count < 1:
-        raise ValueError("tree_count must be >= 1")
+        raise ConfigError("tree_count", "must be >= 1")
     q = int(y.max()) if class_count is None else class_count
     n = x.shape[0]
     trees = []
@@ -289,10 +319,11 @@ def train_forest(
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
         trees.append(train_tree(x[boot], y[boot], spec, depth_limit, rng, class_count=q))
+    sizes = [tree.node_count() for tree in trees]
     return Forest(
-        trees=trees,
+        **{name: np.concatenate([getattr(t, name) for t in trees]) for name in _COLUMNS},
+        roots=np.cumsum([0, *sizes[:-1]]),
         depth_limit=depth_limit,
-        class_count=q,
         feature_dim=x.shape[1],
         seed=seed,
         spec=spec,
@@ -334,10 +365,6 @@ class ClassifierBank:
         missing = [k.value for k in KIND_ORDER if k not in self.forests]
         if missing:
             raise ValueError(f"bank is missing forests for: {', '.join(missing)}")
-
-    @property
-    def class_count(self) -> int:
-        return self.forests[KIND_ORDER[0]].class_count
 
 
 def key_seed(*key: int) -> int:
@@ -388,19 +415,9 @@ FOREST_MAGIC = "GOOF-FOREST"
 FOREST_VERSION = 1
 
 
-def _write_node(node: TreeNode, lines: list[str]) -> None:
-    if node.is_leaf:
-        lines.append("leaf " + " ".join(str(int(c)) for c in node.histogram))
-        return
-    idx = ",".join(str(i) for i in node.feature_indices)
-    w = ",".join(float(v).hex() for v in node.weights)
-    lines.append(f"split {idx} {w} {float(node.threshold).hex()}")
-    _write_node(node.left, lines)
-    _write_node(node.right, lines)
-
-
 def serialize_forest(forest: Forest) -> str:
-    """Lossless structured-text form; byte-identical for identical forests."""
+    """Lossless structured-text form, one record per table row in
+    pre-order; byte-identical for identical forests."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
@@ -412,60 +429,69 @@ def serialize_forest(forest: Forest) -> str:
         "feature_subspace": forest.spec.feature_subspace_size or 0,
         "threshold_candidates": forest.spec.threshold_candidates,
     }
+    heads = {root: i for i, root in enumerate(forest.roots.tolist())}
     records = []
-    for i, tree in enumerate(forest.trees):
-        records.append(f"tree {i}")
-        _write_node(tree, records)
+    rows = zip(*(getattr(forest, name).tolist() for name in _COLUMNS))
+    for row, (feats, weights, threshold, right, hist) in enumerate(rows):
+        if row in heads:
+            records.append(f"tree {heads[row]}")
+        if right:
+            idx = ",".join(map(str, feats))
+            w = ",".join(v.hex() for v in weights)
+            records.append(f"split {idx} {w} {threshold.hex()}")
+        else:
+            records.append("leaf " + " ".join(map(str, hist)))
     return write_document(FOREST_MAGIC, FOREST_VERSION, header, records)
 
 
-def _read_node(records, pos: int, class_count: int, feature_dim: int) -> tuple[TreeNode, int]:
-    """The subtree whose pre-order records start at ``pos``, and the
-    position after it."""
-    if pos >= len(records):
-        raise FormatError("unexpected end of forest document")
-    line, text = records[pos]
-    tag, *parts = text.split()
-    if tag == "leaf" and len(parts) == class_count:
-        hist = convert(parts, lambda p: np.array(p, dtype=int), "leaf", line)
-        return TreeNode(histogram=hist), pos + 1
-    if tag != "split" or len(parts) != 3:
-        raise FormatError(f"line {line}: bad node record {text!r}")
-    feats = convert(parts[0], comma_list(int), "feature indices", line)
-    weights = convert(parts[1], comma_list(float.fromhex), "weights", line)
-    if len(weights) != len(feats) or not all(0 <= f < feature_dim for f in feats):
-        raise FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
-    threshold = convert(parts[2], float.fromhex, "threshold", line)
-    left, pos = _read_node(records, pos + 1, class_count, feature_dim)
-    right, pos = _read_node(records, pos, class_count, feature_dim)
-    return TreeNode(tuple(feats), tuple(weights), threshold, left, right), pos
-
-
 def deserialize_forest(raw) -> Forest:
-    """Read a :func:`serialize_forest` document (bytes or str)."""
+    """Read a :func:`serialize_forest` document (bytes or str). Records
+    fill the table in order; a stack holds the splits whose left subtree
+    is open (on a ``None`` for the tree), and the leaf that closes one
+    sets that split's right-child offset."""
     doc = read_document(raw, FOREST_MAGIC, FOREST_VERSION)
     kind = doc.get("kind", lambda text: None if text == "none" else FingerprintKind(text), None)
     class_count = doc.get("class_count", positive_int)
     feature_dim = doc.get("feature_dim", positive_int)
-    records = doc.records
-    trees = []
-    pos = 0
-    for i in range(doc.get("tree_count", positive_int)):
-        if pos >= len(records) or records[pos][1] != f"tree {i}":
-            raise FormatError(f"missing record 'tree {i}'")
-        tree, pos = _read_node(records, pos + 1, class_count, feature_dim)
-        trees.append(tree)
-    if pos != len(records):
-        raise FormatError(f"line {records[pos][0]}: trailing content after final tree")
+    tree_count = doc.get("tree_count", positive_int)
     spec = WeakLearnerSpec(
         primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
         feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
         threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
     )
+    arity = PRIMITIVES[spec.primitive]
+    rows, roots, open_splits = [], [], []
+    for line, text in doc.records:
+        tag, *parts = text.split()
+        if not open_splits:
+            if text != f"tree {len(roots)}":
+                raise FormatError(f"line {line}: expected 'tree {len(roots)}', got {text!r}")
+            roots.append(len(rows))
+            open_splits.append(None)
+        elif tag == "leaf" and len(parts) == class_count:
+            hist = convert(parts, lambda p: np.array(p, dtype=int), "leaf", line)
+            rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
+            at = open_splits.pop()
+            if at is not None:
+                rows[at][3] = len(rows) - at
+        elif tag == "split" and len(parts) == 3:
+            feats = convert(parts[0], comma_list(np.intp), "feature indices", line)
+            weights = convert(parts[1], comma_list(float.fromhex), "weights", line)
+            if not len(feats) == len(weights) == arity or not all(
+                0 <= f < feature_dim for f in feats
+            ):
+                raise FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
+            threshold = convert(parts[2], float.fromhex, "threshold", line)
+            open_splits.append(len(rows))
+            rows.append([feats, weights, threshold, 0, None])
+        else:
+            raise FormatError(f"line {line}: bad node record {text!r}")
+    if open_splits or len(roots) != tree_count:
+        raise FormatError(f"{len(roots)} whole trees, but tree_count={tree_count}")
     return Forest(
-        trees=trees,
+        **_table(rows, class_count),
+        roots=np.array(roots, dtype=np.intp),
         depth_limit=doc.get("depth_limit", positive_int),
-        class_count=class_count,
         feature_dim=feature_dim,
         seed=doc.get("seed", int),
         spec=spec,

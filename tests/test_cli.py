@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from goofloc.cli import main
+from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
 from goofloc.fingerprints import KIND_ORDER
 from goofloc import ExperimentConfig
@@ -138,12 +139,22 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     ])
     assert code == 2
     assert "config error" in capsys.readouterr().err
-    # values that do not convert, and counts outside the store (4 groups,
-    # 2 test samples per grid)
+    # values that do not convert, counts outside the store (4 groups,
+    # 2 test samples per grid), and flags only the library checks
     goof, bank, bmat = staged / "goof", staged / "bank", staged / "b.txt"
+    snaps = staged / "snapshots_gaussian_18dB.goofsnap"
     out = str(tmp_path / "out")
+    build = ["build-goof", "--dataset", snaps, "--group-count", 4, "--out", out]
+    train = ["train", "--goof", goof, "--seed", 1, "--out", out]
     for argv, field in [
         (["sweep-snr", "--seed", "3", "--grid-count", "abc", "--out-dir", out], "grid_count"),
+        (build + ["--psd-points", 0], "psd_points"),
+        (build + ["--flom-exponent", 3], "flom_exponent"),
+        (train + ["--primitive", "foo"], "primitive"),
+        (train + ["--tree-count", 0], "tree_count"),
+        (train + ["--threshold-candidates", 0], "threshold_candidates"),
+        (train + ["--depth-limit", 0], "depth_limit"),
+        (train + ["--feature-subspace", 99], "feature_subspace"),
         (["train", "--goof", goof, "--train-count", 99, "--seed", 1, "--out", out], "train_count"),
         (["train", "--goof", goof, "--train-count", 0, "--seed", 1, "--out", out], "train_count"),
         (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out], "train_count"),
@@ -152,6 +163,32 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     ]:
         assert main([str(a) for a in argv]) == 2, argv
         assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_overflowing_snapshots_exit_code(tmp_path, staged, capsys):
+    # one finite but huge sample: its covariance overflows to inf
+    blocks = load_snapshot_dataset(staged / "snapshots_gaussian_18dB.goofsnap")
+    blocks[0].data[0, 5] = 1e300
+    save_snapshot_dataset(tmp_path / "big.goofsnap", blocks)
+    with pytest.warns(RuntimeWarning):
+        code = main([
+            "build-goof", "--dataset", str(tmp_path / "big.goofsnap"), "--group-count", "4",
+            "--out", str(tmp_path / "g"),
+        ])
+    assert code == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_reruns_from_its_config_echo(tmp_path, config_file, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["sweep-snr", "--config", str(config_file), "--out-dir", str(first),
+                 "--quiet"]) == 0
+    assert main(["sweep-snr", "--config", str(first / "config.txt"), "--out-dir", str(second),
+                 "--quiet"]) == 0
+    assert (first / "config.txt").read_bytes() == config_file.read_bytes()
+    for name in ("curve_gaussian.csv", "config.txt", "config_echo.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    capsys.readouterr()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

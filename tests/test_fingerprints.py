@@ -7,6 +7,7 @@ from goofloc import (
     DegenerateInputError,
     FingerprintKind,
     FormatError,
+    NumericalFailure,
     SnapshotBlock,
     build_goof,
     est_covariance,
@@ -336,6 +337,15 @@ class TestBuildGoof:
     def test_indivisible_group_count_rejected(self):
         with pytest.raises(ValueError):
             build_goof(make_blocks(length=16), group_count=3)
+
+    @pytest.mark.parametrize("big", [1e300, 1e100])
+    def test_overflowing_snapshots_are_a_numerical_failure(self, big):
+        # every value is finite, but the covariance (1e300) or the fourth-
+        # order cumulant (1e100) of the group holding it overflows to inf
+        blocks = make_blocks()
+        blocks[0].data[0, 5] = big
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalFailure):
+            build_goof(blocks, group_count=4)
 
     def test_deterministic(self):
         a = build_goof(make_blocks(), group_count=4)

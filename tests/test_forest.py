@@ -1,5 +1,7 @@
 """Random forest: entropy/gain arithmetic, training, voting, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from goofloc import (
     train_tree,
 )
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import Forest, TreeNode, _tree_vote
+from goofloc.forest import _COLUMNS, PRIMITIVES, Forest, _tree_vote
 
 
 class TestNodeCounts:
@@ -126,13 +128,9 @@ class TestTrainTree:
     def test_leaf_histograms_count_reaching_samples(self):
         x, y = two_blob_data(n=20)
         tree = train_tree(x, y, WeakLearnerSpec(), 4, np.random.default_rng(7))
-
-        def total(node):
-            if node.is_leaf:
-                return int(node.histogram.sum())
-            return total(node.left) + total(node.right)
-
-        assert total(tree) == 20
+        assert not tree.is_leaf
+        assert int(tree.histogram[tree.right == 0].sum()) == 20
+        assert not tree.histogram[tree.right > 0].any()  # split rows count nothing
 
     def test_identical_features_make_a_leaf(self):
         x = np.zeros((6, 2))
@@ -175,14 +173,8 @@ class TestTrainForest:
     def test_bootstrap_preserves_cardinality(self):
         x, y = two_blob_data(n=24)
         forest = train_forest(x, y, 5, 6, WeakLearnerSpec(), seed=13)
-
-        def total(node):
-            if node.is_leaf:
-                return int(node.histogram.sum())
-            return total(node.left) + total(node.right)
-
         for tree in forest.trees:
-            assert total(tree) == 24
+            assert int(tree.histogram[tree.right == 0].sum()) == 24
 
     def test_batch_and_single_prediction_agree(self):
         rng = np.random.default_rng(14)
@@ -194,14 +186,62 @@ class TestTrainForest:
         assert np.array_equal(batch, single)
 
 
+class TestFlatPredictor:
+    """The node-table predictor (all trees, one level per step) against the
+    per-sample reference walk, and the table against its file form."""
+
+    @pytest.mark.parametrize("primitive", list(PRIMITIVES))
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_batch_equals_reference_walk(self, primitive, depth):
+        rng = np.random.default_rng(depth)
+        x = rng.standard_normal((50, 4))
+        y = rng.integers(1, 6, size=50)
+        forest = train_forest(x, y, 6, depth, WeakLearnerSpec(primitive=primitive), seed=depth)
+        back = deserialize_forest(serialize_forest(forest))
+        for name in _COLUMNS:
+            assert np.array_equal(getattr(back, name), getattr(forest, name)), name
+        assert np.array_equal(back.roots, forest.roots)
+        probe = np.vstack([x, rng.standard_normal((30, 4))])
+        reference = np.array([predict_forest(forest, row) for row in probe])
+        assert np.array_equal(forest.predict_batch(probe), reference)
+        assert np.array_equal(back.predict_batch(probe), reference)
+        assert max(tree.depth() for tree in forest.trees) <= depth
+
+    def test_trees_are_views_of_the_table(self):
+        x, y = two_blob_data(n=30)
+        forest = train_forest(x, y, 4, 5, WeakLearnerSpec(), seed=3)
+        trees = forest.trees
+        assert sum(tree.node_count() for tree in trees) == forest.right.size
+        for tree in trees:
+            assert all(np.shares_memory(getattr(tree, c), getattr(forest, c)) for c in _COLUMNS)
+
+    # sha256 of serialize_forest for fixed inputs: pins the GOOF-FOREST 1
+    # format and the rng draws of training
+    @pytest.mark.parametrize("primitive, digest", [
+        ("axis_aligned_stump", "f023d315ca7339c653d19fef11dac373b35ccce78e8fcd5fa68159a9735b0e22"),
+        ("oriented_hyperplane_2d",
+         "54f5d3868dfd463d8a17eb2c96b06c848e003ade5d80785139140aacbb2a2f6e"),
+    ])
+    def test_serialized_forest_is_pinned(self, primitive, digest):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((48, 4))
+        y = rng.integers(1, 5, size=48)
+        forest = train_forest(x, y, 5, 5, WeakLearnerSpec(primitive=primitive), seed=41,
+                              kind=FingerprintKind.FOCF)
+        assert hashlib.sha256(serialize_forest(forest).encode()).hexdigest() == digest
+
+
 class TestVoting:
     def forest_of_leaves(self, leaf_labels, q=10):
-        trees = []
-        for label in leaf_labels:
-            hist = np.zeros(q, dtype=int)
-            hist[label - 1] = 1
-            trees.append(TreeNode(histogram=hist))
-        return Forest(trees=trees, depth_limit=1, class_count=q, feature_dim=2, seed=0)
+        """One single-leaf tree per label: one table row each."""
+        t = len(leaf_labels)
+        hist = np.zeros((t, q), dtype=int)
+        hist[np.arange(t), np.array(leaf_labels) - 1] = 1
+        return Forest(
+            features=np.zeros((t, 1), dtype=int), weights=np.zeros((t, 1)), threshold=np.zeros(t),
+            right=np.zeros(t, dtype=int), histogram=hist, roots=np.arange(t), depth_limit=1,
+            feature_dim=2, seed=0,
+        )
 
     def test_unanimous(self):
         forest = self.forest_of_leaves([7, 7, 7])
@@ -250,7 +290,8 @@ class TestSerialization:
         with pytest.raises(FormatError):
             deserialize_forest("GOOF-FOREST 1\nkind=none\ntree_count=1\n")
         # records that disagree with the header: leaf width is class_count,
-        # split features index 0..feature_dim-1 with one weight each
+        # split features index 0..feature_dim-1 with one weight each, one
+        # feature per stump, and tree_count whole pre-order trees
         rng = np.random.default_rng(19)
         forest = train_forest(rng.standard_normal((30, 3)), rng.integers(1, 4, size=30), 2, 3,
                               WeakLearnerSpec(), seed=20)
@@ -262,6 +303,10 @@ class TestSerialization:
             (leaf, leaf + " 0"),
             (split, f"split 3 {w} {thr}"),
             (split, f"split {idx} {w},{w} {thr}"),
+            (split, f"split {idx},{idx} {w},{w} {thr}"),
+            (leaf + "\n", ""),
+            (leaf, leaf + "\n" + leaf),
+            ("tree 1", "tree 2"),
             ("tree_count=2", "tree_count=1"),
             ("class_count=3", "class_count=x"),
         ]:
