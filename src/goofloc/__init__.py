@@ -63,7 +63,6 @@ from .forest import (
     information_gain,
     load_bank,
     node_counts,
-    predict_forest,
     predict_matrix,
     save_bank,
     serialize_forest,

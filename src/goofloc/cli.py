@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .dataset import save_snapshot_dataset
-from .errors import ConfigError, FormatError, NumericalFailure
+from .errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
 from .experiments import (
     ExperimentConfig,
     cell_key,
@@ -242,6 +242,9 @@ def main(argv=None) -> int:
         return 3
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except DegenerateInputError as exc:
+        print(f"degenerate input: {exc}", file=sys.stderr)
         return 4
 
 

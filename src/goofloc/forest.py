@@ -2,9 +2,15 @@
 
 One forest is trained per fingerprint family. Trees grow by drawing a
 random feature subspace and random thresholds at every node and keeping
-the candidate with the largest Shannon information gain; leaves store
-class histograms. Prediction is majority vote over the trees, ties broken
-toward the smallest grid label.
+the candidate with the largest Shannon information gain (Extremely
+Randomized Trees); leaves store class histograms. Prediction is majority
+vote over the trees, ties broken toward the smallest grid label.
+
+All trees of a forest grow together, one depth level per vectorized pass.
+A node's random draws depend only on its position (forest seed, tree,
+level, heap slot), never on the order in which nodes are grown, so the
+level-wise trainer builds exactly the trees a depth-first grower reading
+the same draws would build.
 
 A forest is one node table: flat arrays over every tree's nodes in
 pre-order, tree after tree. A split row's left child is the next row and
@@ -136,74 +142,247 @@ def _table(rows: list, class_count: int) -> dict:
     }
 
 
-def _hist_entropy(hist: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = hist / totals[..., None]
-        terms = np.where(hist > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=-1)
+# A node's draws are a counter-based hash (SplitMix64) of its key. The root
+# key comes from the tree's rng and each child's key hashes its parent's
+# key with its side, so a key names a position (seed, tree, level, heap
+# slot) and no draw depends on the order in which nodes are grown.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SIDES = np.array([0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7], dtype=np.uint64)  # left, right
+# Bound on the elements of each array a split-search chunk builds (pairs x
+# candidates, and class slots x candidates x threshold bins): it caps the
+# trainer's working set, and no result depends on it.
+_CHUNK_CELLS = 1 << 14
 
 
-def _candidate_projections(x_node, spec: WeakLearnerSpec, rng):
-    """Projections, (m, arity) feature indices and weights of m random
-    candidates."""
-    dim = x_node.shape[1]
-    m = spec.subspace(dim)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser: a bijective hash of an array of uint64 words."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """(k, count) floats in [0, 1): the first ``count`` draws of each key."""
+    steps = _GOLDEN * np.arange(1, count + 1, dtype=np.uint64)
+    return (_mix(keys[:, None] + steps) >> np.uint64(11)) * 2.0**-53
+
+
+def _child_keys(keys: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Keys of the children on ``side`` (0 left, 1 right) of nodes ``keys``."""
+    return _mix(keys ^ _SIDES[side])
+
+
+def _node_draws(keys: np.ndarray, dim: int, spec: WeakLearnerSpec):
+    """Candidate splits of the nodes with ``keys``: feature indices and
+    weights, each (k, m, arity), and threshold uniforms (k, m, t)."""
+    m, t = spec.subspace(dim), spec.threshold_candidates
     if spec.primitive == "axis_aligned_stump":
-        feats = rng.choice(dim, size=m, replace=False)
-        return x_node[:, feats], feats[:, None], np.ones((m, 1))
-    if dim < 2:
-        raise ValueError("oriented_hyperplane_2d needs at least 2 features")
-    feats = np.array([rng.choice(dim, size=2, replace=False) for _ in range(m)])
-    angles = rng.uniform(0.0, 2.0 * math.pi, m)
-    weights = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return (x_node[:, feats] * weights).sum(axis=2), feats, weights
+        u = _uniforms(keys, dim + m * t)
+        # m distinct features: those with the m smallest of one draw each,
+        # in index order
+        feats = np.sort(np.argpartition(u[:, :dim], m - 1, axis=1)[:, :m], axis=1)[..., None]
+        weights = np.ones(feats.shape)
+    else:
+        u = _uniforms(keys, 3 * m + m * t)
+        first = np.minimum((u[:, :m] * dim).astype(np.intp), dim - 1)
+        skip = np.minimum((u[:, m : 2 * m] * (dim - 1)).astype(np.intp), dim - 2)
+        feats = np.stack([first, (first + 1 + skip) % dim], axis=2)
+        angles = 2.0 * math.pi * u[:, 2 * m : 3 * m]
+        weights = np.stack([np.cos(angles), np.sin(angles)], axis=2)
+    return feats, weights, u[:, u.shape[1] - m * t :].reshape(len(keys), m, t)
 
 
-def _best_split(x_node, onehot_node, spec: WeakLearnerSpec, rng):
-    """Highest-gain candidate split, or None if no candidate improves.
+def _xlogx(n: int) -> np.ndarray:
+    """``c * log2(c)`` for the counts c = 0..n (0 at c = 0)."""
+    c = np.arange(n + 1, dtype=float)
+    return c * np.log2(np.maximum(c, 1.0))
 
-    Candidates that leave a child empty count as gain 0 and are never
-    chosen over a real split.
+
+def _class_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 (classes), one class at a time in class order, so
+    classes with zero terms can be left out without changing a bit."""
+    total = values[:, 0]
+    for i in range(1, values.shape[1]):
+        total = total + values[:, i]
+    return total
+
+
+def _split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray) -> np.ndarray:
+    """Information gain in bits of splitting the class counts ``parent``
+    (k, q, 1, 1) into ``part`` (k, q, m, t) and the rest; 0 where either
+    is empty. Swapping ``part`` and the rest, or dropping classes that
+    neither holds, gives the same value bit for bit.
+
+    Uses n H(counts) = n log2 n - sum_c c log2 c, so every entropy term
+    is a lookup in ``xlogx``.
     """
-    n = x_node.shape[0]
-    proj, feats, weights = _candidate_projections(x_node, spec, rng)
-    lo, hi = proj.min(axis=0), proj.max(axis=0)
-    thresholds = rng.uniform(lo, hi, size=(spec.threshold_candidates, len(feats))).T
-    go_right = proj[:, :, None] >= thresholds[None, :, :]  # (n, m, t)
-    right_hist = np.tensordot(go_right.astype(float), onehot_node, axes=([0], [0]))
-    parent_hist = onehot_node.sum(axis=0)
-    left_hist = parent_hist[None, None, :] - right_hist
-    n_right = right_hist.sum(axis=-1)
-    n_left = n - n_right
-    h_parent = _hist_entropy(parent_hist, np.array(float(n)))
-    child_cost = (
-        n_left * _hist_entropy(left_hist, n_left) + n_right * _hist_entropy(right_hist, n_right)
-    ) / n
-    gain = h_parent - child_cost
-    gain = np.where((n_left > 0) & (n_right > 0), gain, 0.0)
-    best = np.unravel_index(np.argmax(gain), gain.shape)
-    if gain[best] <= 1e-12:
-        return None
-    ci, ti = best
-    return feats[ci], weights[ci], float(thresholds[ci, ti]), go_right[:, ci, ti]
+    rest = parent - part
+    n = parent.sum(axis=1)
+    n_part = part.sum(axis=1)
+    n_rest = n - n_part
+    children = xlogx[n_part] + xlogx[n_rest] - _class_sum(xlogx[part] + xlogx[rest])
+    gain = (xlogx[n] - _class_sum(xlogx[parent]) - children) / n
+    return np.where((n_part > 0) & (n_rest > 0), gain, 0.0)
 
 
-def _grow(x, onehot, labels, idx, depth, depth_limit, spec, rng, rows) -> None:
-    """Append the pre-order rows of the subtree over samples ``idx``."""
-    hist = np.bincount(labels[idx], minlength=onehot.shape[1] + 1)[1:]
-    found = None
-    if depth < depth_limit and idx.size >= 2 and (hist > 0).sum() > 1:
-        found = _best_split(x[idx], onehot[idx], spec, rng)
-    if found is None:
-        arity = PRIMITIVES[spec.primitive]
-        rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
-        return
-    feats, w, threshold, go_right = found
-    at = len(rows)
-    rows.append([feats, w, threshold, 0, None])
-    _grow(x, onehot, labels, idx[~go_right], depth + 1, depth_limit, spec, rng, rows)
-    rows[at][3] = len(rows) - at
-    _grow(x, onehot, labels, idx[go_right], depth + 1, depth_limit, spec, rng, rows)
+def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
+    """Best split of every node of one level whose ``search`` is set.
+
+    ``rows``/``label``/``node`` describe the level's (tree, sample) pairs,
+    sorted by node; ``hist`` is each node's (k, q) class counts. Returns the
+    split mask, the chosen features, weights and threshold of each node
+    (zeros where it does not split) and, per pair, whether it goes right.
+
+    Searched nodes are scored in chunks. Each projection falls in the bin
+    of how many of its node's sorted thresholds it reaches; one bincount
+    over (node, class, candidate, bin) counts the chunk, and prefix sums
+    over the bins give every candidate's left-child class counts. A node's
+    classes are renumbered to those it holds, so the counts of a chunk
+    have as many class slots as its most mixed node.
+    """
+    k, q = hist.shape
+    dim = x.shape[1]
+    m, t = spec.subspace(dim), spec.threshold_candidates
+    arity = PRIMITIVES[spec.primitive]
+    split = np.zeros(k, dtype=bool)
+    feats = np.zeros((k, arity), dtype=np.intp)
+    weights = np.zeros((k, arity))
+    threshold = np.zeros(k)
+    go_right = np.zeros(node.size, dtype=bool)
+    if not search.any():
+        return split, feats, weights, threshold, go_right
+    present = hist > 0
+    # searched nodes, fewest classes first, so that a chunk pads few slots;
+    # each node's pairs stay one run, in the same order
+    nodes = np.flatnonzero(search)
+    width = present[nodes].sum(axis=1)
+    fewest = np.argsort(width, kind="stable")
+    nodes, width = nodes[fewest], width[fewest]
+    rank = np.zeros(k, dtype=np.intp)
+    rank[nodes] = np.arange(nodes.size)
+    pairs = np.flatnonzero(search[node])
+    pairs = pairs[np.argsort(rank[node[pairs]], kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(hist[nodes].sum(axis=1))])
+    chunk = (starts[:-1] // max(1, _CHUNK_CELLS // m)
+             + (np.cumsum(width) - width) // max(1, _CHUNK_CELLS // (m * (t + 1))))
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), nodes.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ids, at, c, q_c = nodes[a:b], pairs[starts[a] : starts[b]], b - a, width[b - 1]
+        local = rank[node[at]] - a
+        slot = local * q_c + (np.cumsum(present[ids], axis=1) - 1)[local, label[at]]
+        f, w, u = _node_draws(keys[ids], dim, spec)
+        proj = x[rows[at, None], f[local, :, 0]] * w[local, :, 0]  # (S, m)
+        for i in range(1, arity):
+            proj += x[rows[at, None], f[local, :, i]] * w[local, :, i]
+        offsets = starts[a:b] - starts[a]
+        lo = np.minimum.reduceat(proj, offsets)
+        hi = np.maximum.reduceat(proj, offsets)
+        cut = lo[..., None] + (hi - lo)[..., None] * u  # (c, m, t)
+        ascending = np.sort(cut, axis=2)
+        bins = np.zeros(proj.shape, dtype=np.intp)
+        for j in range(t):
+            bins += proj >= ascending[local, :, j]
+        cell = (slot[:, None] * m + np.arange(m)) * (t + 1) + bins
+        counts = np.bincount(cell.ravel(), minlength=c * q_c * m * (t + 1))
+        # samples left of the j-th smallest threshold sit in bins 0..j
+        left = np.cumsum(counts.reshape(c, q_c, m, t + 1), axis=3)[..., :t]
+        parent = np.bincount(slot, minlength=c * q_c).reshape(c, q_c, 1, 1)
+        gain = _split_gain(left, parent, xlogx)  # (c, m, t), thresholds ascending
+        order = np.argsort(cut, axis=2, kind="stable")
+        gain = np.take_along_axis(gain, np.argsort(order, axis=2), axis=2).reshape(c, m * t)
+        best = gain.argmax(axis=1)  # first maximum: lowest candidate, then threshold
+        ok = gain[np.arange(c), best] > 1e-12
+        cand, j = np.divmod(best, t)
+        chosen = cut[np.arange(c), cand, j]
+        split[ids] = ok
+        feats[ids[ok]] = f[ok, cand[ok]]
+        weights[ids[ok]] = w[ok, cand[ok]]
+        threshold[ids[ok]] = chosen[ok]
+        go_right[at] = proj[np.arange(at.size), cand[local]] >= chosen[local]
+    return split, feats, weights, threshold, go_right
+
+
+def _preorder(levels: list, q: int) -> dict:
+    """Node table of the level records ``(split, features, weights,
+    threshold, histogram)``. Each level lists its nodes tree by tree and
+    left to right; the next level holds the children of its split nodes, in
+    (left, right) pairs. Subtree sizes, summed bottom-up, give every split's
+    right offset (one past its left subtree) and, top-down, every row."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.intp)]
+    for split, *_ in reversed(levels[:-1]):
+        size = np.ones(len(split), dtype=np.intp)
+        size[split] += sizes[0][0::2] + sizes[0][1::2]
+        sizes.insert(0, size)
+    total, arity = int(sizes[0].sum()), levels[0][1].shape[1]
+    table = {
+        "features": np.zeros((total, arity), dtype=np.intp),
+        "weights": np.zeros((total, arity)),
+        "threshold": np.zeros(total),
+        "right": np.zeros(total, dtype=np.intp),
+        "histogram": np.zeros((total, q), dtype=np.int64),
+        "roots": np.concatenate([[0], np.cumsum(sizes[0])[:-1]]),
+    }
+    row = table["roots"]
+    for i, (split, *columns) in enumerate(levels):
+        for name, column in zip(("features", "weights", "threshold", "histogram"), columns):
+            table[name][row] = column
+        if split.any():
+            parent, below = row[split], sizes[i + 1]
+            table["right"][parent] = right = 1 + below[0::2]
+            row = np.stack([parent + 1, parent + right], axis=1).ravel()
+    return table
+
+
+def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
+    """Node table (the columns of :class:`Tree` and ``roots``) of the
+    trees grown over the rows ``boots[i]`` of ``x`` from root keys
+    ``keys[i]``.
+
+    All trees grow together, one level per pass; each (tree, sample) pair
+    carries its current node. A node splits when it lies above the depth
+    limit, holds two or more classes and its best candidate gains more than
+    1e-12 bits; otherwise it is a leaf holding its class histogram.
+    """
+    dim = x.shape[1]
+    arity = PRIMITIVES[spec.primitive]
+    if dim < arity:
+        raise ConfigError("primitive", f"{spec.primitive} needs at least {arity} features")
+    if depth_limit < 1:
+        raise ConfigError("depth_limit", "must be >= 1")
+    spec.subspace(dim)  # a bad subspace size fails here, not at the first split
+    xlogx = _xlogx(boots.shape[1])
+    rows = boots.ravel()
+    label = y[rows] - 1
+    node = np.repeat(np.arange(len(keys)), boots.shape[1])
+    levels = []
+    for level in range(1, depth_limit + 1):
+        k = len(keys)
+        hist = np.bincount(node * q + label, minlength=k * q).reshape(k, q)
+        search = ((hist > 0).sum(axis=1) > 1) & (level < depth_limit)
+        split, *columns, go_right = _split_level(x, rows, label, node, hist, keys, search, spec,
+                                                 xlogx)
+        hist[split] = 0
+        levels.append((split, *columns, hist))
+        if not split.any():
+            break
+        keep = split[node]
+        child = 2 * (np.cumsum(split) - 1)[node[keep]] + go_right[keep]
+        order = np.argsort(child, kind="stable")
+        rows, label, node = rows[keep][order], label[keep][order], child[order]
+        keys = _child_keys(np.repeat(keys[split], 2), np.tile([0, 1], int(split.sum())))
+    return _preorder(levels, q)
+
+
+def _training_set(samples, labels, class_count: int | None):
+    """Validated (x, y, class count) of a labelled sample matrix."""
+    x = np.asarray(samples, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
+        raise ValueError("need >= 1 sample with one label per sample")
+    q = int(y.max()) if class_count is None else class_count
+    if y.min() < 1 or y.max() > q:
+        raise ValueError("labels must lie in 1..class_count")
+    return x, y, q
 
 
 def train_tree(
@@ -214,25 +393,27 @@ def train_tree(
     rng: np.random.Generator,
     class_count: int | None = None,
 ) -> Tree:
-    """Grow one decision tree; path lengths never exceed ``depth_limit``.
+    """Grow one decision tree on all samples from a root key drawn from
+    ``rng``; path lengths never exceed ``depth_limit``.
 
     Growth stops early on purity or when fewer than two samples remain;
     the full-tree node count from :func:`node_counts` stays the hard cap.
     """
-    x = np.asarray(samples, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
-        raise ValueError("need >= 1 sample with one label per sample")
-    if depth_limit < 1:
-        raise ConfigError("depth_limit", "must be >= 1")
-    q = int(y.max()) if class_count is None else class_count
-    if y.min() < 1 or y.max() > q:
-        raise ValueError("labels must lie in 1..class_count")
-    onehot = np.zeros((x.shape[0], q))
-    onehot[np.arange(x.shape[0]), y - 1] = 1.0
-    rows = []
-    _grow(x, onehot, y, np.arange(x.shape[0]), 1, depth_limit, spec, rng, rows)
-    return Tree(**_table(rows, q))
+    x, y, q = _training_set(samples, labels, class_count)
+    keys = rng.integers(0, 2**64, size=1, dtype=np.uint64)
+    table = _fit_levels(x, y, np.arange(len(y))[None], keys, depth_limit, spec, q)
+    return Tree(*(table[name] for name in _COLUMNS))
+
+
+def _forest_draws(seed: int, tree_count: int, n: int):
+    """Bootstrap rows (T, n) and root keys (T,) of a forest's trees, each
+    tree's from its own rng spawned from ``seed``."""
+    boots, keys = [], []
+    for child in np.random.SeedSequence(seed).spawn(tree_count):
+        rng = np.random.default_rng(child)
+        boots.append(rng.integers(0, n, size=n))
+        keys.append(rng.integers(0, 2**64, dtype=np.uint64))
+    return np.array(boots), np.array(keys, dtype=np.uint64)
 
 
 @dataclass
@@ -284,15 +465,6 @@ class Forest:
         return votes.argmax(axis=1) + 1  # first max: smallest label wins ties
 
 
-def _tree_vote(tree: Tree, x: np.ndarray) -> int:
-    """Reference walk of one sample down one tree, a row at a time."""
-    row = 0
-    while tree.right[row]:
-        proj = sum(w * x[f] for f, w in zip(tree.features[row], tree.weights[row]))
-        row += int(tree.right[row]) if proj >= tree.threshold[row] else 1
-    return int(tree.histogram[row].argmax()) + 1
-
-
 def train_forest(
     samples,
     labels,
@@ -305,41 +477,22 @@ def train_forest(
 ) -> Forest:
     """Train ``tree_count`` trees on bootstrap resamples.
 
-    Each tree gets its own rng stream derived from ``seed``, so training
-    is a deterministic function of (data, hyperparameters, seed).
+    Each tree's bootstrap and root key come from its own rng stream derived
+    from ``seed`` and every node's draws from its key, so training is a
+    deterministic function of (data, hyperparameters, seed).
     """
-    x = np.asarray(samples, dtype=float)
-    y = np.asarray(labels, dtype=int)
     if tree_count < 1:
         raise ConfigError("tree_count", "must be >= 1")
-    q = int(y.max()) if class_count is None else class_count
-    n = x.shape[0]
-    trees = []
-    for child in np.random.SeedSequence(seed).spawn(tree_count):
-        rng = np.random.default_rng(child)
-        boot = rng.integers(0, n, size=n)
-        trees.append(train_tree(x[boot], y[boot], spec, depth_limit, rng, class_count=q))
-    sizes = [tree.node_count() for tree in trees]
+    x, y, q = _training_set(samples, labels, class_count)
+    boots, keys = _forest_draws(seed, tree_count, len(y))
     return Forest(
-        **{name: np.concatenate([getattr(t, name) for t in trees]) for name in _COLUMNS},
-        roots=np.cumsum([0, *sizes[:-1]]),
+        **_fit_levels(x, y, boots, keys, depth_limit, spec, q),
         depth_limit=depth_limit,
         feature_dim=x.shape[1],
         seed=seed,
         spec=spec,
         kind=kind,
     )
-
-
-def predict_forest(forest: Forest, features) -> int:
-    """Grid label for a single feature vector (majority vote)."""
-    x = np.asarray(features, dtype=float).ravel()
-    if x.shape[0] != forest.feature_dim:
-        raise ValueError(f"expected {forest.feature_dim} features, got {x.shape[0]}")
-    votes = np.bincount(
-        [_tree_vote(tree, x) for tree in forest.trees], minlength=forest.class_count + 1
-    )[1:]
-    return int(votes.argmax()) + 1
 
 
 @dataclass

@@ -179,6 +179,19 @@ def test_overflowing_snapshots_exit_code(tmp_path, staged, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_degenerate_snapshots_exit_code(tmp_path, staged, capsys):
+    # an all-zero antenna row leaves the PSD fingerprint undefined
+    blocks = load_snapshot_dataset(staged / "snapshots_gaussian_18dB.goofsnap")
+    blocks[0].data[1, :] = 0
+    save_snapshot_dataset(tmp_path / "zero.goofsnap", blocks)
+    code = main([
+        "build-goof", "--dataset", str(tmp_path / "zero.goofsnap"), "--group-count", "4",
+        "--out", str(tmp_path / "g"),
+    ])
+    assert code == 4
+    assert "degenerate input: all-zero element row" in capsys.readouterr().err
+
+
 def test_sweep_reruns_from_its_config_echo(tmp_path, config_file, capsys):
     first, second = tmp_path / "first", tmp_path / "second"
     assert main(["sweep-snr", "--config", str(config_file), "--out-dir", str(first),

@@ -7,6 +7,7 @@ import pytest
 
 from goofloc import (
     ClassifierBank,
+    ConfigError,
     FingerprintKind,
     WeakLearnerSpec,
     build_goof,
@@ -14,7 +15,6 @@ from goofloc import (
     information_gain,
     load_bank,
     node_counts,
-    predict_forest,
     predict_matrix,
     save_bank,
     serialize_forest,
@@ -23,8 +23,11 @@ from goofloc import (
     train_forest,
     train_tree,
 )
+from goofloc import forest as forest_module
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import _COLUMNS, PRIMITIVES, Forest, _tree_vote
+from goofloc.forest import _COLUMNS, PRIMITIVES, Forest
+
+from forest_reference import predict_forest, reference_forest, reference_table, tree_vote
 
 
 class TestNodeCounts:
@@ -99,13 +102,13 @@ class TestTrainTree:
     def test_one_stump_separates_gapped_classes(self):
         x, y = two_blob_data()
         tree = train_tree(x, y, WeakLearnerSpec(), 2, np.random.default_rng(1))
-        pred = np.array([_tree_vote(tree, row) for row in x])
+        pred = np.array([tree_vote(tree, row) for row in x])
         assert (pred == y).all()
 
     def test_single_sample_is_a_leaf(self):
         tree = train_tree([[0.5]], [3], WeakLearnerSpec(), 8, np.random.default_rng(2), class_count=4)
         assert tree.is_leaf
-        assert _tree_vote(tree, np.array([0.5])) == 3
+        assert tree_vote(tree, np.array([0.5])) == 3
 
     def test_four_corner_blobs(self):
         rng = np.random.default_rng(3)
@@ -113,7 +116,7 @@ class TestTrainTree:
         x = np.vstack([c + rng.normal(0, 0.1, size=(30, 2)) for c in centers])
         y = np.repeat([1, 2, 3, 4], 30)
         tree = train_tree(x, y, WeakLearnerSpec(), 8, np.random.default_rng(4))
-        pred = np.array([_tree_vote(tree, row) for row in x])
+        pred = np.array([tree_vote(tree, row) for row in x])
         assert (pred == y).mean() >= 0.99
 
     def test_depth_limit_respected(self):
@@ -137,7 +140,7 @@ class TestTrainTree:
         y = np.array([1, 1, 2, 2, 3, 3])
         tree = train_tree(x, y, WeakLearnerSpec(), 8, np.random.default_rng(8))
         assert tree.is_leaf
-        assert _tree_vote(tree, np.zeros(2)) == 1  # tie -> smallest label
+        assert tree_vote(tree, np.zeros(2)) == 1  # tie -> smallest label
 
     def test_oriented_hyperplane_on_diagonal_classes(self):
         rng = np.random.default_rng(9)
@@ -167,7 +170,7 @@ class TestTrainForest:
         y = rng.integers(1, 5, size=60)
         forest = train_forest(x, y, 1, 6, WeakLearnerSpec(), seed=12)
         tree = forest.trees[0]
-        single = np.array([_tree_vote(tree, row) for row in x])
+        single = np.array([tree_vote(tree, row) for row in x])
         assert np.array_equal(forest.predict_batch(x), single)
 
     def test_bootstrap_preserves_cardinality(self):
@@ -184,6 +187,99 @@ class TestTrainForest:
         batch = forest.predict_batch(x)
         single = np.array([predict_forest(forest, row) for row in x])
         assert np.array_equal(batch, single)
+
+
+def assert_tables_equal(forest, table):
+    for name in (*_COLUMNS, "roots"):
+        assert np.array_equal(getattr(forest, name), table[name]), name
+
+
+def assert_whole_bootstrap(forest, n):
+    """Each tree's leaves count all n bootstrap draws; split rows count none."""
+    for tree in forest.trees:
+        assert int(tree.histogram[tree.right == 0].sum()) == n
+        assert not tree.histogram[tree.right > 0].any()
+
+
+EDGE_CASES = [
+    pytest.param({"n": 1, "class_count": 3, "leaves": True}, id="one-sample"),
+    pytest.param({"labels": 1, "class_count": 1, "leaves": True}, id="one-class"),
+    pytest.param({"labels": 3, "class_count": 4, "leaves": True}, id="one-class-of-four"),
+    pytest.param({"features": 0.0, "leaves": True}, id="identical-features"),
+    pytest.param({"depth_limit": 1, "leaves": True}, id="depth-limit-1"),
+    pytest.param({"tree_count": 1}, id="one-tree"),
+    pytest.param({"feature_subspace_size": 3}, id="subspace-is-dim"),
+    pytest.param({"threshold_candidates": 1}, id="one-threshold"),
+]
+
+
+class TestLevelWiseTrainer:
+    """The level-wise trainer against the recursive reference grower in
+    forest_reference.py. Both read the same position-keyed draws, so their
+    node tables must be identical, not merely alike."""
+
+    @pytest.mark.parametrize("classes", [1, 2, 6])
+    @pytest.mark.parametrize("primitive", list(PRIMITIVES))
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_table_equals_reference(self, depth, primitive, classes):
+        rng = np.random.default_rng(100 + depth)
+        x = rng.standard_normal((50, 5))
+        y = rng.integers(1, classes + 1, size=50)
+        spec = WeakLearnerSpec(primitive=primitive)
+        forest = train_forest(x, y, 6, depth, spec, seed=depth, class_count=classes)
+        assert_tables_equal(forest, reference_forest(x, y, 6, depth, spec, depth, classes))
+        assert_whole_bootstrap(forest, 50)
+
+    @pytest.mark.parametrize("cells", [1, 400])
+    def test_chunking_changes_nothing(self, monkeypatch, cells):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((120, 9))
+        y = rng.integers(1, 9, size=120)
+        monkeypatch.setattr(forest_module, "_CHUNK_CELLS", cells)
+        for primitive in PRIMITIVES:
+            spec = WeakLearnerSpec(primitive=primitive)
+            forest = train_forest(x, y, 8, 7, spec, seed=3)
+            assert_tables_equal(forest, reference_forest(x, y, 8, 7, spec, 3))
+
+    @pytest.mark.parametrize("primitive", list(PRIMITIVES))
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_case(self, case, primitive):
+        rng = np.random.default_rng(21)
+        n = case.get("n", 30)
+        x = np.full((n, 3), case["features"]) if "features" in case else rng.normal(size=(n, 3))
+        y = np.full(n, case["labels"]) if "labels" in case else rng.integers(1, 4, size=n)
+        spec = WeakLearnerSpec(
+            primitive=primitive,
+            feature_subspace_size=case.get("feature_subspace_size"),
+            threshold_candidates=case.get("threshold_candidates", 10),
+        )
+        args = (case.get("tree_count", 4), case.get("depth_limit", 5), spec, 9)
+        forest = train_forest(x, y, *args, class_count=case.get("class_count"))
+        assert_tables_equal(forest, reference_forest(x, y, *args, case.get("class_count")))
+        assert forest.tree_count == args[0]
+        assert_whole_bootstrap(forest, n)
+        if case.get("leaves"):
+            assert not forest.right.any()  # every tree is a single leaf
+
+    def test_train_tree_draws_its_root_key_from_rng(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((40, 4))
+        y = rng.integers(1, 5, size=40)
+        spec = WeakLearnerSpec(primitive="oriented_hyperplane_2d")
+        tree = train_tree(x, y, spec, 6, np.random.default_rng(32))
+        key = np.random.default_rng(32).integers(0, 2**64, size=1, dtype=np.uint64)
+        table = reference_table(x, y, np.arange(40)[None], key, 6, spec, 4)
+        for name in _COLUMNS:
+            assert np.array_equal(getattr(tree, name), table[name]), name
+
+    @pytest.mark.parametrize("labels", [[1, 1, 1], [1, 2, 1]])
+    def test_hyperplane_needs_two_features(self, labels):
+        spec = WeakLearnerSpec(primitive="oriented_hyperplane_2d")
+        x = [[0.1], [0.2], [0.3]]
+        with pytest.raises(ConfigError, match="primitive"):
+            train_forest(x, labels, 3, 4, spec, seed=1)
+        with pytest.raises(ConfigError, match="primitive"):
+            train_tree(x, labels, spec, 4, np.random.default_rng(0))
 
 
 class TestFlatPredictor:
@@ -216,11 +312,19 @@ class TestFlatPredictor:
             assert all(np.shares_memory(getattr(tree, c), getattr(forest, c)) for c in _COLUMNS)
 
     # sha256 of serialize_forest for fixed inputs: pins the GOOF-FOREST 1
-    # format and the rng draws of training
+    # format and the keyed draws of training, so that changing either is
+    # a deliberate re-pin
     @pytest.mark.parametrize("primitive, digest", [
-        ("axis_aligned_stump", "f023d315ca7339c653d19fef11dac373b35ccce78e8fcd5fa68159a9735b0e22"),
-        ("oriented_hyperplane_2d",
-         "54f5d3868dfd463d8a17eb2c96b06c848e003ade5d80785139140aacbb2a2f6e"),
+        pytest.param(
+            "axis_aligned_stump",
+            "95b7781a5d9a5708158bfaebf1212a600def592b812943270b19cfc45b40d445",
+            id="axis_aligned_stump",
+        ),
+        pytest.param(
+            "oriented_hyperplane_2d",
+            "8779f5dad725cfc848667cd89883b52826ddddaf10d38c89cd4db52e25149b06",
+            id="oriented_hyperplane_2d",
+        ),
     ])
     def test_serialized_forest_is_pinned(self, primitive, digest):
         rng = np.random.default_rng(40)
