@@ -32,7 +32,6 @@ from .experiments import (
     ExperimentConfig,
     Report,
     emit_report,
-    ingest_recorded_dataset,
     load_report,
     merge_reports,
     run_forest_sweep,
@@ -73,7 +72,6 @@ from .forest import (
 )
 from .fusion import (
     FusionResult,
-    FusionWindow,
     classifier_entropy,
     constrained_mode,
     full_matrix_mode,

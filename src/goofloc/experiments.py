@@ -14,6 +14,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not isinstance(self.seed, int):
             raise ConfigError("seed", "a fixed integer seed is mandatory")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.grid_count < 1:
             raise ConfigError("grid_count", "must be >= 1")
         if self.num_elements < 2:
@@ -250,6 +253,9 @@ def cell_key(seed: int, noise_kind: str, snr_db: float, repetition: int = 0) -> 
     """Key of one (noise kind, SNR, repetition) cell; every random stream
     of the cell (simulation and training) is derived from it. Noise kinds
     outside ``channel.NOISE_KINDS`` (recorded data) share one index."""
+    for name, value in (("seed", seed), ("repetition", repetition)):
+        if value < 0:
+            raise ConfigError(name, f"must be >= 0, got {value}")
     kinds = channel.NOISE_KINDS
     kind_idx = kinds.index(noise_kind) if noise_kind in kinds else len(kinds)
     return (seed, repetition, kind_idx, _snr_key(snr_db))
@@ -302,6 +308,16 @@ def _distance_matrix(scenario: Scenario) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
+def sweep_cells(config: ExperimentConfig, noise_kinds, train_count: int, test_count: int):
+    """Simulate, extract and split every (repetition, noise kind, SNR) cell,
+    in that order: yields ``(rep, noise_kind, snr, key, goof_train, goof_test)``."""
+    for rep, noise_kind, snr in product(range(config.repetitions), noise_kinds, config.snr_grid_db):
+        blocks = simulate_cell(config, noise_kind, snr, rep)
+        goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
+        key = cell_key(config.seed, noise_kind, snr, rep)
+        yield rep, noise_kind, snr, key, *goof.split(train_count, test_count)
+
+
 def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     """The accuracy-versus-SNR study.
 
@@ -313,20 +329,16 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     config.validate()
     report = Report(config_hash=config_hash(config), seed=config.seed)
     dist = _distance_matrix(config.scenario())
-    for rep in range(config.repetitions):
-        for noise_kind in config.noise_kinds:
-            for snr in config.snr_grid_db:
-                _run_snr_cell(config, report, dist, rep, noise_kind, snr)
-                if verbose:
-                    print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
+    cells = sweep_cells(config, config.noise_kinds, config.train_count, config.test_count)
+    for rep, noise_kind, snr, key, goof_train, goof_test in cells:
+        # a call per cell frees the cell's bank before the next one trains
+        _run_snr_cell(config, report, dist, noise_kind, snr, key, goof_train, goof_test)
+        if verbose:
+            print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
     return report
 
 
-def _run_snr_cell(config, report, dist, rep, noise_kind, snr):
-    blocks = simulate_cell(config, noise_kind, snr, rep)
-    goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
-    goof_train, goof_test = goof.split(config.train_count, config.test_count)
-    key = cell_key(config.seed, noise_kind, snr, rep)
+def _run_snr_cell(config, report, dist, noise_kind, snr, key, goof_train, goof_test):
     t0 = time.perf_counter()
     bank = train_bank(goof_train, config.tree_count, config.depth_limit, config.learner_spec(),
                       key, class_count=config.grid_count)
@@ -389,50 +401,41 @@ def run_forest_sweep(
     else:
         raise ConfigError("vary", "must be tree_depth or tree_number")
     report = Report(config_hash=config_hash(config), seed=config.seed)
-    noise_kind = config.noise_kinds[0]
     train_count = config.group_count // 2
     test_count = config.group_count - train_count
     spec = config.learner_spec()
     rssf = FingerprintKind.RSSF
 
-    for rep in range(config.repetitions):
-        for snr in config.snr_grid_db:
-            key = cell_key(config.seed, noise_kind, snr, rep)
-            blocks = simulate_cell(config, noise_kind, snr, rep)
-            goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
-            goof_train, goof_test = goof.split(train_count, test_count)
-            x_train, y_train = goof_train.stack(rssf)
-            x_test = goof_test.stack(rssf)[0]
-            for value in values:
-                depth = value if vary == "tree_depth" else config.depth_limit
-                trees = value if vary == "tree_number" else config.tree_count
-                method = f"rssf_d{value}" if vary == "tree_depth" else f"rssf_t{value}"
-                seed = key_seed(*key, 200 + value)
-                t0 = time.perf_counter()
-                forest = train_forest(
-                    x_train, y_train, trees, depth, spec, seed, class_count=config.grid_count,
-                    kind=rssf,
-                )
-                train_dt = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                labels = forest.predict_batch(x_test)
-                test_dt = time.perf_counter() - t0
-                report.add_timing(
-                    method, train_s=train_dt, test_s=test_dt, predictions=x_test.shape[0]
-                )
-                labels = labels.reshape(-1, test_count)
-                for grid, row in zip(goof_test.grids(), labels):
-                    rho = float((row == grid).mean())
-                    report.add(noise_kind, snr, method, rho, 0.0)
-            if verbose:
-                print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
+    cells = sweep_cells(config, config.noise_kinds[:1], train_count, test_count)
+    for rep, noise_kind, snr, key, goof_train, goof_test in cells:
+        x_train, y_train = goof_train.stack(rssf)
+        x_test = goof_test.stack(rssf)[0]
+        for value in values:
+            depth = value if vary == "tree_depth" else config.depth_limit
+            trees = value if vary == "tree_number" else config.tree_count
+            method = f"rssf_d{value}" if vary == "tree_depth" else f"rssf_t{value}"
+            seed = key_seed(*key, 200 + value)
+            t0 = time.perf_counter()
+            forest = train_forest(
+                x_train, y_train, trees, depth, spec, seed, class_count=config.grid_count,
+                kind=rssf,
+            )
+            train_dt = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            labels = forest.predict_batch(x_test)
+            test_dt = time.perf_counter() - t0
+            report.add_timing(method, train_s=train_dt, test_s=test_dt, predictions=x_test.shape[0])
+            labels = labels.reshape(-1, test_count)
+            for grid, row in zip(goof_test.grids(), labels):
+                rho = float((row == grid).mean())
+                report.add(noise_kind, snr, method, rho, 0.0)
+        if verbose:
+            print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
     return report
 
 
-def ingest_recorded_dataset(path) -> list:
-    """Load an externally recorded snapshot dataset file, validated and
-    ready for :func:`goofloc.fingerprints.build_goof`."""
-    return load_snapshot_dataset(path)
+# an externally recorded snapshot dataset, ready for build_goof
+ingest_recorded_dataset = load_snapshot_dataset
 
 
 _METHOD_PREFIX_ORDER = {kind.value: i for i, kind in enumerate(KIND_ORDER)}

@@ -1,7 +1,9 @@
 """The six fingerprint families (the GOOF) and their extraction.
 
 From one M x L snapshot block, six statistics are estimated and flattened
-into real feature vectors:
+into real feature vectors. Every estimator also takes a stack (..., M, L)
+of blocks and gives each block the same result, bit for bit, as it gives
+that block alone, so a whole store is extracted with one call per family:
 
   CMF    sample covariance matrix              abs(reshape)   M^2
   RSSF   per-element received signal strength  none           M
@@ -56,25 +58,33 @@ def feature_dim(kind: FingerprintKind, num_elements: int, psd_points: int) -> in
 def _block_data(block) -> np.ndarray:
     data = block.data if isinstance(block, SnapshotBlock) else np.asarray(block)
     data = np.asarray(data, dtype=complex)
-    if data.ndim != 2:
-        raise ValueError("block must be a 2-D M x L matrix")
-    if data.shape[1] < 1 or data.shape[0] < 1:
+    if data.ndim < 2:
+        raise ValueError("block must be an M x L matrix or a stack of them")
+    if data.shape[-1] < 1 or data.shape[-2] < 1:
         raise ValueError("block is empty")
     return data
+
+
+def _transpose(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _covariances(covariance) -> np.ndarray:
+    r = np.asarray(covariance)
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
+        raise ValueError("covariance must be square")
+    return r
 
 
 def est_covariance(block) -> np.ndarray:
     """Sample covariance (1/L) * sum_t y(t) y(t)^H; Hermitian PSD."""
     y = _block_data(block)
-    return (y @ y.conj().T) / y.shape[1]
+    return (y @ _transpose(y.conj())) / y.shape[-1]
 
 
 def extract_rss(covariance: np.ndarray) -> np.ndarray:
     """Per-element signal strength: the real diagonal of the covariance."""
-    r = np.asarray(covariance)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("covariance must be square")
-    return np.real(np.diag(r)).copy()
+    return np.real(np.diagonal(_covariances(covariance), axis1=-2, axis2=-1)).copy()
 
 
 def est_psd(block, psd_points: int | None = None) -> np.ndarray:
@@ -84,33 +94,37 @@ def est_psd(block, psd_points: int | None = None) -> np.ndarray:
     element m, normalized to sum to 1. K defaults to L.
     """
     y = _block_data(block)
-    m, length = y.shape
+    length = y.shape[-1]
     k = length if psd_points is None else int(psd_points)
     if not 1 <= k <= length:
         raise ConfigError("psd_points", f"must be in 1..{length}")
-    spectrum = np.abs(np.fft.fft(y, axis=1) / length) ** 2
-    spectrum = spectrum[:, :k]
-    totals = spectrum.sum(axis=1)
+    spectrum = np.abs(np.fft.fft(y, axis=-1) / length) ** 2
+    spectrum = spectrum[..., :k]
+    totals = spectrum.sum(axis=-1)
     if (totals == 0).any():
         raise DegenerateInputError("all-zero element row: PSD normalization undefined")
-    return spectrum / totals[:, None]
+    return spectrum / totals[..., None]
 
 
 def est_signal_subspace(covariance: np.ndarray) -> np.ndarray:
     """Entrywise magnitude of the unit-norm principal eigenvector."""
-    r = np.asarray(covariance, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("covariance must be square")
+    r = _covariances(covariance).astype(complex, copy=False)
     if not np.isfinite(r).all():
         raise NumericalFailure("covariance is not finite: snapshot values overflow")
-    if not np.allclose(r, r.conj().T, atol=1e-8 * max(1.0, np.abs(r).max())):
+    # np.allclose, with the tolerance of each matrix scaled to that matrix alone
+    atol = 1e-8 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))[..., None, None]
+    if not np.isclose(r, _transpose(r.conj()), atol=atol).all():
         raise ValueError("covariance must be Hermitian")
     try:
         _, vectors = np.linalg.eigh(r)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    principal = vectors[:, -1]  # eigh sorts eigenvalues ascending
-    return np.abs(principal / np.linalg.norm(principal))
+    principal = vectors[..., -1]  # eigh sorts eigenvalues ascending
+    # sqrt(re.re + im.im) as matmuls: the exact sums np.linalg.norm forms
+    # for one vector (np.linalg.norm(axis=-1) and einsum round differently)
+    re, im = principal.real[..., None, :], principal.imag[..., None, :]
+    norm = np.sqrt(re @ _transpose(re) + im @ _transpose(im))[..., 0]
+    return np.abs(principal / norm)
 
 
 def est_foc(block) -> np.ndarray:
@@ -121,13 +135,13 @@ def est_foc(block) -> np.ndarray:
     - E{y_i y_k*} E{y_k y_i*} - E{y_i y_k} E{y_i* y_k*}.
     """
     y = _block_data(block)
-    length = y.shape[1]
+    length = y.shape[-1]
     yc = y.conj()
-    mom4 = np.einsum("it,kt,it,kt->ik", y, y, yc, yc) / length
-    r = (y @ yc.T) / length  # E{y_i y_k*}
-    c = (y @ y.T) / length  # E{y_i y_k}
-    d = np.diag(r)
-    return mom4 - np.outer(d, d) - r * r.T - c * c.conj()
+    mom4 = np.einsum("...it,...kt,...it,...kt->...ik", y, y, yc, yc) / length
+    r = (y @ _transpose(yc)) / length  # E{y_i y_k*}
+    c = (y @ _transpose(y)) / length  # E{y_i y_k}
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return mom4 - d[..., :, None] * d[..., None, :] - r * _transpose(r) - c * c.conj()
 
 
 def est_flom(block, p: float = 1.2) -> np.ndarray:
@@ -140,48 +154,28 @@ def est_flom(block, p: float = 1.2) -> np.ndarray:
     y = _block_data(block)
     if not 1.0 < p <= 2.0:
         raise ConfigError("flom_exponent", "must be in (1, 2]")
-    length = y.shape[1]
+    length = y.shape[-1]
     if p == 2.0:
-        return (y @ y.conj().T) / length
+        return (y @ _transpose(y.conj())) / length
     mags = np.abs(y)
     with np.errstate(divide="ignore"):
         weights = np.where(mags > 0, mags ** (p - 2.0), 0.0)
     weighted = weights * y.conj()  # |y_k|^(p-2) y_k*, zeros dropped
-    return (y @ weighted.T) / length
+    return (y @ _transpose(weighted)) / length
 
 
 def vectorize(values: np.ndarray, kind: FingerprintKind) -> np.ndarray:
-    """Flatten an estimate into the real feature layout of its family."""
+    """Flatten an estimate, or a stack of them, into its family's real feature layout."""
     arr = np.asarray(values)
-    if kind in (FingerprintKind.CMF, FingerprintKind.FOCF, FingerprintKind.FLOMF):
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"{kind.value} expects a square matrix")
-        return np.abs(arr.flatten(order="F"))
-    if kind is FingerprintKind.PSDF:
-        if arr.ndim != 2:
-            raise ValueError("psdf expects an M x K matrix")
-        return np.real(arr).flatten(order="F")
-    if kind is FingerprintKind.SSF:
-        if arr.ndim != 1:
-            raise ValueError("ssf expects a vector")
-        return np.abs(arr)
-    if arr.ndim != 1:
-        raise ValueError("rssf expects a vector")
-    return np.real(arr).copy()
-
-
-def extract_group(block, flom_p: float = 1.2, psd_points: int | None = None):
-    """All six feature vectors of one snapshot group, keyed by kind."""
-    y = _block_data(block)
-    covariance = est_covariance(y)
-    return {
-        FingerprintKind.CMF: vectorize(covariance, FingerprintKind.CMF),
-        FingerprintKind.RSSF: vectorize(extract_rss(covariance), FingerprintKind.RSSF),
-        FingerprintKind.PSDF: vectorize(est_psd(y, psd_points), FingerprintKind.PSDF),
-        FingerprintKind.SSF: vectorize(est_signal_subspace(covariance), FingerprintKind.SSF),
-        FingerprintKind.FOCF: vectorize(est_foc(y), FingerprintKind.FOCF),
-        FingerprintKind.FLOMF: vectorize(est_flom(y, flom_p), FingerprintKind.FLOMF),
-    }
+    if kind in (FingerprintKind.RSSF, FingerprintKind.SSF):
+        if arr.ndim < 1:
+            raise ValueError(f"{kind.value} expects a vector")
+        return np.abs(arr) if kind is FingerprintKind.SSF else np.real(arr).copy()
+    if arr.ndim < 2 or (kind is not FingerprintKind.PSDF and arr.shape[-1] != arr.shape[-2]):
+        raise ValueError(f"{kind.value} expects a square matrix (psdf: M x K)")
+    # F order over the whole stack keeps the leading axes in place
+    flat = arr.reshape(*arr.shape[:-2], -1, order="F")
+    return np.real(flat) if kind is FingerprintKind.PSDF else np.abs(flat)
 
 
 @dataclass
@@ -271,14 +265,19 @@ def build_goof(
         raise ValueError("all blocks must have the same snapshot count")
     per_group = length // group_count
     blocks = sorted(blocks, key=lambda block: block.grid_label)
-    groups = [
-        [
-            extract_group(block.data[:, gi * per_group : (gi + 1) * per_group], flom_p, psd_points)
-            for gi in range(group_count)
-        ]
-        for block in blocks
-    ]
-    data = {kind: np.array([[g[kind] for g in row] for row in groups]) for kind in KIND_ORDER}
+    # (Q, M, L) -> (Q, G, M, L/G): slice [q, g] is the g-th group of grid q
+    y = np.stack([block.data for block in blocks])
+    y = y.reshape(*y.shape[:2], group_count, per_group).swapaxes(1, 2)
+    covariance = est_covariance(y)
+    estimates = {
+        FingerprintKind.CMF: covariance,
+        FingerprintKind.RSSF: extract_rss(covariance),
+        FingerprintKind.PSDF: est_psd(y, psd_points),
+        FingerprintKind.SSF: est_signal_subspace(covariance),
+        FingerprintKind.FOCF: est_foc(y),
+        FingerprintKind.FLOMF: est_flom(y, flom_p),
+    }
+    data = {kind: vectorize(values, kind) for kind, values in estimates.items()}
     for kind, x in data.items():
         if not np.isfinite(x).all():
             raise NumericalFailure(f"{kind.value} fingerprints are not finite: snapshots overflow")

@@ -20,22 +20,6 @@ from .textio import fmt_value
 
 
 @dataclass
-class FusionWindow:
-    """Window length W over Z samples; U = Z - W + 1 window positions."""
-
-    window_length: int
-    sample_count: int
-
-    def __post_init__(self):
-        if not 1 <= self.window_length <= self.sample_count:
-            raise ValueError("need 1 <= window_length <= sample_count")
-
-    @property
-    def prediction_count(self) -> int:
-        return self.sample_count - self.window_length + 1
-
-
-@dataclass
 class FusionResult:
     """Per-window fused labels and which classifier each window trusted."""
 

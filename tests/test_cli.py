@@ -146,7 +146,12 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     out = str(tmp_path / "out")
     build = ["build-goof", "--dataset", snaps, "--group-count", 4, "--out", out]
     train = ["train", "--goof", goof, "--seed", 1, "--out", out]
+    simulate = ["simulate", "--config", staged / "config.txt", "--out-dir", out]
     for argv, field in [
+        (simulate + ["--seed", -1], "seed"),
+        (simulate + ["--repetition", -1], "repetition"),
+        (["sweep-snr", "--seed", "-1", "--out-dir", out], "seed"),
+        (["train", "--goof", goof, "--seed", -1, "--out", out], "seed"),
         (["sweep-snr", "--seed", "3", "--grid-count", "abc", "--out-dir", out], "grid_count"),
         (build + ["--psd-points", 0], "psd_points"),
         (build + ["--flom-exponent", 3], "flom_exponent"),

@@ -13,7 +13,6 @@ from goofloc import (
     Report,
     build_goof,
     emit_report,
-    ingest_recorded_dataset,
     load_report,
     merge_reports,
     run_forest_sweep,
@@ -21,6 +20,7 @@ from goofloc import (
     save_snapshot_dataset,
     simulate_cell,
 )
+from goofloc.cli import ingest_recorded_dataset
 from goofloc.experiments import (
     cell_key,
     config_from_text,
@@ -67,6 +67,9 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             micro_config(windows=(9,)).validate()
         assert "windows" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            micro_config(seed=-1).validate()
+        assert "seed" in str(err.value)
 
     def test_text_round_trip_and_hash(self):
         cfg = micro_config()

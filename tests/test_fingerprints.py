@@ -5,6 +5,7 @@ import pytest
 
 from goofloc import (
     DegenerateInputError,
+    ExperimentConfig,
     FingerprintKind,
     FormatError,
     NumericalFailure,
@@ -18,9 +19,13 @@ from goofloc import (
     extract_rss,
     load_goof,
     save_goof,
+    simulate_cell,
     vectorize,
 )
-from goofloc.fingerprints import KIND_ORDER, Goof, extract_group, feature_dim
+from goofloc import fingerprints
+from goofloc.fingerprints import KIND_ORDER, Goof, feature_dim
+
+from fingerprint_reference import extract_group, reference_store
 
 
 def random_block(rng, m=None, length=None):
@@ -283,6 +288,95 @@ class TestVectorize:
             assert features[kind].dtype == float
 
 
+def random_stack(rng, m=4, length=24, view=True):
+    """A (2, 3, m, length) stack; ``view`` lays it out as build_goof's
+    strided group view instead of a contiguous array."""
+    shape = (2, m, 3, length) if view else (2, 3, m, length)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return stack.swapaxes(1, 2) if view else stack
+
+
+def per_slice(estimate, stack):
+    return np.array([[estimate(stack[i, j]) for j in range(3)] for i in range(2)])
+
+
+BLOCK_ESTIMATORS = {
+    "covariance": est_covariance,
+    "psd": est_psd,
+    "psd_5_points": lambda y: est_psd(y, 5),
+    "foc": est_foc,
+    "flom": est_flom,
+    "flom_1.5": lambda y: est_flom(y, 1.5),
+    "flom_2": lambda y: est_flom(y, 2.0),
+}
+COVARIANCE_ESTIMATORS = {"rss": extract_rss, "signal_subspace": est_signal_subspace}
+VECTORIZE_INPUTS = {
+    FingerprintKind.CMF: est_covariance,
+    FingerprintKind.RSSF: lambda y: extract_rss(est_covariance(y)),
+    FingerprintKind.PSDF: lambda y: est_psd(y, 7),
+    FingerprintKind.SSF: lambda y: est_signal_subspace(est_covariance(y)),
+    FingerprintKind.FOCF: est_foc,
+    FingerprintKind.FLOMF: est_flom,
+}
+ESTIMATOR_NAMES = (
+    "est_covariance", "extract_rss", "est_psd", "est_signal_subspace", "est_foc", "est_flom",
+)
+
+
+class TestBatched:
+    """Every estimator on a stack equals the 2-D call on each slice, bit for bit."""
+
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "group_view"])
+    @pytest.mark.parametrize("name", BLOCK_ESTIMATORS)
+    def test_block_stack_equals_per_slice(self, name, view):
+        stack = random_stack(np.random.default_rng(20), view=view)
+        estimate = BLOCK_ESTIMATORS[name]
+        assert np.array_equal(estimate(stack), per_slice(estimate, stack))
+
+    @pytest.mark.parametrize("name", COVARIANCE_ESTIMATORS)
+    def test_covariance_stack_equals_per_slice(self, name):
+        stack = est_covariance(random_stack(np.random.default_rng(21), m=5))
+        assert stack.shape == (2, 3, 5, 5)
+        estimate = COVARIANCE_ESTIMATORS[name]
+        assert np.array_equal(estimate(stack), per_slice(estimate, stack))
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=[k.value for k in KIND_ORDER])
+    def test_vectorize_stack_equals_per_slice(self, kind):
+        values = VECTORIZE_INPUTS[kind](random_stack(np.random.default_rng(22)))
+        got = vectorize(values, kind)
+        assert got.shape == (2, 3, feature_dim(kind, 4, 7))
+        assert np.array_equal(got, per_slice(lambda v: vectorize(v, kind), values))
+
+    def test_one_non_hermitian_matrix_rejected(self):
+        stack = est_covariance(random_stack(np.random.default_rng(23)))
+        stack[1, 2, 0, 1] += 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            est_signal_subspace(stack)
+
+    def test_hermitian_tolerance_is_per_matrix(self):
+        # each matrix may be off by 1e-8 * max(1, its own largest entry)
+        # (plus np.allclose's relative 1e-5), whatever the others hold
+        small = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
+        large = 1e6 * small
+        large[0, 1] += 1e-3  # within the large matrix's own 1e-2
+        assert np.array_equal(
+            est_signal_subspace(np.stack([small, large])),
+            [est_signal_subspace(small), est_signal_subspace(large)],
+        )
+        skewed = small.copy()
+        skewed[0, 1] += 1e-3  # beyond 1e-8 + 1e-5 * |entry|, within 1e-2
+        with pytest.raises(ValueError, match="Hermitian"):
+            est_signal_subspace(skewed)
+        with pytest.raises(ValueError, match="Hermitian"):
+            est_signal_subspace(np.stack([skewed, large]))
+
+    def test_one_non_finite_matrix_is_a_numerical_failure(self):
+        stack = est_covariance(random_stack(np.random.default_rng(24)))
+        stack[0, 1, 2, 2] = np.inf
+        with pytest.raises(NumericalFailure):
+            est_signal_subspace(stack)
+
+
 def make_blocks(q=2, m=3, length=16, seed=0):
     rng = np.random.default_rng(seed)
     return [
@@ -321,6 +415,50 @@ class TestBuildGoof:
         for row, (features, label) in enumerate(zip(x, y)):
             assert label == row // 3 + 1
             assert np.array_equal(features, goof.features(FingerprintKind.FOCF, label)[row % 3])
+
+    @pytest.mark.parametrize(
+        "source, m, length, groups, flom_p, psd_points",
+        [
+            ("random", 3, 24, 3, 1.2, None),
+            ("random", 7, 640, 20, 1.2, None),
+            ("random", 5, 160, 10, 1.5, None),
+            ("random", 5, 160, 10, 2.0, None),
+            ("gaussian", 7, 640, 20, 1.2, None),
+            ("color", 7, 640, 20, 1.2, 16),
+            ("impulse", 7, 640, 20, 1.2, 1),
+            ("impulse", 4, 400, 80, 1.5, None),
+        ],
+    )
+    def test_store_equals_reference(self, source, m, length, groups, flom_p, psd_points):
+        if source == "random":
+            blocks = make_blocks(q=3, m=m, length=length, seed=length)
+        else:
+            config = ExperimentConfig(seed=7, grid_count=4, num_elements=m, snapshot_count=length,
+                                      group_count=groups, train_count=1, test_count=1)
+            blocks = simulate_cell(config, source, 6.0)
+        goof = build_goof(blocks[::-1], groups, flom_p, psd_points)
+        expected = reference_store(blocks, groups, flom_p, psd_points)
+        for kind in KIND_ORDER:
+            assert np.array_equal(goof.data[kind], expected[kind]), kind
+
+    def test_one_call_per_estimator(self, monkeypatch):
+        # looked up in the module at call time, so a wrapper (such as a
+        # profiler's) sees every call
+        calls = []
+        for name in ESTIMATOR_NAMES:
+            original = getattr(fingerprints, name)
+            wrapped = lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            monkeypatch.setattr(fingerprints, name, wrapped)
+        build_goof(make_blocks(q=3, length=32), group_count=8)
+        assert sorted(calls) == sorted(ESTIMATOR_NAMES)
+
+    def test_one_zero_row_in_one_group_is_degenerate(self):
+        blocks = make_blocks(q=3, length=16)
+        blocks[1].data[2, 4:8] = 0  # antenna 3, group 2 of 4, grid 2
+        with pytest.raises(DegenerateInputError):
+            build_goof(blocks, group_count=4)
+        blocks[1].data[2, 5] = 1e-3
+        build_goof(blocks, group_count=4)
 
     def test_simulation_protocol_shape(self):
         # 3200 snapshots in 32-snapshot groups gives 100 samples per grid

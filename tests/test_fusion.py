@@ -7,7 +7,6 @@ import pytest
 
 from goofloc import (
     FusionResult,
-    FusionWindow,
     classifier_entropy,
     constrained_mode,
     full_matrix_mode,
@@ -83,10 +82,6 @@ class TestConstrainedMode:
 
 
 class TestSwim:
-    def test_window_counts_from_protocols(self):
-        assert FusionWindow(5, 40).prediction_count == 36
-        assert FusionWindow(10, 40).prediction_count == 31
-
     def test_emits_u_predictions(self):
         rng = np.random.default_rng(0)
         b = rng.integers(1, 17, size=(40, 6))
@@ -163,8 +158,6 @@ class TestSwim:
             swim(b, 5)
         with pytest.raises(ValueError):
             swim(b, 0)
-        with pytest.raises(ValueError):
-            FusionWindow(0, 4)
 
 
 class TestPredictionProbability:
