@@ -44,6 +44,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
 
 
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--out-dir", required=True)
+    parser.add_argument("--format", choices=["csv", "structured-text"], default="csv")
+    parser.add_argument("--quiet", action="store_true")
+    parser.set_defaults(func=_cmd_sweep)
+
+
 def _build_config(args) -> ExperimentConfig:
     raw = {}
     if args.config:
@@ -61,6 +69,8 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
+    # a bad repetition raises before --out-dir exists
+    cell_key(config.seed, config.noise_kinds[0], config.snr_grid_db[0], args.repetition)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind in config.noise_kinds:
@@ -205,20 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("sweep-snr", help="accuracy-vs-SNR study")
-    _add_config_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
-
+    _add_sweep_flags(sub.add_parser("sweep-snr", help="accuracy-vs-SNR study"))
     p = sub.add_parser("sweep-forest", help="tree depth / tree number study")
-    _add_config_flags(p)
     p.add_argument("--vary", choices=["tree_depth", "tree_number"], required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=_cmd_sweep)
+    _add_sweep_flags(p)
 
     p = sub.add_parser("report", help="re-emit a saved report")
     p.add_argument("--report", required=True, help="structured-text report file")

@@ -6,7 +6,13 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        # pickle (field, message), not the joined text, so the error
+        # survives the trip back from a sweep's worker process
+        return type(self), (self.field, self.message)
 
 
 class FormatError(Exception):

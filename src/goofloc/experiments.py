@@ -3,17 +3,20 @@ sweeps, timing, and report emission.
 
 Every sweep is a deterministic function of (config, seed): all random
 streams are derived from the cell key (seed, repetition, noise kind, SNR;
-see :func:`cell_key`), so cells could run in any order or in parallel
-without changing the results, and the staged CLI rebuilds a cell's bank
-from the same key.
+see :func:`cell_key`), so the sweeps run their cells in worker
+processes without changing the results, and the staged CLI rebuilds a
+cell's bank from the same key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -308,48 +311,90 @@ def _distance_matrix(scenario: Scenario) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
-def sweep_cells(config: ExperimentConfig, noise_kinds, train_count: int, test_count: int):
-    """Simulate, extract and split every (repetition, noise kind, SNR) cell,
-    in that order: yields ``(rep, noise_kind, snr, key, goof_train, goof_test)``."""
-    for rep, noise_kind, snr in product(range(config.repetitions), noise_kinds, config.snr_grid_db):
-        blocks = simulate_cell(config, noise_kind, snr, rep)
-        goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
-        key = cell_key(config.seed, noise_kind, snr, rep)
-        yield rep, noise_kind, snr, key, *goof.split(train_count, test_count)
+def sweep_workers(cell_count: int) -> int:
+    """Worker processes for a sweep of ``cell_count`` cells: one per usable
+    CPU (the process's CPU affinity, so ``taskset`` narrows it), no more
+    than there are cells, and one where the affinity cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(cell_count, len(os.sched_getaffinity(0)))
 
 
-def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
-    """The accuracy-versus-SNR study.
+@contextmanager
+def _cell_map(workers: int):
+    """The ``map`` that runs a sweep's cells: the builtin one, in-process,
+    for one worker, else that of a pool of forked workers, shut down before
+    the block is left. Both yield results in cell order, so the error raised
+    is the first failing cell's. Pass the pool's result iterator straight to
+    the loop: when an error unwinds the loop it drops the iterator, which
+    cancels the cells not yet started."""
+    if workers == 1:
+        yield map
+        return
+    # imported here: the pool's modules add about 2 MB to the resident set
+    # of every process that imports goofloc, and most never run a pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    For every (noise kind, SNR, repetition) cell: simulate all grids,
-    build and split the fingerprint store, train the bank, and score the
-    six single-fingerprint classifiers, the full-matrix mode baseline,
-    and the sliding-window fusion at each configured window length.
-    """
-    config.validate()
-    report = Report(config_hash=config_hash(config), seed=config.seed)
-    dist = _distance_matrix(config.scenario())
-    cells = sweep_cells(config, config.noise_kinds, config.train_count, config.test_count)
-    for rep, noise_kind, snr, key, goof_train, goof_test in cells:
-        # a call per cell frees the cell's bank before the next one trains
-        _run_snr_cell(config, report, dist, noise_kind, snr, key, goof_train, goof_test)
-        if verbose:
-            print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
-    return report
+    # forked workers inherit the imported modules, and unlike forkserver or
+    # spawn no helper process outlives the pool
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
 
 
-def _run_snr_cell(config, report, dist, noise_kind, snr, key, goof_train, goof_test):
+def _cell_stores(config: ExperimentConfig, cell: tuple, train_count: int, test_count: int):
+    """Simulate and extract one ``(rep, noise_kind, snr)`` cell, then split
+    its store into ``(goof_train, goof_test)``."""
+    rep, noise_kind, snr = cell
+    blocks = simulate_cell(config, noise_kind, snr, rep)
+    goof = build_goof(blocks, config.group_count, config.flom_exponent, config.psd_points)
+    return goof.split(train_count, test_count)
+
+
+def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
+    """The training half of one SNR-sweep cell: simulate, extract, split,
+    train the bank and predict the test groups. Returns ``(grids, matrix,
+    train_s, predict_s)``, ``matrix`` the (Z*G, 6) predictions, grid-major."""
+    rep, noise_kind, snr = cell
+    goof_train, goof_test = _cell_stores(config, cell, config.train_count, config.test_count)
+    key = cell_key(config.seed, noise_kind, snr, rep)
     t0 = time.perf_counter()
     bank = train_bank(goof_train, config.tree_count, config.depth_limit, config.learner_spec(),
                       key, class_count=config.grid_count)
     t1 = time.perf_counter()
     pm = predict_matrix(bank, {kind: goof_test.stack(kind)[0] for kind in KIND_ORDER})
-    report.add_timing(
-        "bank", train_s=t1 - t0, test_s=time.perf_counter() - t1, predictions=len(pm.matrix)
-    )
+    return goof_test.grids(), pm.matrix, t1 - t0, time.perf_counter() - t1
 
-    grids = goof_test.grids()
-    for grid, b in zip(grids, pm.matrix.reshape(len(grids), goof_test.group_count, -1)):
+
+def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
+    """The accuracy-versus-SNR study.
+
+    For every (repetition, noise kind, SNR) cell: simulate all grids,
+    build and split the fingerprint store, train the bank, and score the
+    six single-fingerprint classifiers, the full-matrix mode baseline,
+    and the sliding-window fusion at each configured window length.
+    Cells train in worker processes (see :func:`sweep_workers`); scoring
+    and fusion run here, in cell order, so the report does not depend on
+    the worker count.
+    """
+    config.validate()
+    cells = list(product(range(config.repetitions), config.noise_kinds, config.snr_grid_db))
+    workers = sweep_workers(len(cells))
+    report = Report(config_hash=config_hash(config), seed=config.seed)
+    dist = _distance_matrix(config.scenario())
+    with _cell_map(workers) as cell_map:
+        for (rep, noise_kind, snr), (grids, matrix, train_s, predict_s) in zip(
+            cells, cell_map(partial(snr_cell, config), cells)
+        ):
+            report.add_timing("bank", train_s=train_s, test_s=predict_s, predictions=len(matrix))
+            _score_snr_cell(config, report, dist, noise_kind, snr, grids, matrix)
+            if verbose:
+                print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
+    return report
+
+
+def _score_snr_cell(config, report, dist, noise_kind, snr, grids, matrix):
+    for grid, b in zip(grids, matrix.reshape(len(grids), -1, matrix.shape[1])):
         for ki, kind in enumerate(KIND_ORDER):
             rho = float((b[:, ki] == grid).mean())
             err = float(dist[b[:, ki] - 1, grid - 1].mean())
@@ -381,6 +426,39 @@ DEPTH_SWEEP_VALUES = (2, 3, 4, 5, 6, 7, 8)
 TREE_SWEEP_VALUES = (10, 40, 70, 100)
 
 
+def forest_cell(config: ExperimentConfig, vary: str, values: tuple, cell: tuple) -> tuple:
+    """One forest-sweep cell: for each swept value, train an RSSF forest on
+    the first half of the groups and predict the second half. Returns
+    ``(grids, runs)``, one ``(labels, train_s, predict_s)`` run per value,
+    ``labels`` grid-major and ``predict_s`` the seconds of a warm call."""
+    rep, noise_kind, snr = cell
+    half = config.group_count // 2
+    goof_train, goof_test = _cell_stores(config, cell, half, config.group_count - half)
+    rssf = FingerprintKind.RSSF
+    x_train, y_train = goof_train.stack(rssf)
+    x_test = goof_test.stack(rssf)[0]
+    key = cell_key(config.seed, noise_kind, snr, rep)
+    spec = config.learner_spec()
+    runs = []
+    for value in values:
+        depth = value if vary == "tree_depth" else config.depth_limit
+        trees = value if vary == "tree_number" else config.tree_count
+        t0 = time.perf_counter()
+        forest = train_forest(
+            x_train, y_train, trees, depth, spec, key_seed(*key, 200 + value),
+            class_count=config.grid_count, kind=rssf,
+        )
+        train_s = time.perf_counter() - t0
+        # time a warm call: in a freshly forked worker the first call also
+        # pays page faults and cold caches, which would fall on the first
+        # value swept and can outweigh the per-tree cost being compared
+        forest.predict_batch(x_test)
+        t0 = time.perf_counter()
+        labels = forest.predict_batch(x_test)
+        runs.append((labels, train_s, time.perf_counter() - t0))
+    return goof_test.grids(), runs
+
+
 def run_forest_sweep(
     config: ExperimentConfig,
     vary: str,
@@ -391,7 +469,8 @@ def run_forest_sweep(
 
     ``vary`` is ``tree_depth`` or ``tree_number``. The store is split
     half/half into train and test; every swept value reuses the same
-    simulated cells, so differences come from the forest alone.
+    simulated cells, so differences come from the forest alone. Cells
+    run in worker processes, as in :func:`run_snr_sweep`.
     """
     config.validate()
     if vary == "tree_depth":
@@ -400,37 +479,23 @@ def run_forest_sweep(
         values = TREE_SWEEP_VALUES if values is None else tuple(values)
     else:
         raise ConfigError("vary", "must be tree_depth or tree_number")
+    cells = list(product(range(config.repetitions), config.noise_kinds[:1], config.snr_grid_db))
+    workers = sweep_workers(len(cells))
     report = Report(config_hash=config_hash(config), seed=config.seed)
-    train_count = config.group_count // 2
-    test_count = config.group_count - train_count
-    spec = config.learner_spec()
-    rssf = FingerprintKind.RSSF
-
-    cells = sweep_cells(config, config.noise_kinds[:1], train_count, test_count)
-    for rep, noise_kind, snr, key, goof_train, goof_test in cells:
-        x_train, y_train = goof_train.stack(rssf)
-        x_test = goof_test.stack(rssf)[0]
-        for value in values:
-            depth = value if vary == "tree_depth" else config.depth_limit
-            trees = value if vary == "tree_number" else config.tree_count
-            method = f"rssf_d{value}" if vary == "tree_depth" else f"rssf_t{value}"
-            seed = key_seed(*key, 200 + value)
-            t0 = time.perf_counter()
-            forest = train_forest(
-                x_train, y_train, trees, depth, spec, seed, class_count=config.grid_count,
-                kind=rssf,
-            )
-            train_dt = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            labels = forest.predict_batch(x_test)
-            test_dt = time.perf_counter() - t0
-            report.add_timing(method, train_s=train_dt, test_s=test_dt, predictions=x_test.shape[0])
-            labels = labels.reshape(-1, test_count)
-            for grid, row in zip(goof_test.grids(), labels):
-                rho = float((row == grid).mean())
-                report.add(noise_kind, snr, method, rho, 0.0)
-        if verbose:
-            print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
+    prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
+    with _cell_map(workers) as cell_map:
+        for (rep, noise_kind, snr), (grids, runs) in zip(
+            cells, cell_map(partial(forest_cell, config, vary, values), cells)
+        ):
+            for value, (labels, train_s, predict_s) in zip(values, runs):
+                method = f"{prefix}{value}"
+                report.add_timing(
+                    method, train_s=train_s, test_s=predict_s, predictions=labels.size
+                )
+                for grid, row in zip(grids, labels.reshape(len(grids), -1)):
+                    report.add(noise_kind, snr, method, float((row == grid).mean()), 0.0)
+            if verbose:
+                print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
     return report
 
 

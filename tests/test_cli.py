@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from goofloc import experiments
 from goofloc.cli import main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
@@ -168,6 +169,36 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     ]:
         assert main([str(a) for a in argv]) == 2, argv
         assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_bad_repetition_leaves_no_out_dir(tmp_path, config_file, capsys):
+    out = tmp_path / "x"
+    argv = ["simulate", "--config", config_file, "--repetition", -1, "--out-dir", out]
+    assert main([str(a) for a in argv]) == 2
+    assert "config error: repetition" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# two cells each, so two workers really run in a pool
+SWEEP_COMMANDS = {
+    "sweep-snr": ["--noise-kinds", "gaussian,color", "--snr-grid-db", "6"],
+    "sweep-forest": ["--vary", "tree_depth", "--snr-grid-db", "6,12"],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_worker_config_error_exit_code(tmp_path, capsys, monkeypatch, command, cpus):
+    # only train_forest, inside a cell, sees that the subspace exceeds
+    # every family's dimension; its ConfigError must cross the pool
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    argv = [
+        command, "--seed", 1, "--grid-count", 4, "--num-elements", 4, "--tree-count", 3,
+        "--depth-limit", 3, "--repetitions", 1, "--feature-subspace", 30,
+        "--out-dir", tmp_path / "out", *SWEEP_COMMANDS[command],
+    ]
+    assert main([str(a) for a in argv]) == 2
+    assert "config error: feature_subspace" in capsys.readouterr().err
 
 
 def test_overflowing_snapshots_exit_code(tmp_path, staged, capsys):

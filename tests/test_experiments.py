@@ -1,6 +1,11 @@
 """Experiment harness: configs, sweeps, reports, dataset ingestion."""
 
+import concurrent.futures
 import math
+import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from goofloc import (
     ExperimentConfig,
     FingerprintKind,
     FormatError,
+    NumericalFailure,
     Report,
     build_goof,
     emit_report,
@@ -20,6 +26,7 @@ from goofloc import (
     save_snapshot_dataset,
     simulate_cell,
 )
+from goofloc import experiments
 from goofloc.cli import ingest_recorded_dataset
 from goofloc.experiments import (
     cell_key,
@@ -28,6 +35,7 @@ from goofloc.experiments import (
     config_to_text,
     load_bmatrices,
     save_bmatrices,
+    sweep_workers,
 )
 from goofloc.fingerprints import KIND_ORDER
 from goofloc.forest import PredictionMatrix
@@ -190,6 +198,119 @@ class TestForestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             run_forest_sweep(micro_config(), "learning_rate")
+
+
+def use_cpus(monkeypatch, count):
+    """Make the sweeps see ``count`` usable CPUs."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_workers_left():
+    """Neither a child process nor a thread besides the main one."""
+    children = [pid for path in Path("/proc/self/task").glob("*/children")
+                for pid in path.read_text().split()]
+    assert children == []
+    assert threading.active_count() == 1
+
+
+class TestParallelCells:
+    def test_worker_count(self, monkeypatch):
+        usable = len(os.sched_getaffinity(0))
+        assert sweep_workers(100) == usable
+        assert sweep_workers(1) == 1
+        monkeypatch.delattr(experiments.os, "sched_getaffinity")
+        assert sweep_workers(100) == 1
+
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = micro_config(noise_kinds=("gaussian", "impulse"), snr_grid_db=(0.0, 12.0))
+        reports = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            reports[cpus] = (
+                run_snr_sweep(cfg), run_forest_sweep(cfg, "tree_depth", values=(2, 4))
+            )
+        for one, two in zip(reports[1], reports[2]):
+            assert one.rows == two.rows and one.errors_m == two.errors_m
+            assert {m: t["predictions"] for m, t in one.timings.items()} == {
+                m: t["predictions"] for m, t in two.timings.items()
+            }
+
+    def test_no_worker_outlives_a_sweep(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        cfg = micro_config(snr_grid_db=(0.0, 12.0))
+        run_snr_sweep(cfg)
+        assert_no_workers_left()
+        run_forest_sweep(cfg, "tree_number", values=(2,))
+        assert_no_workers_left()
+        with pytest.raises(ConfigError, match="feature_subspace"):
+            run_snr_sweep(micro_config(snr_grid_db=(0.0, 12.0), feature_subspace=99))
+        assert_no_workers_left()
+
+    def test_one_worker_or_one_cell_builds_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        use_cpus(monkeypatch, 1)
+        two_cells = micro_config(snr_grid_db=(0.0, 12.0))
+        run_snr_sweep(two_cells)
+        run_forest_sweep(two_cells, "tree_depth", values=(2,))
+        use_cpus(monkeypatch, 2)
+        run_snr_sweep(micro_config())
+        run_forest_sweep(micro_config(), "tree_depth", values=(2,))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_cell_in_cell_order_is_raised(self, monkeypatch, cpus):
+        def failing_cell(config, noise_kind, snr_db, repetition=0):
+            if snr_db == 0.0:
+                time.sleep(0.3)  # the first cell fails last
+            raise ConfigError("snr_grid_db", f"cell {snr_db:g}")
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(experiments, "simulate_cell", failing_cell)
+        cfg = micro_config(snr_grid_db=(0.0, 6.0, 12.0))
+        with pytest.raises(ConfigError, match="cell 0$"):
+            run_snr_sweep(cfg)
+        with pytest.raises(ConfigError, match="cell 0$"):
+            run_forest_sweep(cfg, "tree_depth", values=(2,))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_cell_starts_no_further_cell(self, monkeypatch, tmp_path, cpus):
+        def cell(config, noise_kind, snr_db, repetition=0):
+            (tmp_path / f"{repetition}-{noise_kind}-{snr_db:g}").touch()
+            if (repetition, noise_kind, snr_db) != (0, "gaussian", 0.0):
+                time.sleep(0.2)
+            raise ConfigError("snr_grid_db", "fails")
+
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(experiments, "simulate_cell", cell)
+        cfg = micro_config(noise_kinds=("gaussian", "color"), snr_grid_db=(0.0, 6.0, 12.0),
+                           repetitions=2)
+        with pytest.raises(ConfigError):
+            run_snr_sweep(cfg)
+        started = len(list(tmp_path.iterdir()))
+        assert started == 1 if cpus == 1 else started < 12
+        assert_no_workers_left()
+
+    def test_a_failing_score_starts_no_further_cell(self, monkeypatch, tmp_path):
+        # the first cell trains, then its scoring fails in this process
+        def cell(config, noise_kind, snr_db, repetition=0):
+            (tmp_path / f"{repetition}-{noise_kind}-{snr_db:g}").touch()
+            time.sleep(0.2)
+            return simulate_cell(config, noise_kind, snr_db, repetition)
+
+        def failing_mode(*args, **kwargs):
+            raise NumericalFailure("scoring fails")
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "simulate_cell", cell)
+        monkeypatch.setattr(experiments, "full_matrix_mode", failing_mode)
+        cfg = micro_config(noise_kinds=("gaussian", "color"), snr_grid_db=(0.0, 6.0, 12.0),
+                           repetitions=2)
+        with pytest.raises(NumericalFailure):
+            run_snr_sweep(cfg)
+        assert len(list(tmp_path.iterdir())) < 12
+        assert_no_workers_left()
 
 
 class TestIngest:
