@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -26,14 +25,16 @@ from . import channel
 from .channel import ArrayGeometry, NoiseSpec, Scenario, make_grid_scenario
 from .dataset import load_snapshot_dataset
 from .errors import ConfigError, FormatError
-from .fingerprints import KIND_ORDER, FingerprintKind, build_goof
+from .fingerprints import KIND_ORDER, FingerprintKind, build_goof, feature_dim
 from .forest import (
     PredictionMatrix,
     WeakLearnerSpec,
+    grow_trees_in_process,
     key_seed,
     predict_matrix,
     train_bank,
     train_forest,
+    worker_count,
 )
 from .fusion import full_matrix_mode, prediction_probability, swim
 from .textio import (
@@ -130,7 +131,13 @@ class ExperimentConfig:
                 raise ConfigError("windows", f"window {w} outside 1..{self.test_count}")
         if self.repetitions < 1:
             raise ConfigError("repetitions", "must be >= 1")
-        self.learner_spec()
+        # every family's forest draws its subspace from that family's
+        # features; the default size, ceil(sqrt(dim)), fits any dimension
+        spec = self.learner_spec()
+        if self.feature_subspace is not None:
+            for kind in KIND_ORDER:
+                spec.subspace(feature_dim(kind, self.num_elements,
+                                          self.psd_points or snapshots_per_group))
         try:
             self.scenario()
         except ValueError as exc:
@@ -311,15 +318,6 @@ def _distance_matrix(scenario: Scenario) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
-def sweep_workers(cell_count: int) -> int:
-    """Worker processes for a sweep of ``cell_count`` cells: one per usable
-    CPU (the process's CPU affinity, so ``taskset`` narrows it), no more
-    than there are cells, and one where the affinity cannot be read."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(cell_count, len(os.sched_getaffinity(0)))
-
-
 @contextmanager
 def _cell_map(workers: int):
     """The ``map`` that runs a sweep's cells: the builtin one, in-process,
@@ -327,7 +325,9 @@ def _cell_map(workers: int):
     the block is left. Both yield results in cell order, so the error raised
     is the first failing cell's. Pass the pool's result iterator straight to
     the loop: when an error unwinds the loop it drops the iterator, which
-    cancels the cells not yet started."""
+    cancels the cells not yet started. The pool's cells already keep every
+    CPU busy, so its workers grow each forest in-process, never in tree
+    groups: pools never nest."""
     if workers == 1:
         yield map
         return
@@ -338,7 +338,8 @@ def _cell_map(workers: int):
 
     # forked workers inherit the imported modules, and unlike forkserver or
     # spawn no helper process outlives the pool
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=grow_trees_in_process) as pool:
         yield pool.map
 
 
@@ -373,13 +374,13 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     build and split the fingerprint store, train the bank, and score the
     six single-fingerprint classifiers, the full-matrix mode baseline,
     and the sliding-window fusion at each configured window length.
-    Cells train in worker processes (see :func:`sweep_workers`); scoring
+    Cells train in worker processes (see :func:`worker_count`); scoring
     and fusion run here, in cell order, so the report does not depend on
     the worker count.
     """
     config.validate()
     cells = list(product(range(config.repetitions), config.noise_kinds, config.snr_grid_db))
-    workers = sweep_workers(len(cells))
+    workers = worker_count(len(cells))
     report = Report(config_hash=config_hash(config), seed=config.seed)
     dist = _distance_matrix(config.scenario())
     with _cell_map(workers) as cell_map:
@@ -430,7 +431,8 @@ def forest_cell(config: ExperimentConfig, vary: str, values: tuple, cell: tuple)
     """One forest-sweep cell: for each swept value, train an RSSF forest on
     the first half of the groups and predict the second half. Returns
     ``(grids, runs)``, one ``(labels, train_s, predict_s)`` run per value,
-    ``labels`` grid-major and ``predict_s`` the seconds of a warm call."""
+    ``labels`` grid-major and ``predict_s`` the seconds of the fastest of
+    three warm calls."""
     rep, noise_kind, snr = cell
     half = config.group_count // 2
     goof_train, goof_test = _cell_stores(config, cell, half, config.group_count - half)
@@ -449,13 +451,17 @@ def forest_cell(config: ExperimentConfig, vary: str, values: tuple, cell: tuple)
             class_count=config.grid_count, kind=rssf,
         )
         train_s = time.perf_counter() - t0
-        # time a warm call: in a freshly forked worker the first call also
+        # time warm calls: in a freshly forked worker the first call also
         # pays page faults and cold caches, which would fall on the first
-        # value swept and can outweigh the per-tree cost being compared
+        # value swept and can outweigh the per-tree cost being compared;
+        # the fastest of three leaves out most scheduling hiccups as well
         forest.predict_batch(x_test)
-        t0 = time.perf_counter()
-        labels = forest.predict_batch(x_test)
-        runs.append((labels, train_s, time.perf_counter() - t0))
+        predict_s = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            labels = forest.predict_batch(x_test)
+            predict_s = min(predict_s, time.perf_counter() - t0)
+        runs.append((labels, train_s, predict_s))
     return goof_test.grids(), runs
 
 
@@ -480,7 +486,7 @@ def run_forest_sweep(
     else:
         raise ConfigError("vary", "must be tree_depth or tree_number")
     cells = list(product(range(config.repetitions), config.noise_kinds[:1], config.snr_grid_db))
-    workers = sweep_workers(len(cells))
+    workers = worker_count(len(cells))
     report = Report(config_hash=config_hash(config), seed=config.seed)
     prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
     with _cell_map(workers) as cell_map:

@@ -76,10 +76,11 @@ def _covariances(covariance) -> np.ndarray:
     return r
 
 
-def est_covariance(block) -> np.ndarray:
-    """Sample covariance (1/L) * sum_t y(t) y(t)^H; Hermitian PSD."""
+def est_covariance(block, conj=None) -> np.ndarray:
+    """Sample covariance (1/L) * sum_t y(t) y(t)^H; Hermitian PSD.
+    ``conj``, if given, is the block's conjugate, already formed."""
     y = _block_data(block)
-    return (y @ _transpose(y.conj())) / y.shape[-1]
+    return (y @ _transpose(y.conj() if conj is None else conj)) / y.shape[-1]
 
 
 def extract_rss(covariance: np.ndarray) -> np.ndarray:
@@ -127,40 +128,43 @@ def est_signal_subspace(covariance: np.ndarray) -> np.ndarray:
     return np.abs(principal / norm)
 
 
-def est_foc(block) -> np.ndarray:
+def est_foc(block, covariance=None, conj=None) -> np.ndarray:
     """Fourth-order cumulant matrix, entry (i,k) = cum{y_i, y_k, y_i*, y_k*}.
 
     All expectations are sample means over the snapshots:
     E{y_i y_k y_i* y_k*} - E{y_i y_i*} E{y_k y_k*}
     - E{y_i y_k*} E{y_k y_i*} - E{y_i y_k} E{y_i* y_k*}.
+    ``covariance`` (E{y_i y_k*}, as :func:`est_covariance` returns it) and
+    ``conj``, if given, are used instead of being formed again.
     """
     y = _block_data(block)
     length = y.shape[-1]
-    yc = y.conj()
+    yc = y.conj() if conj is None else conj
     mom4 = np.einsum("...it,...kt,...it,...kt->...ik", y, y, yc, yc) / length
-    r = (y @ _transpose(yc)) / length  # E{y_i y_k*}
+    r = (y @ _transpose(yc)) / length if covariance is None else covariance  # E{y_i y_k*}
     c = (y @ _transpose(y)) / length  # E{y_i y_k}
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return mom4 - d[..., :, None] * d[..., None, :] - r * _transpose(r) - c * c.conj()
 
 
-def est_flom(block, p: float = 1.2) -> np.ndarray:
+def est_flom(block, p: float = 1.2, conj=None) -> np.ndarray:
     """Fractional low-order moment matrix for exponent 1 < p <= 2.
 
     Entry (i,k) = (1/L) sum_t y_i(t) |y_k(t)|^(p-2) y_k*(t); snapshots
     with y_k(t) = 0 contribute 0 when p < 2. p = 2 recovers the sample
-    covariance exactly.
+    covariance exactly. ``conj``, if given, is the block's conjugate.
     """
     y = _block_data(block)
     if not 1.0 < p <= 2.0:
         raise ConfigError("flom_exponent", "must be in (1, 2]")
     length = y.shape[-1]
+    yc = y.conj() if conj is None else conj
     if p == 2.0:
-        return (y @ _transpose(y.conj())) / length
+        return (y @ _transpose(yc)) / length
     mags = np.abs(y)
     with np.errstate(divide="ignore"):
         weights = np.where(mags > 0, mags ** (p - 2.0), 0.0)
-    weighted = weights * y.conj()  # |y_k|^(p-2) y_k*, zeros dropped
+    weighted = weights * yc  # |y_k|^(p-2) y_k*, zeros dropped
     return (y @ _transpose(weighted)) / length
 
 
@@ -268,14 +272,19 @@ def build_goof(
     # (Q, M, L) -> (Q, G, M, L/G): slice [q, g] is the g-th group of grid q
     y = np.stack([block.data for block in blocks])
     y = y.reshape(*y.shape[:2], group_count, per_group).swapaxes(1, 2)
-    covariance = est_covariance(y)
+    # the conjugate stack is formed once for the three moment estimators,
+    # and released before the PSD's transform so that the peak stays put
+    yc = y.conj()
+    covariance = est_covariance(y, yc)
+    foc, flom = est_foc(y, covariance, yc), est_flom(y, flom_p, yc)
+    del yc
     estimates = {
         FingerprintKind.CMF: covariance,
         FingerprintKind.RSSF: extract_rss(covariance),
         FingerprintKind.PSDF: est_psd(y, psd_points),
         FingerprintKind.SSF: est_signal_subspace(covariance),
-        FingerprintKind.FOCF: est_foc(y),
-        FingerprintKind.FLOMF: est_flom(y, flom_p),
+        FingerprintKind.FOCF: foc,
+        FingerprintKind.FLOMF: flom,
     }
     data = {kind: vectorize(values, kind) for kind, values in estimates.items()}
     for kind, x in data.items():

@@ -10,7 +10,9 @@ All trees of a forest grow together, one depth level per vectorized pass.
 A node's random draws depend only on its position (forest seed, tree,
 level, heap slot), never on the order in which nodes are grown, so the
 level-wise trainer builds exactly the trees a depth-first grower reading
-the same draws would build.
+the same draws would build. For the same reason contiguous groups of
+trees can grow in separate processes, one per usable CPU, and their node
+tables concatenate into the table one process would build.
 
 A forest is one node table: flat arrays over every tree's nodes in
 pre-order, tree after tree. A split row's left child is the next row and
@@ -21,6 +23,10 @@ its right child lies ``right`` rows further on; a leaf row has
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, Goof
 from .textio import (
-    comma_list, convert, one_of, positive_int, read_artifact, read_document, write_document,
+    convert, one_of, positive_int, read_artifact, read_document, write_document,
 )
 
 # split primitive -> feature indices (and weights) per split
@@ -126,20 +132,6 @@ class Tree:
             rows = rows[step > 0]
             rows = np.concatenate([rows + 1, rows + step[step > 0]])
         return level
-
-
-def _table(rows: list, class_count: int) -> dict:
-    """Node-table columns of ``[features, weights, threshold, right,
-    histogram]`` rows; split rows (histogram None) count no samples."""
-    features, weights, threshold, right, hists = zip(*rows)
-    zero = np.zeros(class_count, dtype=np.int64)
-    return {
-        "features": np.array(features, dtype=np.intp),
-        "weights": np.array(weights, dtype=float),
-        "threshold": np.array(threshold, dtype=float),
-        "right": np.array(right, dtype=np.intp),
-        "histogram": np.array([zero if h is None else h for h in hists], dtype=np.int64),
-    }
 
 
 # A node's draws are a counter-based hash (SplitMix64) of its key. The root
@@ -333,23 +325,15 @@ def _preorder(levels: list, q: int) -> dict:
     return table
 
 
-def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
-    """Node table (the columns of :class:`Tree` and ``roots``) of the
-    trees grown over the rows ``boots[i]`` of ``x`` from root keys
-    ``keys[i]``.
+def _grow_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
+    """Node table of the trees grown over the rows ``boots[i]`` of ``x``
+    from root keys ``keys[i]``, in this process.
 
     All trees grow together, one level per pass; each (tree, sample) pair
     carries its current node. A node splits when it lies above the depth
     limit, holds two or more classes and its best candidate gains more than
     1e-12 bits; otherwise it is a leaf holding its class histogram.
     """
-    dim = x.shape[1]
-    arity = PRIMITIVES[spec.primitive]
-    if dim < arity:
-        raise ConfigError("primitive", f"{spec.primitive} needs at least {arity} features")
-    if depth_limit < 1:
-        raise ConfigError("depth_limit", "must be >= 1")
-    spec.subspace(dim)  # a bad subspace size fails here, not at the first split
     xlogx = _xlogx(boots.shape[1])
     rows = boots.ravel()
     label = y[rows] - 1
@@ -371,6 +355,106 @@ def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: i
         rows, label, node = rows[keep][order], label[keep][order], child[order]
         keys = _child_keys(np.repeat(keys[split], 2), np.tile([0, 1], int(split.sum())))
     return _preorder(levels, q)
+
+
+def worker_count(tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks: one per usable CPU (the
+    process's CPU affinity, so ``taskset`` narrows it), no more than there
+    are tasks, and one where the affinity cannot be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+# Cleared in a sweep's worker processes, whose cells already keep every
+# CPU busy: a forest trained there grows in its own process.
+_TREE_GROUPS = True
+
+
+def grow_trees_in_process() -> None:
+    """Grow every forest this process trains from now on in the process
+    itself, never in tree groups."""
+    global _TREE_GROUPS
+    _TREE_GROUPS = False
+
+
+def _fork_map(fn, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``: the first task in this process,
+    each other in a forked child that pickles its result, or its error,
+    back through a pipe. No thread is started. Every child is reaped
+    before this returns or raises, and the error raised is the first
+    task's in task order."""
+    children = []
+    try:
+        for task in tasks[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns
+                status = 1
+                try:
+                    os.close(read_end)
+                    try:
+                        outcome = (True, fn(task))
+                    except Exception as exc:
+                        outcome = (False, exc)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [fn(tasks[0])]
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"tree group process {pid} died") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # no use finishing the other groups
+        raise
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+
+
+def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
+    """Node table (the columns of :class:`Tree` and ``roots``) of the
+    trees grown over the rows ``boots[i]`` of ``x`` from root keys
+    ``keys[i]``.
+
+    The trees are cut into contiguous groups, one per usable CPU, except
+    where forking is unsafe (another Python thread is alive) or unwanted (a
+    sweep's worker); this process grows the first. Each tree's draws
+    depend on its own key alone, so the groups' tables, concatenated in
+    tree order, are the table of one process growing every tree.
+    """
+    dim = x.shape[1]
+    arity = PRIMITIVES[spec.primitive]
+    if dim < arity:
+        raise ConfigError("primitive", f"{spec.primitive} needs at least {arity} features")
+    if depth_limit < 1:
+        raise ConfigError("depth_limit", "must be >= 1")
+    spec.subspace(dim)  # a bad subspace size fails here, not at the first split
+    groups = 1
+    if _TREE_GROUPS and hasattr(os, "fork") and threading.active_count() == 1:
+        groups = worker_count(len(keys))
+    bounds = [len(keys) * i // groups for i in range(groups + 1)]
+    tables = _fork_map(
+        lambda part: _grow_levels(x, y, boots[part], keys[part], depth_limit, spec, q),
+        [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])],
+    )
+    table = {name: np.concatenate([t[name] for t in tables]) for name in _COLUMNS}
+    starts = np.cumsum([0] + [len(t["right"]) for t in tables[:-1]])
+    table["roots"] = np.concatenate([t["roots"] + start for t, start in zip(tables, starts)])
+    return table
 
 
 def _training_set(samples, labels, class_count: int | None):
@@ -479,7 +563,8 @@ def train_forest(
 
     Each tree's bootstrap and root key come from its own rng stream derived
     from ``seed`` and every node's draws from its key, so training is a
-    deterministic function of (data, hyperparameters, seed).
+    deterministic function of (data, hyperparameters, seed), whichever
+    processes grow the trees (see :func:`_fit_levels`).
     """
     if tree_count < 1:
         raise ConfigError("tree_count", "must be >= 1")
@@ -568,9 +653,19 @@ FOREST_MAGIC = "GOOF-FOREST"
 FOREST_VERSION = 1
 
 
+def _format_rows(fmt: str, values: np.ndarray) -> list:
+    """The lines ``fmt % tuple(row)``, one per row of ``values``, formatted
+    in one call."""
+    if not len(values):
+        return []
+    return ("\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())).split("\n")
+
+
 def serialize_forest(forest: Forest) -> str:
     """Lossless structured-text form, one record per table row in
-    pre-order; byte-identical for identical forests."""
+    pre-order and a ``tree i`` record before each tree's root;
+    byte-identical for identical forests. Each record kind is formatted
+    from the table's columns in one call."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
@@ -582,26 +677,48 @@ def serialize_forest(forest: Forest) -> str:
         "feature_subspace": forest.spec.feature_subspace_size or 0,
         "threshold_candidates": forest.spec.threshold_candidates,
     }
-    heads = {root: i for i, root in enumerate(forest.roots.tolist())}
-    records = []
-    rows = zip(*(getattr(forest, name).tolist() for name in _COLUMNS))
-    for row, (feats, weights, threshold, right, hist) in enumerate(rows):
-        if row in heads:
-            records.append(f"tree {heads[row]}")
-        if right:
-            idx = ",".join(map(str, feats))
-            w = ",".join(v.hex() for v in weights)
-            records.append(f"split {idx} {w} {threshold.hex()}")
-        else:
-            records.append("leaf " + " ".join(map(str, hist)))
-    return write_document(FOREST_MAGIC, FOREST_VERSION, header, records)
+    leaf, split = forest.right == 0, forest.right != 0
+    arity = forest.features.shape[1]
+    floats = np.concatenate([forest.weights[split], forest.threshold[split, None]], axis=1)
+    hexes = np.array([*map(float.hex, floats.ravel().tolist())], dtype=object)
+    splits = np.concatenate(
+        [forest.features[split].astype(object), hexes.reshape(floats.shape)], axis=1
+    )
+    records = np.empty(len(leaf), dtype=object)
+    records[leaf] = _format_rows("leaf" + " %d" * forest.class_count, forest.histogram[leaf])
+    records[split] = _format_rows(
+        f"split {','.join(['%d'] * arity)} {','.join(['%s'] * arity)} %s", splits
+    )
+    records = np.insert(records, forest.roots, [f"tree {i}" for i in range(forest.tree_count)])
+    return write_document(FOREST_MAGIC, FOREST_VERSION, header, records.tolist())
+
+
+def _convert_rows(tokens: list, lines: list, to, what: str):
+    """``to(tokens)``, the tokens of every row at once (rows of equal
+    width, one line each). If that fails, the rows are converted one at a
+    time, so that the FormatError names the first bad row's line."""
+    try:
+        return to(tokens)
+    except (ValueError, OverflowError) as exc:
+        width = len(tokens) // len(lines)
+        for i, line in enumerate(lines):
+            convert(tokens[i * width : (i + 1) * width], to, what, line)
+        raise FormatError(f"bad {what} ({exc})") from None
+
+
+def _from_hex(tokens: list) -> np.ndarray:
+    return np.array([*map(float.fromhex, tokens)])
 
 
 def deserialize_forest(raw) -> Forest:
-    """Read a :func:`serialize_forest` document (bytes or str). Records
-    fill the table in order; a stack holds the splits whose left subtree
-    is open (on a ``None`` for the tree), and the leaf that closes one
-    sets that split's right-child offset."""
+    """Read a :func:`serialize_forest` document (bytes or str).
+
+    One pass over the records checks the structure and places every row:
+    a stack holds the splits whose left subtree is open (on a ``None`` for
+    the tree), and the leaf that closes one sets that split's right-child
+    offset. The leaf rows, then the split rows, are then converted column
+    by column, each in one call. A malformed record is a FormatError
+    naming its line."""
     doc = read_document(raw, FOREST_MAGIC, FOREST_VERSION)
     kind = doc.get("kind", lambda text: None if text == "none" else FingerprintKind(text), None)
     class_count = doc.get("class_count", positive_int)
@@ -613,36 +730,79 @@ def deserialize_forest(raw) -> Forest:
         threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
     )
     arity = PRIMITIVES[spec.primitive]
-    rows, roots, open_splits = [], [], []
+    right = [0] * len(doc.records)
+    roots, open_splits, error = [], [], None
+    leaves, leaf_lines, counts = [], [], []
+    splits, split_lines, split_parts = [], [], []
+    row = 0
     for line, text in doc.records:
         tag, *parts = text.split()
         if not open_splits:
             if text != f"tree {len(roots)}":
-                raise FormatError(f"line {line}: expected 'tree {len(roots)}', got {text!r}")
-            roots.append(len(rows))
+                error = FormatError(f"line {line}: expected 'tree {len(roots)}', got {text!r}")
+                break
+            roots.append(row)
             open_splits.append(None)
-        elif tag == "leaf" and len(parts) == class_count:
-            hist = convert(parts, lambda p: np.array(p, dtype=int), "leaf", line)
-            rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
+            continue
+        if tag == "leaf" and len(parts) == class_count:
+            leaves.append(row)
+            leaf_lines.append(line)
+            counts += parts
             at = open_splits.pop()
             if at is not None:
-                rows[at][3] = len(rows) - at
+                right[at] = row + 1 - at
         elif tag == "split" and len(parts) == 3:
-            feats = convert(parts[0], comma_list(np.intp), "feature indices", line)
-            weights = convert(parts[1], comma_list(float.fromhex), "weights", line)
-            if not len(feats) == len(weights) == arity or not all(
-                0 <= f < feature_dim for f in feats
-            ):
-                raise FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
-            threshold = convert(parts[2], float.fromhex, "threshold", line)
-            open_splits.append(len(rows))
-            rows.append([feats, weights, threshold, 0, None])
+            if not parts[0].count(",") == parts[1].count(",") == arity - 1:
+                error = FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
+                break
+            splits.append(row)
+            split_lines.append(line)
+            split_parts.append(parts)
+            open_splits.append(row)
         else:
-            raise FormatError(f"line {line}: bad node record {text!r}")
-    if open_splits or len(roots) != tree_count:
-        raise FormatError(f"{len(roots)} whole trees, but tree_count={tree_count}")
+            error = FormatError(f"line {line}: bad node record {text!r}")
+            break
+        row += 1
+    # only rows above the first structural error were collected, so a bad
+    # value among them is named before that error
+    histogram = np.zeros((row, class_count), dtype=np.int64)
+    features = np.zeros((row, arity), dtype=np.intp)
+    weights = np.zeros((row, arity))
+    threshold = np.zeros(row)
+    if leaves:
+        histogram[leaves] = _convert_rows(
+            counts, leaf_lines, lambda t: np.array(t, dtype=np.int64), "leaf"
+        ).reshape(-1, class_count)
+    if splits:
+        idx, w, cut = zip(*split_parts)
+        features[splits] = _convert_rows(
+            ",".join(idx).split(","), split_lines, lambda t: np.array(t, dtype=np.intp),
+            "feature indices",
+        ).reshape(-1, arity)
+        weights[splits] = _convert_rows(
+            ",".join(w).split(","), split_lines, _from_hex, "weights"
+        ).reshape(-1, arity)
+        outside = ((features[splits] < 0) | (features[splits] >= feature_dim)).any(axis=1)
+        if outside.any():
+            i = int(outside.argmax())
+            raise FormatError(f"line {split_lines[i]}: bad split features {idx[i]!r} {w[i]!r}")
+        threshold[splits] = _convert_rows(cut, split_lines, _from_hex, "threshold")
+    if error is not None:
+        raise error
+    if open_splits:
+        line = doc.records[-1][0]
+        raise FormatError(f"line {line}: tree {len(roots) - 1} ends before its last leaf")
+    if len(roots) != tree_count:
+        raise FormatError(
+            f"line {doc.values['tree_count'][1]}: tree_count={tree_count}, "
+            f"but {len(roots)} whole trees follow"
+        )
     return Forest(
-        **_table(rows, class_count),
+        features=features,
+        weights=weights,
+        threshold=threshold,
+        right=np.array(right[:row], dtype=np.intp),
+        histogram=histogram,
         roots=np.array(roots, dtype=np.intp),
         depth_limit=doc.get("depth_limit", positive_int),
         feature_dim=feature_dim,

@@ -1,11 +1,11 @@
 """CLI pipeline: simulate -> build-goof -> train -> test -> fuse, sweeps."""
 
 import dataclasses
+import os
 import shutil
 
 import pytest
 
-from goofloc import experiments
 from goofloc.cli import main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
@@ -189,9 +189,10 @@ SWEEP_COMMANDS = {
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("command", SWEEP_COMMANDS)
 def test_worker_config_error_exit_code(tmp_path, capsys, monkeypatch, command, cpus):
-    # only train_forest, inside a cell, sees that the subspace exceeds
-    # every family's dimension; its ConfigError must cross the pool
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    # the subspace exceeds the RSSF and SSF dimension (num_elements): the
+    # config is refused before the pool starts (worker-raised errors are
+    # covered by test_experiments.py::TestParallelCells)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     argv = [
         command, "--seed", 1, "--grid-count", 4, "--num-elements", 4, "--tree-count", 3,
         "--depth-limit", 3, "--repetitions", 1, "--feature-subspace", 30,

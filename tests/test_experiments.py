@@ -35,10 +35,9 @@ from goofloc.experiments import (
     config_to_text,
     load_bmatrices,
     save_bmatrices,
-    sweep_workers,
 )
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import PredictionMatrix
+from goofloc.forest import PredictionMatrix, worker_count
 
 
 def micro_config(**over):
@@ -163,6 +162,30 @@ class TestSnrSweep:
         assert alone.rows == impulse
 
 
+@pytest.mark.parametrize("over", [
+    pytest.param({"feature_subspace": 5}, id="above-num_elements"),
+    pytest.param({"feature_subspace": 3, "num_elements": 2}, id="above-two-elements"),
+    pytest.param({"feature_subspace": 5, "primitive": "oriented_hyperplane_2d"}, id="hyperplane"),
+])
+def test_oversize_subspace_fails_before_any_cell(monkeypatch, over):
+    # RSSF and SSF have num_elements features, the fewest of the six
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was simulated or a process forked")
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "simulate_cell", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    cfg = micro_config(**over)
+    for run in (run_snr_sweep, lambda c: run_forest_sweep(c, "tree_depth", values=(2,))):
+        with pytest.raises(ConfigError, match="feature_subspace"):
+            run(cfg)
+
+
+def test_subspace_of_every_feature_fits():
+    micro_config(feature_subspace=4).validate()  # num_elements = 4
+    micro_config(num_elements=2, feature_subspace=2, primitive="oriented_hyperplane_2d").validate()
+
+
 class TestCellKey:
     def test_key_layout(self):
         assert cell_key(7, "gaussian", 6.0) == (7, 0, 0, 6000 + 2**31)
@@ -202,7 +225,7 @@ class TestForestSweep:
 
 def use_cpus(monkeypatch, count):
     """Make the sweeps see ``count`` usable CPUs."""
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def assert_no_workers_left():
@@ -216,10 +239,10 @@ def assert_no_workers_left():
 class TestParallelCells:
     def test_worker_count(self, monkeypatch):
         usable = len(os.sched_getaffinity(0))
-        assert sweep_workers(100) == usable
-        assert sweep_workers(1) == 1
-        monkeypatch.delattr(experiments.os, "sched_getaffinity")
-        assert sweep_workers(100) == 1
+        assert worker_count(100) == usable
+        assert worker_count(1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count(100) == 1
 
     def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch):
         cfg = micro_config(noise_kinds=("gaussian", "impulse"), snr_grid_db=(0.0, 12.0))
@@ -258,6 +281,23 @@ class TestParallelCells:
         use_cpus(monkeypatch, 2)
         run_snr_sweep(micro_config())
         run_forest_sweep(micro_config(), "tree_depth", values=(2,))
+
+    def test_sweep_workers_grow_forests_in_process(self, monkeypatch):
+        # os.fork raises anywhere but in this process, so the sweep fails
+        # if a pool worker forks tree groups
+        real_fork, parent = os.fork, os.getpid()
+
+        def fork():
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker forked")
+            return real_fork()
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = micro_config(snr_grid_db=(0.0, 12.0))
+        assert run_snr_sweep(cfg).rows
+        assert run_forest_sweep(cfg, "tree_number", values=(2, 5)).rows
+        assert_no_workers_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_cell_in_cell_order_is_raised(self, monkeypatch, cpus):

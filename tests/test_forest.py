@@ -1,6 +1,10 @@
 """Random forest: entropy/gain arithmetic, training, voting, serialization."""
 
 import hashlib
+import os
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from goofloc import (
     ClassifierBank,
     ConfigError,
     FingerprintKind,
+    FormatError,
+    NumericalFailure,
     WeakLearnerSpec,
     build_goof,
     deserialize_forest,
@@ -27,7 +33,14 @@ from goofloc import forest as forest_module
 from goofloc.fingerprints import KIND_ORDER
 from goofloc.forest import _COLUMNS, PRIMITIVES, Forest
 
-from forest_reference import predict_forest, reference_forest, reference_table, tree_vote
+from forest_reference import (
+    predict_forest,
+    reference_deserialize_forest,
+    reference_forest,
+    reference_serialize_forest,
+    reference_table,
+    tree_vote,
+)
 
 
 class TestNodeCounts:
@@ -335,32 +348,33 @@ class TestFlatPredictor:
         assert hashlib.sha256(serialize_forest(forest).encode()).hexdigest() == digest
 
 
-class TestVoting:
-    def forest_of_leaves(self, leaf_labels, q=10):
-        """One single-leaf tree per label: one table row each."""
-        t = len(leaf_labels)
-        hist = np.zeros((t, q), dtype=int)
-        hist[np.arange(t), np.array(leaf_labels) - 1] = 1
-        return Forest(
-            features=np.zeros((t, 1), dtype=int), weights=np.zeros((t, 1)), threshold=np.zeros(t),
-            right=np.zeros(t, dtype=int), histogram=hist, roots=np.arange(t), depth_limit=1,
-            feature_dim=2, seed=0,
-        )
+def forest_of_leaves(leaf_labels, q=10):
+    """One single-leaf tree per label: one table row each."""
+    t = len(leaf_labels)
+    hist = np.zeros((t, q), dtype=int)
+    hist[np.arange(t), np.array(leaf_labels) - 1] = 1
+    return Forest(
+        features=np.zeros((t, 1), dtype=int), weights=np.zeros((t, 1)), threshold=np.zeros(t),
+        right=np.zeros(t, dtype=int), histogram=hist, roots=np.arange(t), depth_limit=1,
+        feature_dim=2, seed=0,
+    )
 
+
+class TestVoting:
     def test_unanimous(self):
-        forest = self.forest_of_leaves([7, 7, 7])
+        forest = forest_of_leaves([7, 7, 7])
         assert predict_forest(forest, [0.0, 0.0]) == 7
 
     def test_majority(self):
-        forest = self.forest_of_leaves([2, 2, 5])
+        forest = forest_of_leaves([2, 2, 5])
         assert predict_forest(forest, [0.0, 0.0]) == 2
 
     def test_tie_goes_to_smallest_label(self):
-        forest = self.forest_of_leaves([3, 3, 9, 9])
+        forest = forest_of_leaves([3, 3, 9, 9])
         assert predict_forest(forest, [0.0, 0.0]) == 3
 
     def test_dimension_mismatch_rejected(self):
-        forest = self.forest_of_leaves([1])
+        forest = forest_of_leaves([1])
         with pytest.raises(ValueError):
             predict_forest(forest, [0.0, 0.0, 0.0])
 
@@ -389,9 +403,7 @@ class TestSerialization:
         assert np.array_equal(back.predict_batch(x), forest.predict_batch(x))
 
     def test_corrupt_document_rejected(self):
-        from goofloc import FormatError
-
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"line \d+: "):
             deserialize_forest("GOOF-FOREST 1\nkind=none\ntree_count=1\n")
         # records that disagree with the header: leaf width is class_count,
         # split features index 0..feature_dim-1 with one weight each, one
@@ -414,8 +426,184 @@ class TestSerialization:
             ("tree_count=2", "tree_count=1"),
             ("class_count=3", "class_count=x"),
         ]:
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError, match=r"line \d+: "):
                 deserialize_forest(text.replace(old, new, 1))
+
+
+def _codec_forest(case: str) -> Forest:
+    rng = np.random.default_rng(60)
+    x = rng.standard_normal((40, 4))
+    y = rng.integers(1, 5, size=40)
+    hyperplane = WeakLearnerSpec(primitive="oriented_hyperplane_2d", feature_subspace_size=3)
+    return {
+        "stump": lambda: train_forest(x, y, 7, 6, WeakLearnerSpec(), 61, kind=FingerprintKind.SSF),
+        "hyperplane": lambda: train_forest(x, y, 7, 6, hyperplane, 62),
+        # bootstraps of three samples: some trees are pure, a single leaf
+        "single-leaf-trees": lambda: train_forest(x[:3], [1, 1, 2], 12, 4, WeakLearnerSpec(), 63),
+        "all-single-leaf": lambda: forest_of_leaves([3, 1, 3]),
+        "class_count=1": lambda: train_forest(x, np.ones(40, dtype=int), 3, 5, hyperplane, 64,
+                                              class_count=1),
+    }[case]()
+
+
+CODEC_CASES = ["stump", "hyperplane", "single-leaf-trees", "all-single-leaf", "class_count=1"]
+
+
+class TestColumnCodec:
+    """The column codec against the per-record reference codec in
+    forest_reference.py: the same bytes, and the same tables."""
+
+    @pytest.mark.parametrize("case", CODEC_CASES)
+    def test_same_document_and_table_as_the_reference(self, case):
+        forest = _codec_forest(case)
+        text = serialize_forest(forest)
+        assert text == reference_serialize_forest(forest)
+        back, reference = deserialize_forest(text.encode()), reference_deserialize_forest(text)
+        for name in (*_COLUMNS, "roots"):
+            got, want = getattr(back, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert np.array_equal(got, getattr(forest, name)), name
+        for name in ("depth_limit", "feature_dim", "seed", "spec", "kind"):
+            assert getattr(back, name) == getattr(reference, name), name
+
+    def test_single_leaf_and_class_count_one_cases_hold_what_they_say(self):
+        trees = _codec_forest("single-leaf-trees").trees
+        assert any(tree.is_leaf for tree in trees) and not all(tree.is_leaf for tree in trees)
+        assert _codec_forest("class_count=1").class_count == 1
+
+    def test_first_bad_record_of_a_column_is_named(self):
+        text = serialize_forest(_codec_forest("stump"))
+        lines = text.splitlines()
+        leaves = [i for i, line in enumerate(lines) if line.startswith("leaf ")]
+        for i in leaves[3], leaves[-1]:
+            lines[i] = lines[i].replace(" ", " x", 2)
+        with pytest.raises(FormatError, match=f"^line {leaves[3] + 1}: bad leaf"):
+            deserialize_forest("\n".join(lines))
+
+
+def children_alive() -> list:
+    return [pid for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()]
+
+
+def assert_nothing_left():
+    """Neither a child process nor a thread besides the main one."""
+    assert children_alive() == []
+    assert threading.active_count() == 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks from now on."""
+    pids, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestTreeGroups:
+    """Contiguous groups of trees grown in forked children build the table
+    of one process growing every tree."""
+
+    @pytest.mark.parametrize("primitive", list(PRIMITIVES))
+    @pytest.mark.parametrize("trees", [1, 2, 3, 40])
+    def test_table_does_not_depend_on_the_cpu_count(self, monkeypatch, forks, trees, primitive):
+        rng = np.random.default_rng(70 + trees)
+        x = rng.standard_normal((40, 5))
+        y = rng.integers(1, 5, size=40)
+        spec = WeakLearnerSpec(primitive=primitive)
+        reference = reference_forest(x, y, trees, 6, spec, trees)
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            forest = train_forest(x, y, trees, 6, spec, seed=trees)
+            assert len(forks) == min(cpus, trees) - 1
+            assert_nothing_left()
+            assert_tables_equal(forest, reference)
+
+    @staticmethod
+    def failing_groups(monkeypatch, seed, trees, n, fail):
+        """Make the group starting at tree i call ``fail(i)`` first."""
+        keys = list(forest_module._forest_draws(seed, trees, n)[1])
+        grow = forest_module._grow_levels
+
+        def failing(x, y, boots, group_keys, *args):
+            fail(keys.index(group_keys[0]))
+            return grow(x, y, boots, group_keys, *args)
+
+        monkeypatch.setattr(forest_module, "_grow_levels", failing)
+
+    def test_a_childs_error_is_raised_here(self, monkeypatch, forks):
+        def fail(first):
+            if first == 2:
+                time.sleep(0.3)  # the first child fails last
+            if first:
+                raise NumericalFailure(f"group at tree {first}")
+
+        use_cpus(monkeypatch, 3)
+        x, y = two_blob_data(n=30)
+        self.failing_groups(monkeypatch, 5, 6, 30, fail)
+        with pytest.raises(NumericalFailure, match="group at tree 2$"):
+            train_forest(x, y, 6, 4, WeakLearnerSpec(), seed=5)
+        assert len(forks) == 2
+        assert_nothing_left()
+
+    def test_an_error_here_stops_the_children(self, monkeypatch, forks):
+        def fail(first):
+            if first:
+                time.sleep(30)
+            else:
+                raise NumericalFailure("first group")
+
+        use_cpus(monkeypatch, 3)
+        x, y = two_blob_data(n=30)
+        self.failing_groups(monkeypatch, 5, 6, 30, fail)
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="first group"):
+            train_forest(x, y, 6, 4, WeakLearnerSpec(), seed=5)
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 2
+        assert_nothing_left()
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        x, y = two_blob_data(n=30)
+        self.failing_groups(monkeypatch, 5, 6, 30, lambda first: first and os._exit(3))
+        with pytest.raises(RuntimeError, match="died"):
+            train_forest(x, y, 6, 4, WeakLearnerSpec(), seed=5)
+        assert len(forks) == 1
+        assert_nothing_left()
+
+    def test_a_bad_argument_fails_before_any_fork(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        x, y = two_blob_data(n=30)
+        with pytest.raises(ConfigError, match="feature_subspace"):
+            train_forest(x, y, 6, 4, WeakLearnerSpec(feature_subspace_size=3), seed=5)
+        assert forks == []
+
+    def test_another_thread_keeps_training_in_process(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        x, y = two_blob_data(n=30)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            alone = train_forest(x, y, 6, 4, WeakLearnerSpec(), seed=5)
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        assert_tables_equal(alone, reference_forest(x, y, 6, 4, WeakLearnerSpec(), 5))
 
 
 def tiny_goof(q=2, length=64, seed=0):

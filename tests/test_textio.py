@@ -16,13 +16,17 @@ from goofloc.experiments import (
 )
 from goofloc.fingerprints import KIND_ORDER, build_goof, load_goof, save_goof
 from goofloc.forest import (
+    _COLUMNS,
     PredictionMatrix,
     WeakLearnerSpec,
+    deserialize_forest,
     load_bank,
     save_bank,
     train_bank,
 )
 from goofloc.textio import Fields, read_document, read_header, write_document
+
+from forest_reference import reference_deserialize_forest
 
 
 def test_write_then_read_round_trip():
@@ -145,16 +149,12 @@ ARTIFACTS = {
 }
 
 
-@pytest.mark.parametrize("make", ARTIFACTS.values(), ids=ARTIFACTS.keys())
-def test_mutated_artifact_loads_or_raises_typed_error(tmp_path, make):
-    # seeded truncations, byte flips and dropped lines: every mutant either
-    # loads or raises FormatError/ConfigError, never another exception
-    targets, load = make(tmp_path)
-    originals = [path.read_bytes() for path in targets]
-    load()
+def mutants(originals: list):
+    """Seeded truncations, byte flips and dropped lines of the files
+    ``originals``: 300 ``(file index, mutated bytes)`` pairs."""
     rng = np.random.default_rng(5)
     for trial in range(300):
-        which = trial % len(targets)
+        which = trial % len(originals)
         data = bytearray(originals[which])
         op = trial % 3
         if op == 0:
@@ -165,9 +165,45 @@ def test_mutated_artifact_loads_or_raises_typed_error(tmp_path, make):
             lines = bytes(data).split(b"\n")
             del lines[rng.integers(len(lines))]
             data = b"\n".join(lines)
-        targets[which].write_bytes(bytes(data))
+        yield which, bytes(data)
+
+
+@pytest.mark.parametrize("make", ARTIFACTS.values(), ids=ARTIFACTS.keys())
+def test_mutated_artifact_loads_or_raises_typed_error(tmp_path, make):
+    # every mutant either loads or raises FormatError/ConfigError, never
+    # another exception
+    targets, load = make(tmp_path)
+    originals = [path.read_bytes() for path in targets]
+    load()
+    for which, data in mutants(originals):
+        targets[which].write_bytes(data)
         try:
             load()
         except (FormatError, ConfigError):
             pass
         targets[which].write_bytes(originals[which])
+
+
+def _decoded(decode, data: bytes):
+    """The error type ``decode(data)`` raises, or the decoded forest's
+    table (dtype, shape and bytes of each column) and header fields."""
+    try:
+        forest = decode(data)
+    except (FormatError, ConfigError) as exc:
+        return type(exc)
+    columns = [getattr(forest, name) for name in (*_COLUMNS, "roots")]
+    return ([(c.dtype.str, c.shape, c.tobytes()) for c in columns], forest.depth_limit,
+            forest.feature_dim, forest.seed, forest.spec, forest.kind)
+
+
+def test_forest_mutants_decode_as_in_the_reference_codec(tmp_path):
+    # the column codec fails exactly where the per-record reference codec
+    # fails, and otherwise reads the same table
+    targets, _ = _forest(tmp_path)
+    originals = [path.read_bytes() for path in targets]
+    outcomes = set()
+    for _, data in mutants(originals):
+        got = _decoded(deserialize_forest, data)
+        assert got == _decoded(reference_deserialize_forest, data)
+        outcomes.add(got is FormatError)
+    assert outcomes == {True, False}  # the mutants both fail and load
