@@ -28,6 +28,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -531,22 +532,49 @@ class Forest:
         columns = [getattr(self, name) for name in _COLUMNS]
         return [Tree(*(c[a:b] for c in columns)) for a, b in zip(self.roots, ends)]
 
+    @cached_property
+    def _descent(self) -> tuple:
+        """What :meth:`predict_batch` walks, derived once: each row's left
+        and right child (a leaf points to itself), its 0-based leaf label
+        (the first maximum of its histogram), the table's realized depth
+        (a loaded table may hold deeper trees than ``depth_limit``) and a
+        contiguous (feature, weight) column pair per split operand."""
+        rows = np.arange(len(self.right))
+        split = self.right > 0
+        left = np.where(split, rows + 1, rows)
+        right = rows + self.right
+        depth, level = 1, self.roots
+        while (level := level[split[level]]).size:
+            level = np.concatenate([left[level], right[level]])
+            depth += 1
+        operands = [
+            (np.ascontiguousarray(self.features[:, i]), np.ascontiguousarray(self.weights[:, i]))
+            for i in range(self.features.shape[1])
+        ]
+        return left, right, self.histogram.argmax(axis=1), depth, operands
+
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Majority-vote labels for an (n, dim) sample matrix. All trees
         descend together: an (n, T) matrix of rows moves one level per
-        step until every entry is a leaf (at most ``depth_limit - 1``)."""
+        step, realized depth - 1 steps, each projection gathered from the
+        flat sample matrix."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"expected (n, {self.feature_dim}) features")
         n, q = x.shape[0], self.class_count
+        left, right, leaf_label, depth, ((f0, w0), *more) = self._descent
+        flat = x.ravel()
         sample = np.arange(n)[:, None]
+        base = sample * self.feature_dim
         node = np.tile(self.roots, (n, 1))
-        while (step := self.right[node]).any():
-            proj = (x[sample[..., None], self.features[node]] * self.weights[node]).sum(axis=2)
-            node += np.where(proj >= self.threshold[node], step, step > 0)
-        labels = self.histogram[node].argmax(axis=2)  # 0-based
-        votes = np.bincount((labels + q * sample).ravel(), minlength=n * q).reshape(n, q)
-        return votes.argmax(axis=1) + 1  # first max: smallest label wins ties
+        for _ in range(depth - 1):
+            # x_f0 * w0 (+ x_f1 * w1): bit for bit the sum over the operands
+            proj = flat[base + f0[node]] * w0[node]
+            for f, w in more:
+                proj = proj + flat[base + f[node]] * w[node]
+            node = np.where(proj >= self.threshold[node], right[node], left[node])
+        votes = np.bincount((leaf_label[node] + q * sample).ravel(), minlength=n * q)
+        return votes.reshape(n, q).argmax(axis=1) + 1  # first max: smallest label wins ties
 
 
 def train_forest(

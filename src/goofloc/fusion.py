@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,25 +69,54 @@ def constrained_mode(window: np.ndarray, selected_column) -> int:
     return min(label for label, count in counts.items() if count == best)
 
 
+@lru_cache(maxsize=1 << 12)
+def _entropy_of_counts(key: bytes) -> float:
+    """:func:`shannon_entropy` of the labels whose nonzero counts, in label
+    order, are the leading nonzero ``intp`` words of ``key``. The float is
+    the one that function returns for those labels under any class count,
+    since it sums over the nonzero counts alone, in label order."""
+    counts = np.frombuffer(key, dtype=np.intp)
+    counts = counts[counts > 0]
+    return shannon_entropy(np.repeat(np.arange(1, counts.size + 1), counts), counts.size)
+
+
 def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     """Slide a length-W window down the sample axis and fuse each window.
 
     Emits U = Z - W + 1 predictions; every prediction is a label that the
-    selected classifier produced inside its own window.
+    selected classifier produced inside its own window. Equal to
+    :func:`select_classifier` then :func:`constrained_mode` on each window.
+
+    All windows are counted at once: differences of running one-hot label
+    counts give the (U, H, L) counts of each window and column over the
+    labels 1..L, L the largest label in the matrix. Each
+    column's entropy is looked up by its nonzero counts in label order, so
+    it is the exact float :func:`shannon_entropy` returns for that column
+    and ties in the minimum break as they do there.
     """
     mat = _as_matrix(b)
-    z = mat.shape[0]
+    z, h = mat.shape
     if not 1 <= window_length <= z:
         raise ConfigError("window", f"window length {window_length} outside 1..{z}")
-    q = int(mat.max()) if class_count is None else class_count
-    u = z - window_length + 1
-    labels = np.empty(u, dtype=int)
-    selected = np.empty(u, dtype=int)
-    for i in range(u):
-        sub = mat[i : i + window_length]
-        g = select_classifier(sub, q)
-        selected[i] = g
-        labels[i] = constrained_mode(sub, sub[:, g])
+    top = int(mat.max())  # no label above it occurs, so it is never counted
+    if mat.min() < 1 or (class_count is not None and top > class_count):
+        raise ValueError("labels must lie in 1..class_count")
+    running = np.zeros((z + 1, h, top), dtype=np.intp)
+    np.cumsum(mat[..., None] == np.arange(1, top + 1), axis=0, out=running[1:])
+    counts = running[window_length:] - running[:-window_length]  # (U, H, top)
+    u = counts.shape[0]
+    # each (window, column)'s nonzero counts first, in label order; a
+    # window holds at most W distinct labels
+    rows = counts.reshape(u * h, top)
+    width = min(window_length, top)
+    first = np.argsort(rows == 0, axis=1, kind="stable")[:, :width]
+    packed = rows[np.arange(u * h)[:, None], first]
+    keys = packed.view(np.dtype((np.void, packed.itemsize * width))).ravel().tolist()
+    entropies = np.array([_entropy_of_counts(key) for key in keys])
+    selected = entropies.reshape(u, h).argmin(axis=1)  # first minimum: smallest column
+    produced = counts[np.arange(u), selected] > 0
+    # first maximum: the smallest label among the most frequent
+    labels = np.where(produced, counts.sum(axis=1), -1).argmax(axis=1) + 1
     return FusionResult(labels=labels, selected=selected, window_length=window_length)
 
 

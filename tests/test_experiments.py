@@ -12,6 +12,7 @@ import pytest
 
 from goofloc import (
     ConfigError,
+    DegenerateInputError,
     ExperimentConfig,
     FingerprintKind,
     FormatError,
@@ -25,6 +26,8 @@ from goofloc import (
     run_snr_sweep,
     save_snapshot_dataset,
     simulate_cell,
+    swim,
+    train_bank,
 )
 from goofloc import experiments
 from goofloc.cli import ingest_recorded_dataset
@@ -37,7 +40,7 @@ from goofloc.experiments import (
     save_bmatrices,
 )
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import PredictionMatrix, worker_count
+from goofloc.forest import PredictionMatrix, predict_matrix, worker_count
 
 
 def micro_config(**over):
@@ -184,6 +187,76 @@ def test_oversize_subspace_fails_before_any_cell(monkeypatch, over):
 def test_subspace_of_every_feature_fits():
     micro_config(feature_subspace=4).validate()  # num_elements = 4
     micro_config(num_elements=2, feature_subspace=2, primitive="oriented_hyperplane_2d").validate()
+
+
+# extreme but valid configs: each must finish or raise a typed error
+EXTREME_CONFIGS = {
+    "two-elements-one-grid": dict(num_elements=2, grid_count=1),
+    "two-groups": dict(snapshot_count=32, group_count=2, train_count=1, test_count=1,
+                       windows=(1,)),
+    "snr+60": dict(noise_kinds=("gaussian", "color", "impulse"), snr_grid_db=(60.0,)),
+    "snr-60": dict(noise_kinds=("gaussian", "color", "impulse"), snr_grid_db=(-60.0,)),
+    "alpha-0.05": dict(noise_kinds=("impulse",), snr_grid_db=(-10.0, 20.0), impulse_alpha=0.05),
+    "alpha-2": dict(noise_kinds=("impulse",), snr_grid_db=(-10.0, 20.0), impulse_alpha=2.0),
+}
+TYPED_ERRORS = (ConfigError, FormatError, DegenerateInputError, NumericalFailure)
+
+
+def query_path(config):
+    """Every cell of ``config`` through the query path: fingerprint, train
+    the bank, predict each test grid and fuse each window with SWIM."""
+    config.validate()
+    for noise_kind in config.noise_kinds:
+        for snr in config.snr_grid_db:
+            blocks = simulate_cell(config, noise_kind, snr)
+            goof = build_goof(blocks, config.group_count, config.flom_exponent,
+                              config.psd_points)
+            train, test = goof.split(config.train_count, config.test_count)
+            bank = train_bank(train, config.tree_count, config.depth_limit,
+                              config.learner_spec(), config.seed, class_count=config.grid_count)
+            for grid in test.grids():
+                samples = {kind: test.features(kind, grid) for kind in KIND_ORDER}
+                b = predict_matrix(bank, samples, true_label=grid).matrix
+                assert b.shape == (config.test_count, len(KIND_ORDER))
+                assert 1 <= b.min() and b.max() <= config.grid_count
+                for w in config.windows:
+                    result = swim(b, w, class_count=config.grid_count)
+                    assert result.labels.shape == (config.test_count - w + 1,)
+                    for u, (label, g) in enumerate(zip(result.labels, result.selected)):
+                        assert label in b[u : u + w, g]
+
+
+# alpha 0.05 snapshots overflow the cumulant before build_goof rejects it
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestExtremeConfigs:
+    @pytest.mark.parametrize("case", list(EXTREME_CONFIGS))
+    def test_query_path(self, case):
+        try:
+            query_path(micro_config(**EXTREME_CONFIGS[case]))
+        except TYPED_ERRORS:
+            pass
+
+    @pytest.mark.parametrize("case", list(EXTREME_CONFIGS))
+    def test_snr_sweep(self, case):
+        config = micro_config(**EXTREME_CONFIGS[case])
+        try:
+            report = run_snr_sweep(config)
+        except TYPED_ERRORS:
+            return
+        cells = len(config.noise_kinds) * len(config.snr_grid_db)
+        assert len(report.rows) == cells * (len(KIND_ORDER) + 1 + len(config.windows))
+        for key, values in report.rows.items():
+            assert len(values) == config.grid_count and all(0.0 <= v <= 1.0 for v in values)
+            assert all(math.isfinite(e) and e >= 0.0 for e in report.errors_m[key])
+
+    def test_one_group_is_a_config_error(self):
+        config = micro_config(snapshot_count=32, group_count=1, train_count=1, test_count=1,
+                              windows=(1,))
+        with pytest.raises(ConfigError, match="train_count"):
+            query_path(config)
+        with pytest.raises(ConfigError, match="train_count"):
+            run_snr_sweep(config)
 
 
 class TestCellKey:

@@ -481,6 +481,65 @@ class TestColumnCodec:
             deserialize_forest("\n".join(lines))
 
 
+def nonfinite_probe(dim: int, seed: int) -> np.ndarray:
+    """Samples around the training data, about a tenth of the features
+    NaN and a tenth each +inf and -inf."""
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal((80, dim))
+    roll = rng.random(x.shape)
+    x[roll < 0.1] = np.nan
+    x[(roll >= 0.1) & (roll < 0.2)] = np.inf
+    x[(roll >= 0.2) & (roll < 0.3)] = -np.inf
+    x[:20] = rng.standard_normal((20, dim))  # some samples stay finite
+    return x
+
+
+def assert_walks_like_the_reference(forest, probe):
+    reference = np.array([predict_forest(forest, row) for row in probe])
+    assert np.array_equal(forest.predict_batch(probe), reference)
+    return reference
+
+
+# an infinite feature times a leaf row's zero weight, or opposite
+# infinities in a hyperplane, give NaN projections, as in the reference walk
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestLeanDescent:
+    """``predict_batch`` (child arrays, leaf labels, realized depth) against
+    the per-sample reference walk, on trained and loaded tables and on
+    loaded tables that training never makes."""
+
+    @pytest.mark.parametrize("case", CODEC_CASES)
+    def test_trained_and_loaded_tables(self, case):
+        forest = _codec_forest(case)
+        probe = nonfinite_probe(forest.feature_dim, seed=len(case))
+        reference = assert_walks_like_the_reference(forest, probe)
+        back = deserialize_forest(serialize_forest(forest))
+        assert np.array_equal(back.predict_batch(probe), reference)
+
+    def test_stump_weights_other_than_one(self):
+        forest = _codec_forest("stump")
+        rng = np.random.default_rng(70)
+        lines = []
+        for line in serialize_forest(forest).splitlines():
+            if line.startswith("split "):
+                _, idx, _, cut = line.split()
+                line = f"split {idx} {float(rng.choice([-2.0, -0.5, 0.25, 3.0])).hex()} {cut}"
+            lines.append(line)
+        edited = deserialize_forest("\n".join(lines) + "\n")
+        assert not (edited.weights[edited.right > 0] == 1.0).any()
+        probe = nonfinite_probe(edited.feature_dim, seed=71)
+        reference = assert_walks_like_the_reference(edited, probe)
+        # the weights decide: the same trees with unit weights vote otherwise
+        assert not np.array_equal(forest.predict_batch(probe), reference)
+
+    def test_trees_deeper_than_the_header(self):
+        text = serialize_forest(_codec_forest("stump"))
+        loaded = deserialize_forest(text.replace("depth_limit=6\n", "depth_limit=2\n", 1))
+        assert loaded.depth_limit == 2
+        assert max(tree.depth() for tree in loaded.trees) == 6
+        assert_walks_like_the_reference(loaded, nonfinite_probe(loaded.feature_dim, seed=72))
+
+
 def children_alive() -> list:
     return [pid for path in Path("/proc/self/task").glob("*/children")
             for pid in path.read_text().split()]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from goofloc import (
+    ConfigError,
     FusionResult,
     classifier_entropy,
     constrained_mode,
@@ -158,6 +159,84 @@ class TestSwim:
             swim(b, 5)
         with pytest.raises(ValueError):
             swim(b, 0)
+
+
+def reference_swim(b, window_length, class_count=None):
+    """SWIM one window at a time: :func:`select_classifier`, then
+    :func:`constrained_mode` on the selected column."""
+    mat = np.asarray(b, dtype=int)
+    q = int(mat.max()) if class_count is None else class_count
+    labels, selected = [], []
+    for u in range(mat.shape[0] - window_length + 1):
+        window = mat[u : u + window_length]
+        g = select_classifier(window, q)
+        selected.append(g)
+        labels.append(constrained_mode(window, window[:, g]))
+    return np.array(labels), np.array(selected)
+
+
+def seeded_matrices(seed=5, count=400):
+    """(matrix, window, class count) triples: Z 1-40, H 1-6, q 1-64, with
+    constant columns and columns that relabel another one (the same count
+    multiset in another label order, so their entropies tie or differ in
+    the last bit only)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z, h, q = int(rng.integers(1, 41)), int(rng.integers(1, 7)), int(rng.integers(1, 65))
+        used = int(rng.integers(1, q + 1))  # labels this matrix draws from
+        mat = rng.integers(1, used + 1, size=(z, h))
+        for col in range(h):
+            roll = rng.random()
+            if roll < 0.15:
+                mat[:, col] = rng.integers(1, used + 1)
+            elif roll < 0.45 and col:
+                relabel = rng.permutation(q) + 1
+                mat[:, col] = relabel[mat[:, int(rng.integers(col))] - 1]
+        window = int(rng.integers(1, z + 1))
+        yield mat, window, (None if rng.random() < 0.25 else q)
+
+
+class TestSwimReference:
+    """The batched SWIM against the per-window loop it replaces."""
+
+    def test_equals_the_per_window_loop(self):
+        wide = 0
+        for mat, window, q in seeded_matrices():
+            result = swim(mat, window, class_count=q)
+            labels, selected = reference_swim(mat, window, q)
+            assert np.array_equal(result.labels, labels)
+            assert np.array_equal(result.selected, selected)
+            assert result.labels.dtype == labels.dtype and result.window_length == window
+            wide += any(len(np.unique(mat[u : u + window])) > 8
+                        for u in range(len(mat) - window + 1))
+        assert wide > 50  # many windows hold more than eight distinct labels
+
+    def test_ties_between_relabelled_columns(self):
+        # every column is one count multiset in another label order
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            base = rng.integers(1, 13, size=int(rng.integers(9, 31)))
+            mat = np.stack([(rng.permutation(12) + 1)[base - 1] for _ in range(6)], axis=1)
+            window = int(rng.integers(1, len(mat) + 1))
+            result = swim(mat, window, class_count=12)
+            labels, selected = reference_swim(mat, window, 12)
+            assert np.array_equal(result.labels, labels)
+            assert np.array_equal(result.selected, selected)
+
+    def test_same_errors_as_the_per_window_loop(self):
+        b = np.ones((4, 2), dtype=int)
+        for window in (0, 5, -1):
+            with pytest.raises(ConfigError, match="^window"):
+                swim(b, window)
+        for bad, q in [(0, None), (-3, 4), (5, 4)]:
+            mat = np.array([[1, 2], [bad, 1], [2, 2]])
+            with pytest.raises(ValueError, match="1..class_count"):
+                swim(mat, 2, class_count=q)
+            with pytest.raises(ValueError, match="1..class_count"):
+                reference_swim(mat, 2, q)
+        for empty in (np.ones((0, 3), dtype=int), np.ones((3, 0), dtype=int), np.ones(4)):
+            with pytest.raises(ValueError, match="nonempty Z x H"):
+                swim(empty, 1)
 
 
 class TestPredictionProbability:
