@@ -12,18 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from goofloc import (
+from goofloc.channel import (
     ArrayGeometry,
     NoiseSpec,
     add_noise,
     generate_paths,
     geometry_to_channel,
-    load_snapshot_dataset,
     make_grid_scenario,
-    save_snapshot_dataset,
     steering_vector,
     synthesize_snapshots,
 )
+from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 
 
 def main():

@@ -7,9 +7,9 @@ what makes the fingerprints usable as classifier features.
 
 import numpy as np
 
-from goofloc import ExperimentConfig, FingerprintKind, build_goof
+from goofloc import ExperimentConfig, build_goof
 from goofloc.experiments import simulate_cell
-from goofloc.fingerprints import KIND_ORDER, feature_dim
+from goofloc.fingerprints import KIND_ORDER, FingerprintKind, feature_dim
 
 
 def main():

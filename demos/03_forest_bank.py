@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from goofloc import ExperimentConfig, WeakLearnerSpec, build_goof, node_counts
+from goofloc import ExperimentConfig, WeakLearnerSpec, build_goof
 from goofloc.experiments import simulate_cell
 from goofloc.fingerprints import KIND_ORDER
 from goofloc.forest import load_bank, save_bank, serialize_forest, train_bank
@@ -25,9 +25,9 @@ def main():
     goof = build_goof(blocks, cfg.group_count)
     train, test = goof.split(cfg.train_count, cfg.test_count)
 
-    ni, nf, nr = node_counts(cfg.depth_limit)
-    print(f"forest shape: {cfg.tree_count} trees, depth {cfg.depth_limit} "
-          f"(full tree: {ni} internal + {nf} leaf = {nr} nodes max)\n")
+    d = cfg.depth_limit
+    print(f"forest shape: {cfg.tree_count} trees, depth {d} "
+          f"(full tree: {2**(d - 1) - 1} internal + {2**(d - 1)} leaf = {2**d - 1} nodes max)\n")
 
     bank = train_bank(train, cfg.tree_count, cfg.depth_limit, WeakLearnerSpec(), seed=cfg.seed)
 

@@ -7,20 +7,11 @@ classifiers, the full-matrix mode baseline, and the windowed fusion.
 
 import numpy as np
 
-from goofloc import (
-    ExperimentConfig,
-    WeakLearnerSpec,
-    build_goof,
-    classifier_entropy,
-    constrained_mode,
-    full_matrix_mode,
-    prediction_probability,
-    select_classifier,
-    swim,
-)
+from goofloc import ExperimentConfig, WeakLearnerSpec, build_goof, prediction_probability, swim
 from goofloc.experiments import simulate_cell
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import predict_matrix, train_bank
+from goofloc.forest import predict_matrix, shannon_entropy, train_bank
+from goofloc.fusion import constrained_mode, full_matrix_mode, select_classifier
 
 
 def main():
@@ -45,7 +36,7 @@ def main():
     window = pm.matrix[:w]
     print(f"\nfirst window of length {w}:")
     for name, col in zip(names, window.T):
-        h = classifier_entropy(col, cfg.grid_count)
+        h = shannon_entropy(col, cfg.grid_count)
         print(f"  {name:8s} predictions {list(col)}  entropy {h:.3f} bits")
     g = select_classifier(window, cfg.grid_count)
     fused = constrained_mode(window, window[:, g])

@@ -8,7 +8,8 @@ The full desk-scale protocol lives in tests/test_acceptance.py.
 import tempfile
 from pathlib import Path
 
-from goofloc import ExperimentConfig, emit_report, run_snr_sweep
+from goofloc import ExperimentConfig
+from goofloc.experiments import emit_report, run_snr_sweep
 from goofloc.fingerprints import KIND_ORDER
 
 

@@ -92,7 +92,6 @@ def make_grid_scenario(
     room_width: float,
     room_height: float,
     grid_count: int,
-    array_position: Sequence[float] = (0.0, 0.0),
 ) -> Scenario:
     """Divide the room into ``grid_count`` equal cells and label their centers.
 
@@ -112,7 +111,7 @@ def make_grid_scenario(
     centers = [
         ((i + 0.5) * cw, (j + 0.5) * ch) for j in range(nyi) for i in range(nxi)
     ]
-    return Scenario(room_width, room_height, np.array(centers), np.asarray(array_position, float))
+    return Scenario(room_width, room_height, np.array(centers))
 
 
 @dataclass
@@ -155,8 +154,7 @@ class NoiseSpec:
 
     ``kind`` is one of gaussian | color | impulse. ``snr_db`` of
     ``math.inf`` disables the noise entirely. For impulse noise the
-    dispersion is normally derived from the SNR; pass ``dispersion``
-    explicitly to override.
+    dispersion is derived from the SNR.
     """
 
     kind: str
@@ -165,7 +163,6 @@ class NoiseSpec:
     alpha: float = 1.4
     beta: float = 0.0
     delta: float = 0.0
-    dispersion: float | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -174,8 +171,6 @@ class NoiseSpec:
             raise ValueError("impulse alpha must be in (0, 2]")
         if self.fir_window_length < 1:
             raise ValueError("fir_window_length must be >= 1")
-        if self.dispersion is not None and not self.dispersion > 0:
-            raise ValueError("dispersion must be positive")
 
 
 @dataclass
@@ -194,10 +189,6 @@ class SnapshotBlock:
             raise ValueError("data must be a nonempty M x L matrix")
         if not np.isfinite(self.data).all():
             raise ValueError("data contains non-finite entries")
-
-    @property
-    def num_elements(self) -> int:
-        return self.data.shape[0]
 
     @property
     def num_snapshots(self) -> int:
@@ -398,8 +389,7 @@ def add_noise(
         for i in range(m):
             noise[i] = np.convolve(white[i], fir, mode="valid")
     elif noise_spec.kind == "impulse":
-        xi = noise_spec.dispersion if noise_spec.dispersion is not None else target
-        scale = xi ** (1.0 / noise_spec.alpha)
+        scale = target ** (1.0 / noise_spec.alpha)
         re = sample_alpha_stable(
             noise_spec.alpha, noise_spec.beta, scale, noise_spec.delta, (m, length), rng
         )

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .dataset import save_snapshot_dataset
+from .dataset import load_snapshot_dataset as ingest_recorded_dataset, save_snapshot_dataset
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
 from .experiments import (
     ExperimentConfig,
@@ -24,7 +24,6 @@ from .experiments import (
     config_from_text,
     config_to_text,
     emit_report,
-    ingest_recorded_dataset,
     load_bmatrices,
     load_report,
     run_forest_sweep,

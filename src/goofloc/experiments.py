@@ -23,7 +23,6 @@ import numpy as np
 
 from . import channel
 from .channel import ArrayGeometry, NoiseSpec, Scenario, make_grid_scenario
-from .dataset import load_snapshot_dataset
 from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, build_goof, feature_dim
 from .forest import (
@@ -104,6 +103,22 @@ class ExperimentConfig:
                 raise ConfigError("noise_kinds", f"unsupported kind {kind!r}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "must be nonempty")
+        # the ranges simulate_cell needs, each named here: the FIR length
+        # for every noise kind, alpha and beta for impulse noise only
+        for name in ("room_width", "room_height", "spacing_over_wavelength"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(name, "must be > 0")
+        for name in ("angular_spread_deg", "delay_spread_ratio"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(name, "must be >= 0")
+        for name in ("path_count", "snapshot_count", "color_fir_length"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        if "impulse" in self.noise_kinds:
+            if not 0 < self.impulse_alpha <= 2:
+                raise ConfigError("impulse_alpha", "must be in (0, 2]")
+            if not -1 <= self.impulse_beta <= 1:
+                raise ConfigError("impulse_beta", "must be in [-1, 1]")
         if self.group_count < 1 or self.snapshot_count % self.group_count != 0:
             raise ConfigError(
                 "group_count",
@@ -160,10 +175,6 @@ class ExperimentConfig:
             threshold_candidates=self.threshold_candidates,
         )
 
-    @property
-    def snapshots_per_group(self) -> int:
-        return self.snapshot_count // self.group_count
-
 
 _TUPLE_FIELDS = {"noise_kinds": str, "snr_grid_db": float, "windows": int}
 
@@ -215,7 +226,7 @@ class Report:
     """Per (noise kind, SNR, method) prediction probabilities plus timing.
 
     ``rows`` hold the raw per-(grid, repetition) values; aggregation to
-    mean/std happens at emission time so merges stay lossless.
+    mean/std happens at emission time.
     """
 
     config_hash: str
@@ -237,21 +248,6 @@ class Report:
 
     def mean_rho(self, kind: str, snr: float, method: str) -> float:
         return float(np.mean(self.rows[(kind, float(snr), method)]))
-
-
-def merge_reports(first: Report, second: Report) -> Report:
-    """Concatenate two reports of the same configuration."""
-    if first.config_hash != second.config_hash:
-        raise ValueError("refusing to merge reports with different config hashes")
-    merged = Report(config_hash=first.config_hash, seed=first.seed)
-    for src in (first, second):
-        for key, values in src.rows.items():
-            merged.rows.setdefault(key, []).extend(values)
-        for key, values in src.errors_m.items():
-            merged.errors_m.setdefault(key, []).extend(values)
-        for method, entry in src.timings.items():
-            merged.add_timing(method, entry["train_s"], entry["test_s"], entry["predictions"])
-    return merged
 
 
 def _snr_key(snr_db: float) -> int:
@@ -367,6 +363,22 @@ def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
     return goof_test.grids(), pm.matrix, t1 - t0, time.perf_counter() - t1
 
 
+def _run_cells(config: ExperimentConfig, cells: list, cell_fn, score, name: str,
+               verbose: bool) -> Report:
+    """Run ``cell_fn(config, cell)`` for every cell in worker processes
+    (see :func:`worker_count`) and hand each result to ``score(report,
+    cell, result)`` here, in cell order, so the report does not depend on
+    the worker count."""
+    report = Report(config_hash=config_hash(config), seed=config.seed)
+    with _cell_map(worker_count(len(cells))) as cell_map:
+        for cell, result in zip(cells, cell_map(partial(cell_fn, config), cells)):
+            score(report, cell, result)
+            if verbose:
+                rep, noise_kind, snr = cell
+                print(f"[{name}] rep={rep} noise={noise_kind} snr={snr:g} dB done")
+    return report
+
+
 def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     """The accuracy-versus-SNR study.
 
@@ -374,27 +386,19 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     build and split the fingerprint store, train the bank, and score the
     six single-fingerprint classifiers, the full-matrix mode baseline,
     and the sliding-window fusion at each configured window length.
-    Cells train in worker processes (see :func:`worker_count`); scoring
-    and fusion run here, in cell order, so the report does not depend on
-    the worker count.
+    Cells train in worker processes; scoring and fusion run in the
+    calling process (see :func:`_run_cells`).
     """
     config.validate()
     cells = list(product(range(config.repetitions), config.noise_kinds, config.snr_grid_db))
-    workers = worker_count(len(cells))
-    report = Report(config_hash=config_hash(config), seed=config.seed)
-    dist = _distance_matrix(config.scenario())
-    with _cell_map(workers) as cell_map:
-        for (rep, noise_kind, snr), (grids, matrix, train_s, predict_s) in zip(
-            cells, cell_map(partial(snr_cell, config), cells)
-        ):
-            report.add_timing("bank", train_s=train_s, test_s=predict_s, predictions=len(matrix))
-            _score_snr_cell(config, report, dist, noise_kind, snr, grids, matrix)
-            if verbose:
-                print(f"[sweep-snr] rep={rep} noise={noise_kind} snr={snr:g} dB done")
-    return report
+    score = partial(_score_snr_cell, config, _distance_matrix(config.scenario()))
+    return _run_cells(config, cells, snr_cell, score, "sweep-snr", verbose)
 
 
-def _score_snr_cell(config, report, dist, noise_kind, snr, grids, matrix):
+def _score_snr_cell(config, dist, report, cell, result):
+    _, noise_kind, snr = cell
+    grids, matrix, train_s, predict_s = result
+    report.add_timing("bank", train_s=train_s, test_s=predict_s, predictions=len(matrix))
     for grid, b in zip(grids, matrix.reshape(len(grids), -1, matrix.shape[1])):
         for ki, kind in enumerate(KIND_ORDER):
             rho = float((b[:, ki] == grid).mean())
@@ -412,14 +416,14 @@ def _score_snr_cell(config, report, dist, noise_kind, snr, grids, matrix):
 
         for w in config.windows:
             t0 = time.perf_counter()
-            result = swim(b, w, class_count=config.grid_count)
+            fused = swim(b, w, class_count=config.grid_count)
             report.add_timing(
-                f"swim_w{w}", test_s=time.perf_counter() - t0, predictions=result.prediction_count
+                f"swim_w{w}", test_s=time.perf_counter() - t0, predictions=fused.prediction_count
             )
             report.add(
                 noise_kind, snr, f"swim_w{w}",
-                prediction_probability(result.labels, grid),
-                float(dist[result.labels - 1, grid - 1].mean()),
+                prediction_probability(fused.labels, grid),
+                float(dist[fused.labels - 1, grid - 1].mean()),
             )
 
 
@@ -427,7 +431,7 @@ DEPTH_SWEEP_VALUES = (2, 3, 4, 5, 6, 7, 8)
 TREE_SWEEP_VALUES = (10, 40, 70, 100)
 
 
-def forest_cell(config: ExperimentConfig, vary: str, values: tuple, cell: tuple) -> tuple:
+def forest_cell(config: ExperimentConfig, cell: tuple, vary: str, values: tuple) -> tuple:
     """One forest-sweep cell: for each swept value, train an RSSF forest on
     the first half of the groups and predict the second half. Returns
     ``(grids, runs)``, one ``(labels, train_s, predict_s)`` run per value,
@@ -486,27 +490,19 @@ def run_forest_sweep(
     else:
         raise ConfigError("vary", "must be tree_depth or tree_number")
     cells = list(product(range(config.repetitions), config.noise_kinds[:1], config.snr_grid_db))
-    workers = worker_count(len(cells))
-    report = Report(config_hash=config_hash(config), seed=config.seed)
     prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
-    with _cell_map(workers) as cell_map:
-        for (rep, noise_kind, snr), (grids, runs) in zip(
-            cells, cell_map(partial(forest_cell, config, vary, values), cells)
-        ):
-            for value, (labels, train_s, predict_s) in zip(values, runs):
-                method = f"{prefix}{value}"
-                report.add_timing(
-                    method, train_s=train_s, test_s=predict_s, predictions=labels.size
-                )
-                for grid, row in zip(grids, labels.reshape(len(grids), -1)):
-                    report.add(noise_kind, snr, method, float((row == grid).mean()), 0.0)
-            if verbose:
-                print(f"[sweep-forest] rep={rep} snr={snr:g} dB done")
-    return report
 
+    def score(report, cell, result):
+        _, noise_kind, snr = cell
+        grids, runs = result
+        for value, (labels, train_s, predict_s) in zip(values, runs):
+            method = f"{prefix}{value}"
+            report.add_timing(method, train_s=train_s, test_s=predict_s, predictions=labels.size)
+            for grid, row in zip(grids, labels.reshape(len(grids), -1)):
+                report.add(noise_kind, snr, method, float((row == grid).mean()), 0.0)
 
-# an externally recorded snapshot dataset, ready for build_goof
-ingest_recorded_dataset = load_snapshot_dataset
+    cell_fn = partial(forest_cell, vary=vary, values=values)
+    return _run_cells(config, cells, cell_fn, score, "sweep-forest", verbose)
 
 
 _METHOD_PREFIX_ORDER = {kind.value: i for i, kind in enumerate(KIND_ORDER)}

@@ -44,7 +44,6 @@ class FingerprintKind(Enum):
 
 
 KIND_ORDER = tuple(FingerprintKind)
-NUM_KINDS = len(KIND_ORDER)
 
 
 def feature_dim(kind: FingerprintKind, num_elements: int, psd_points: int) -> int:

@@ -43,15 +43,6 @@ from .textio import (
 PRIMITIVES = {"axis_aligned_stump": 1, "oriented_hyperplane_2d": 2}
 
 
-def node_counts(depth_limit: int) -> tuple[int, int, int]:
-    """(internal, leaf, total) node counts of a full binary tree with
-    ``depth_limit`` levels."""
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be >= 1")
-    leaves = 2 ** (depth_limit - 1)
-    return leaves - 1, leaves, 2**depth_limit - 1
-
-
 def shannon_entropy(labels, class_count: int) -> float:
     """Entropy in bits of the empirical label distribution; empty -> 0."""
     arr = np.asarray(labels, dtype=int).ravel()
@@ -62,22 +53,6 @@ def shannon_entropy(labels, class_count: int) -> float:
     counts = np.bincount(arr, minlength=class_count + 1)[1:]
     p = counts[counts > 0] / arr.size
     return float(-(p * np.log2(p)).sum())
-
-
-def information_gain(parent, left, right) -> float:
-    """Entropy drop of splitting ``parent`` into ``left`` and ``right``."""
-    parent = np.asarray(parent, dtype=int).ravel()
-    left = np.asarray(left, dtype=int).ravel()
-    right = np.asarray(right, dtype=int).ravel()
-    if left.size + right.size != parent.size or not np.array_equal(
-        np.sort(parent), np.sort(np.concatenate([left, right]))
-    ):
-        raise ValueError("left and right must partition parent")
-    q = int(parent.max())
-    h_parent = shannon_entropy(parent, q)
-    h_left = shannon_entropy(left, q) if left.size else 0.0
-    h_right = shannon_entropy(right, q) if right.size else 0.0
-    return h_parent - (left.size * h_left + right.size * h_right) / parent.size
 
 
 @dataclass
@@ -468,26 +443,6 @@ def _training_set(samples, labels, class_count: int | None):
     if y.min() < 1 or y.max() > q:
         raise ValueError("labels must lie in 1..class_count")
     return x, y, q
-
-
-def train_tree(
-    samples,
-    labels,
-    spec: WeakLearnerSpec,
-    depth_limit: int,
-    rng: np.random.Generator,
-    class_count: int | None = None,
-) -> Tree:
-    """Grow one decision tree on all samples from a root key drawn from
-    ``rng``; path lengths never exceed ``depth_limit``.
-
-    Growth stops early on purity or when fewer than two samples remain;
-    the full-tree node count from :func:`node_counts` stays the hard cap.
-    """
-    x, y, q = _training_set(samples, labels, class_count)
-    keys = rng.integers(0, 2**64, size=1, dtype=np.uint64)
-    table = _fit_levels(x, y, np.arange(len(y))[None], keys, depth_limit, spec, q)
-    return Tree(*(table[name] for name in _COLUMNS))
 
 
 def _forest_draws(seed: int, tree_count: int, n: int):

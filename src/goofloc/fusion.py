@@ -42,20 +42,12 @@ def _as_matrix(b) -> np.ndarray:
     return mat
 
 
-def classifier_entropy(predictions, class_count: int) -> float:
-    """Entropy in bits of one classifier's predictions over the samples."""
-    arr = np.asarray(predictions, dtype=int).ravel()
-    if arr.size == 0:
-        raise ValueError("predictions must be nonempty")
-    return shannon_entropy(arr, class_count)
-
-
 def select_classifier(window: np.ndarray, class_count: int | None = None) -> int:
     """Column index (0-based) with minimum prediction entropy; ties go to
     the smallest index."""
     mat = _as_matrix(window)
     q = int(mat.max()) if class_count is None else class_count
-    entropies = [classifier_entropy(mat[:, g], q) for g in range(mat.shape[1])]
+    entropies = [shannon_entropy(mat[:, g], q) for g in range(mat.shape[1])]
     return int(np.argmin(entropies))
 
 

@@ -4,8 +4,10 @@ against them.
 ``reference_table`` grows trees depth first, one node at a time, and
 tests every candidate threshold sample by sample. It reads the same keyed
 draws as the level-wise trainer in ``goofloc.forest``, so the two must
-build identical node tables. ``predict_forest`` walks one sample down one
-tree at a time. ``reference_serialize_forest`` and
+build identical node tables; ``train_tree`` grows one tree with the
+level-wise trainer, and ``node_counts`` and ``information_gain`` are the
+full-tree sizes and the split gain spelled out. ``predict_forest`` walks
+one sample down one tree at a time. ``reference_serialize_forest`` and
 ``reference_deserialize_forest`` are the ``GOOF-FOREST 1`` codec one
 table row, and one record, at a time.
 """
@@ -20,12 +22,16 @@ from goofloc.forest import (
     FOREST_VERSION,
     PRIMITIVES,
     Forest,
+    Tree,
     WeakLearnerSpec,
     _child_keys,
+    _fit_levels,
     _forest_draws,
     _node_draws,
     _split_gain,
+    _training_set,
     _xlogx,
+    shannon_entropy,
 )
 from goofloc.textio import comma_list, convert, one_of, positive_int, read_document, write_document
 
@@ -87,6 +93,40 @@ def reference_forest(samples, labels, tree_count, depth_limit, spec, seed, class
     q = int(y.max()) if class_count is None else class_count
     boots, keys = _forest_draws(seed, tree_count, len(y))
     return reference_table(x, y, boots, keys, depth_limit, spec, q)
+
+
+def train_tree(samples, labels, spec, depth_limit, rng, class_count=None) -> Tree:
+    """Grow one decision tree on all samples with the level-wise trainer,
+    from a root key drawn from ``rng``."""
+    x, y, q = _training_set(samples, labels, class_count)
+    keys = rng.integers(0, 2**64, size=1, dtype=np.uint64)
+    table = _fit_levels(x, y, np.arange(len(y))[None], keys, depth_limit, spec, q)
+    return Tree(*(table[name] for name in _COLUMNS))
+
+
+def node_counts(depth_limit: int) -> tuple[int, int, int]:
+    """(internal, leaf, total) node counts of a full binary tree with
+    ``depth_limit`` levels."""
+    if depth_limit < 1:
+        raise ValueError("depth_limit must be >= 1")
+    leaves = 2 ** (depth_limit - 1)
+    return leaves - 1, leaves, 2**depth_limit - 1
+
+
+def information_gain(parent, left, right) -> float:
+    """Entropy drop of splitting ``parent`` into ``left`` and ``right``."""
+    parent = np.asarray(parent, dtype=int).ravel()
+    left = np.asarray(left, dtype=int).ravel()
+    right = np.asarray(right, dtype=int).ravel()
+    if left.size + right.size != parent.size or not np.array_equal(
+        np.sort(parent), np.sort(np.concatenate([left, right]))
+    ):
+        raise ValueError("left and right must partition parent")
+    q = int(parent.max())
+    h_parent = shannon_entropy(parent, q)
+    h_left = shannon_entropy(left, q) if left.size else 0.0
+    h_right = shannon_entropy(right, q) if right.size else 0.0
+    return h_parent - (left.size * h_left + right.size * h_right) / parent.size
 
 
 def tree_vote(tree, x) -> int:

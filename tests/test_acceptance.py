@@ -13,27 +13,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from goofloc import (
-    ExperimentConfig,
-    WeakLearnerSpec,
+from goofloc import ExperimentConfig, WeakLearnerSpec, prediction_probability, swim
+from goofloc.channel import NoiseSpec, SnapshotBlock, add_noise, sample_alpha_stable
+from goofloc.experiments import run_forest_sweep, run_snr_sweep
+from goofloc.fingerprints import (
+    KIND_ORDER,
     est_covariance,
     est_flom,
     est_foc,
     est_psd,
     est_signal_subspace,
     extract_rss,
-    full_matrix_mode,
-    node_counts,
-    prediction_probability,
-    run_forest_sweep,
-    run_snr_sweep,
-    serialize_forest,
-    deserialize_forest,
-    swim,
-    train_forest,
 )
-from goofloc.channel import NoiseSpec, SnapshotBlock, add_noise, sample_alpha_stable
-from goofloc.fingerprints import KIND_ORDER
+from goofloc.forest import deserialize_forest, serialize_forest, train_forest
+from goofloc.fusion import full_matrix_mode
+
+from forest_reference import node_counts
 
 SIOF = [k.value for k in KIND_ORDER]
 

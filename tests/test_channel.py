@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from goofloc import (
+from goofloc.channel import (
     NOISELESS,
+    SPEED_OF_LIGHT,
     ArrayGeometry,
-    DegenerateGeometryError,
     NoiseSpec,
-    NumericalFailure,
     Scenario,
     SnapshotBlock,
     add_noise,
     generate_paths,
     geometry_to_channel,
     make_grid_scenario,
+    sample_alpha_stable,
     steering_vector,
     synthesize_snapshots,
 )
-from goofloc.channel import SPEED_OF_LIGHT, sample_alpha_stable
+from goofloc.errors import DegenerateGeometryError, NumericalFailure
 
 
 def geom(m=4, spacing=0.5):

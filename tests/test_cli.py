@@ -6,11 +6,11 @@ import shutil
 
 import pytest
 
+from goofloc import ExperimentConfig
 from goofloc.cli import main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
 from goofloc.fingerprints import KIND_ORDER
-from goofloc import ExperimentConfig
 
 
 def micro_config():
@@ -148,6 +148,7 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     build = ["build-goof", "--dataset", snaps, "--group-count", 4, "--out", out]
     train = ["train", "--goof", goof, "--seed", 1, "--out", out]
     simulate = ["simulate", "--config", staged / "config.txt", "--out-dir", out]
+    sweep = ["sweep-snr", "--seed", 3, "--out-dir", out]  # all three noise kinds
     for argv, field in [
         (simulate + ["--seed", -1], "seed"),
         (simulate + ["--repetition", -1], "repetition"),
@@ -166,6 +167,20 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
         (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out], "train_count"),
         (["fuse", "--bmatrices", bmat, "--window", 9], "window"),
         (["fuse", "--bmatrices", bmat, "--window", 0], "window"),
+        # ranges the simulation needs
+        (sweep + ["--impulse-alpha", 3], "impulse_alpha"),
+        (sweep + ["--impulse-alpha", 0], "impulse_alpha"),
+        (sweep + ["--impulse-beta", 2], "impulse_beta"),
+        (simulate + ["--noise-kinds", "impulse", "--impulse-alpha", 3], "impulse_alpha"),
+        (sweep + ["--color-fir-length", 0], "color_fir_length"),
+        (simulate + ["--path-count", 0], "path_count"),
+        (simulate + ["--spacing-over-wavelength", 0], "spacing_over_wavelength"),
+        (simulate + ["--angular-spread-deg", -1], "angular_spread_deg"),
+        (simulate + ["--delay-spread-ratio", -1], "delay_spread_ratio"),
+        (simulate + ["--snapshot-count", -20], "snapshot_count"),
+        (sweep + ["--room-width", 0], "room_width"),
+        (sweep + ["--room-width", -8], "room_width"),
+        (sweep + ["--room-height", 0], "room_height"),
     ]:
         assert main([str(a) for a in argv]) == 2, argv
         assert f"config error: {field}" in capsys.readouterr().err

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from goofloc import FormatError, SnapshotBlock, load_snapshot_dataset, save_snapshot_dataset
+from goofloc.channel import SnapshotBlock
+from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
+from goofloc.errors import FormatError
 
 
 def make_blocks(q=3, m=4, length=8, seed=0, noise_kind="gaussian", snr_db=12.0):

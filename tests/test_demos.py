@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the package in ``src/``."""
+"""Every demo, and the README quick start, runs to completion against the
+package in ``src/``."""
 
 import os
 import subprocess
@@ -19,3 +20,16 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert 0.0 <= float(done.stdout.split()[-1]) <= 1.0

@@ -10,37 +10,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goofloc import (
-    ConfigError,
-    DegenerateInputError,
-    ExperimentConfig,
-    FingerprintKind,
-    FormatError,
-    NumericalFailure,
-    Report,
-    build_goof,
-    emit_report,
-    load_report,
-    merge_reports,
-    run_forest_sweep,
-    run_snr_sweep,
-    save_snapshot_dataset,
-    simulate_cell,
-    swim,
-    train_bank,
-)
+from goofloc import ExperimentConfig, build_goof, swim
 from goofloc import experiments
 from goofloc.cli import ingest_recorded_dataset
+from goofloc.dataset import save_snapshot_dataset
+from goofloc.errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
 from goofloc.experiments import (
+    Report,
     cell_key,
     config_from_text,
     config_hash,
     config_to_text,
+    emit_report,
     load_bmatrices,
+    load_report,
+    run_forest_sweep,
+    run_snr_sweep,
     save_bmatrices,
+    simulate_cell,
 )
-from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import PredictionMatrix, predict_matrix, worker_count
+from goofloc.fingerprints import KIND_ORDER, FingerprintKind
+from goofloc.forest import PredictionMatrix, predict_matrix, train_bank, worker_count
 
 
 def micro_config(**over):
@@ -80,6 +70,12 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             micro_config(seed=-1).validate()
         assert "seed" in str(err.value)
+
+    def test_impulse_shape_is_free_without_impulse_noise(self):
+        # simulate_cell reads alpha and beta only for impulse noise
+        cfg = micro_config(noise_kinds=("gaussian", "color"), impulse_alpha=3.0, impulse_beta=2.0)
+        cfg.validate()
+        assert run_snr_sweep(cfg).rows
 
     def test_text_round_trip_and_hash(self):
         cfg = micro_config()
@@ -373,6 +369,19 @@ class TestParallelCells:
         assert_no_workers_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_progress_line_per_cell_in_cell_order(self, monkeypatch, capsys, cpus):
+        use_cpus(monkeypatch, cpus)
+        cfg = micro_config(noise_kinds=("gaussian", "color"), snr_grid_db=(0.0, 12.0),
+                           repetitions=2)
+        run_snr_sweep(cfg, verbose=True)
+        run_forest_sweep(cfg, "tree_depth", values=(2,), verbose=True)
+        cells = [(r, k, s) for r in (0, 1) for k in ("gaussian", "color") for s in (0, 12)]
+        expected = [f"[sweep-snr] rep={r} noise={k} snr={s} dB done" for r, k, s in cells]
+        expected += [f"[sweep-forest] rep={r} noise={k} snr={s} dB done"
+                     for r, k, s in cells if k == "gaussian"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_cell_in_cell_order_is_raised(self, monkeypatch, cpus):
         def failing_cell(config, noise_kind, snr_db, repetition=0):
             if snr_db == 0.0:
@@ -440,8 +449,6 @@ class TestIngest:
         assert goof.grids() == list(range(1, cfg.grid_count + 1))
 
     def test_truncation_never_yields_partial_blocks(self, tmp_path):
-        from goofloc import FormatError
-
         cfg = micro_config()
         path = tmp_path / "cell.goofsnap"
         save_snapshot_dataset(path, simulate_cell(cfg, "gaussian", 20.0))
@@ -504,15 +511,6 @@ class TestReports:
     def test_empty_report_refused(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report(Report(config_hash="x", seed=1), "csv", tmp_path)
-
-    def test_merge_refuses_mixed_hashes(self):
-        a = run_snr_sweep(micro_config())
-        b = run_snr_sweep(micro_config(seed=999))
-        with pytest.raises(ValueError):
-            merge_reports(a, b)
-        doubled = merge_reports(a, run_snr_sweep(micro_config()))
-        key = next(iter(a.rows))
-        assert len(doubled.rows[key]) == 2 * len(a.rows[key])
 
     def test_bmatrices_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -3,27 +3,26 @@
 import numpy as np
 import pytest
 
-from goofloc import (
-    DegenerateInputError,
-    ExperimentConfig,
+from goofloc import ExperimentConfig, build_goof
+from goofloc import fingerprints
+from goofloc.channel import SnapshotBlock
+from goofloc.errors import DegenerateInputError, FormatError, NumericalFailure
+from goofloc.experiments import simulate_cell
+from goofloc.fingerprints import (
+    KIND_ORDER,
     FingerprintKind,
-    FormatError,
-    NumericalFailure,
-    SnapshotBlock,
-    build_goof,
+    Goof,
     est_covariance,
     est_flom,
     est_foc,
     est_psd,
     est_signal_subspace,
     extract_rss,
+    feature_dim,
     load_goof,
     save_goof,
-    simulate_cell,
     vectorize,
 )
-from goofloc import fingerprints
-from goofloc.fingerprints import KIND_ORDER, Goof, feature_dim
 
 from fingerprint_reference import extract_group, reference_store
 

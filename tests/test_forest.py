@@ -9,36 +9,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goofloc import (
+from goofloc import WeakLearnerSpec, build_goof
+from goofloc import forest as forest_module
+from goofloc.errors import ConfigError, FormatError, NumericalFailure
+from goofloc.fingerprints import KIND_ORDER, FingerprintKind
+from goofloc.forest import (
+    _COLUMNS,
+    PRIMITIVES,
     ClassifierBank,
-    ConfigError,
-    FingerprintKind,
-    FormatError,
-    NumericalFailure,
-    WeakLearnerSpec,
-    build_goof,
+    Forest,
     deserialize_forest,
-    information_gain,
     load_bank,
-    node_counts,
     predict_matrix,
     save_bank,
     serialize_forest,
     shannon_entropy,
     train_bank,
     train_forest,
-    train_tree,
 )
-from goofloc import forest as forest_module
-from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import _COLUMNS, PRIMITIVES, Forest
 
 from forest_reference import (
+    information_gain,
+    node_counts,
     predict_forest,
     reference_deserialize_forest,
     reference_forest,
     reference_serialize_forest,
     reference_table,
+    train_tree,
     tree_vote,
 )
 
@@ -666,7 +664,7 @@ class TestTreeGroups:
 
 
 def tiny_goof(q=2, length=64, seed=0):
-    from goofloc import SnapshotBlock
+    from goofloc.channel import SnapshotBlock
 
     rng = np.random.default_rng(seed)
     blocks = []

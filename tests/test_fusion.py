@@ -5,45 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from goofloc import (
-    ConfigError,
-    FusionResult,
-    classifier_entropy,
-    constrained_mode,
-    full_matrix_mode,
-    prediction_probability,
-    select_classifier,
-    swim,
-)
+from goofloc import prediction_probability, swim
+from goofloc.errors import ConfigError
+from goofloc.forest import shannon_entropy
+from goofloc.fusion import FusionResult, constrained_mode, full_matrix_mode, select_classifier
 
 
 class TestEntropies:
     def test_constant_predictions(self):
-        assert classifier_entropy([4] * 10, 64) == 0.0
+        assert shannon_entropy([4] * 10, 64) == 0.0
 
     def test_uniform_over_64_grids(self):
-        assert classifier_entropy(list(range(1, 65)), 64) == pytest.approx(6.0)
+        assert shannon_entropy(list(range(1, 65)), 64) == pytest.approx(6.0)
 
     def test_two_even_labels(self):
-        assert classifier_entropy([1, 1, 2, 2], 64) == pytest.approx(1.0)
+        assert shannon_entropy([1, 1, 2, 2], 64) == pytest.approx(1.0)
 
     # the entropy of one sample's row of B (the six classifiers' votes)
 
     def test_sample_entropy_all_agree(self):
-        assert classifier_entropy([5, 5, 5, 5, 5, 5], 64) == 0.0
+        assert shannon_entropy([5, 5, 5, 5, 5, 5], 64) == 0.0
 
     def test_sample_entropy_all_disagree(self):
-        assert classifier_entropy([1, 2, 3, 4, 5, 6], 64) == pytest.approx(math.log2(6))
+        assert shannon_entropy([1, 2, 3, 4, 5, 6], 64) == pytest.approx(math.log2(6))
 
     def test_sample_entropy_hand_histogram(self):
         # four of one label, two singletons over six classifiers
         row = [9, 3, 7, 9, 9, 9]
         expected = -(4 / 6 * math.log2(4 / 6) + 2 * (1 / 6) * math.log2(1 / 6))
-        assert classifier_entropy(row, 64) == pytest.approx(expected)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            classifier_entropy([], 4)
+        assert shannon_entropy(row, 64) == pytest.approx(expected)
 
 
 class TestSelectClassifier:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from goofloc import ConfigError, ExperimentConfig, FormatError, Report
+from goofloc import ExperimentConfig
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
+from goofloc.errors import ConfigError, FormatError
 from goofloc.experiments import (
+    Report,
     config_from_text,
     config_to_text,
     load_bmatrices,
