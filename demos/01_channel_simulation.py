@@ -24,6 +24,8 @@ from goofloc.channel import (
 )
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 
+ANGULAR_SPREAD_DEG = 25.0
+
 
 def main():
     print("=" * 70)
@@ -53,9 +55,9 @@ def main():
     print("=" * 70)
     rng = np.random.default_rng(2024)
     theta0, tau0 = geometry_to_channel(scenario.grid_positions[10], scenario)
-    paths = generate_paths(theta0, tau0, math.radians(25.0), tau0 / 10, 20, rng)
-    print(f"paths: {paths.path_count}, total gain power = {np.sum(np.abs(paths.gains)**2):.6f}")
-    print(f"AoA spread: target {math.degrees(paths.angular_spread):.1f} deg, "
+    paths = generate_paths(theta0, tau0, math.radians(ANGULAR_SPREAD_DEG), tau0 / 10, 20, rng)
+    print(f"paths: {len(paths.gains)}, total gain power = {np.sum(np.abs(paths.gains)**2):.6f}")
+    print(f"AoA spread: target {ANGULAR_SPREAD_DEG:.1f} deg, "
           f"sample {math.degrees(paths.aoas.std()):.1f} deg")
 
     block = synthesize_snapshots(paths, geometry, 640, rng, grid_label=11)
@@ -80,7 +82,7 @@ def main():
     blocks = []
     for grid in range(1, scenario.grid_count + 1):
         theta0, tau0 = geometry_to_channel(scenario.grid_positions[grid - 1], scenario)
-        p = generate_paths(theta0, tau0, math.radians(25.0), tau0 / 10, 20, rng)
+        p = generate_paths(theta0, tau0, math.radians(ANGULAR_SPREAD_DEG), tau0 / 10, 20, rng)
         b = synthesize_snapshots(p, geometry, 64, rng, grid_label=grid)
         blocks.append(add_noise(b, NoiseSpec("gaussian", 20.0), rng))
     with tempfile.TemporaryDirectory() as tmp:

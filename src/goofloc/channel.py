@@ -10,8 +10,8 @@ noise at a requested SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,17 +27,14 @@ NOISELESS = math.inf
 
 @dataclass
 class ArrayGeometry:
-    """Uniform linear array description.
+    """Uniform linear array of isotropic elements.
 
-    ``element_pattern`` maps (element index m, angle) to a complex gain;
-    the default is an isotropic pattern of 1 for every element.
     ``carrier_frequency`` is used to turn path delays into carrier-phase
     rotations under the narrowband convention.
     """
 
     num_elements: int
     spacing_over_wavelength: float = 0.5
-    element_pattern: Callable[[int, float], complex] | None = None
     carrier_frequency: float = 950e6
 
     def __post_init__(self):
@@ -114,8 +111,7 @@ def make_grid_scenario(
     return Scenario(room_width, room_height, np.array(centers))
 
 
-@dataclass
-class PathSet:
+class Paths(NamedTuple):
     """Multipath cluster: per-path complex gain, angle of arrival, delay.
 
     Angles are measured from the array normal. Gains are normalized so
@@ -125,27 +121,6 @@ class PathSet:
     gains: np.ndarray  # (I,) complex
     aoas: np.ndarray  # (I,) radians
     delays: np.ndarray  # (I,) seconds
-    central_aoa: float
-    angular_spread: float
-    mean_delay: float
-    delay_spread: float
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=complex)
-        self.aoas = np.asarray(self.aoas, dtype=float)
-        self.delays = np.asarray(self.delays, dtype=float)
-        n = self.gains.shape[0]
-        if n < 1 or self.aoas.shape[0] != n or self.delays.shape[0] != n:
-            raise ValueError("gains, aoas, delays must be equal-length, nonempty")
-        if (self.delays < 0).any():
-            raise ValueError("delays must be nonnegative")
-        tol = 3.0 * self.angular_spread / math.sqrt(n)
-        if abs(float(self.aoas.mean()) - self.central_aoa) > tol + 1e-12:
-            raise ValueError("path angles are not centered on the cluster mean")
-
-    @property
-    def path_count(self) -> int:
-        return self.gains.shape[0]
 
 
 @dataclass
@@ -198,19 +173,12 @@ class SnapshotBlock:
 def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     """Array response for a plane wave at angle ``theta`` off the normal.
 
-    Element m (1-based) is f_m(theta) * exp(-j*2*pi*(m-1)*(d/lambda)*sin(theta)).
+    Element m (1-based) is exp(-j*2*pi*(m-1)*(d/lambda)*sin(theta)).
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     m = np.arange(geometry.num_elements)
-    phase = np.exp(-2j * math.pi * m * geometry.spacing_over_wavelength * math.sin(theta))
-    if geometry.element_pattern is not None:
-        gains = np.array(
-            [geometry.element_pattern(i + 1, theta) for i in range(geometry.num_elements)],
-            dtype=complex,
-        )
-        return gains * phase
-    return phase
+    return np.exp(-2j * math.pi * m * geometry.spacing_over_wavelength * math.sin(theta))
 
 
 def geometry_to_channel(
@@ -237,11 +205,12 @@ def generate_paths(
     delay_spread: float,
     path_count: int,
     rng: np.random.Generator,
-) -> PathSet:
+) -> Paths:
     """Draw a multipath cluster around the line of sight.
 
     Angles follow the uniform density on [theta0 - sqrt(3)*sigma_A,
-    theta0 + sqrt(3)*sigma_A] (standard deviation sigma_A), delays the
+    theta0 + sqrt(3)*sigma_A] (standard deviation sigma_A), redrawn until
+    their mean lies within 3*sigma_A/sqrt(I) of theta0; delays follow the
     analogous uniform law around tau0 clipped at zero, and gains are
     circular Gaussian normalized to unit total power.
     """
@@ -254,26 +223,18 @@ def generate_paths(
     mean_tol = 3.0 * angular_spread / math.sqrt(path_count)
     for _ in range(1000):
         aoas = rng.uniform(theta0 - half_a, theta0 + half_a, path_count)
-        if abs(float(aoas.mean()) - theta0) <= mean_tol:
+        # at zero spread every draw is theta0, but their mean can miss it by an ulp
+        if half_a == 0 or abs(float(aoas.mean()) - theta0) <= mean_tol:
             break
     else:
         raise NumericalFailure("1000 angle draws all strayed from the cluster centre")
     delays = np.maximum(rng.uniform(tau0 - half_d, tau0 + half_d, path_count), 0.0)
     gains = rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count)
-    gains = gains / np.linalg.norm(gains)
-    return PathSet(
-        gains=gains,
-        aoas=aoas,
-        delays=delays,
-        central_aoa=theta0,
-        angular_spread=angular_spread,
-        mean_delay=tau0,
-        delay_spread=delay_spread,
-    )
+    return Paths(gains / np.linalg.norm(gains), aoas, delays)
 
 
 def synthesize_snapshots(
-    path_set: PathSet,
+    paths: Paths,
     geometry: ArrayGeometry,
     num_snapshots: int,
     rng: np.random.Generator,
@@ -291,7 +252,7 @@ def synthesize_snapshots(
     if num_snapshots < 1:
         raise ValueError("num_snapshots must be >= 1")
     g = np.zeros(geometry.num_elements, dtype=complex)
-    for gain, theta, tau in zip(path_set.gains, path_set.aoas, path_set.delays):
+    for gain, theta, tau in zip(paths.gains, paths.aoas, paths.delays):
         g += gain * steering_vector(float(theta), geometry) * np.exp(
             -2j * math.pi * geometry.carrier_frequency * tau
         )
@@ -300,13 +261,7 @@ def synthesize_snapshots(
     s = np.exp(1j * (2.0 * math.pi * source_freq * t + phase0))
     data = np.outer(g, s)
     power = float(np.mean(np.abs(data) ** 2))
-    return SnapshotBlock(
-        data=data,
-        grid_label=grid_label,
-        snr_db=NOISELESS,
-        noise_kind="none",
-        signal_power=power,
-    )
+    return SnapshotBlock(data=data, grid_label=grid_label, signal_power=power)
 
 
 def sample_alpha_stable(
@@ -361,13 +316,7 @@ def add_noise(
     dispersion xi = sigma_s^2 * 10^(-snr/10).
     """
     if noise_spec.snr_db == NOISELESS:
-        return SnapshotBlock(
-            data=block.data.copy(),
-            grid_label=block.grid_label,
-            snr_db=NOISELESS,
-            noise_kind=block.noise_kind,
-            signal_power=block.signal_power,
-        )
+        return replace(block, data=block.data.copy(), snr_db=NOISELESS)
     m, length = block.data.shape
     sig_power = block.signal_power
     if sig_power is None:
@@ -388,7 +337,7 @@ def add_noise(
         noise = np.empty((m, length), dtype=complex)
         for i in range(m):
             noise[i] = np.convolve(white[i], fir, mode="valid")
-    elif noise_spec.kind == "impulse":
+    else:  # impulse
         scale = target ** (1.0 / noise_spec.alpha)
         re = sample_alpha_stable(
             noise_spec.alpha, noise_spec.beta, scale, noise_spec.delta, (m, length), rng
@@ -397,13 +346,7 @@ def add_noise(
             noise_spec.alpha, noise_spec.beta, scale, noise_spec.delta, (m, length), rng
         )
         noise = re + 1j * im
-    else:  # pragma: no cover - NoiseSpec already validates
-        raise ValueError(f"unsupported noise kind {noise_spec.kind!r}")
-
-    return SnapshotBlock(
-        data=block.data + noise,
-        grid_label=block.grid_label,
-        snr_db=noise_spec.snr_db,
-        noise_kind=noise_spec.kind,
+    return replace(
+        block, data=block.data + noise, snr_db=noise_spec.snr_db, noise_kind=noise_spec.kind,
         signal_power=sig_power,
     )

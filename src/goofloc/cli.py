@@ -32,7 +32,9 @@ from .experiments import (
     simulate_cell,
 )
 from .fingerprints import KIND_ORDER, build_goof, load_goof, save_goof
-from .forest import WeakLearnerSpec, load_bank, predict_matrix, save_bank, train_bank
+from .forest import (
+    PredictionMatrix, WeakLearnerSpec, load_bank, predict_matrix, save_bank, train_bank,
+)
 from .fusion import fusion_report_rows, prediction_probability, swim
 from .textio import fmt_value, read_artifact, write_document
 
@@ -116,10 +118,9 @@ def _cmd_test(args) -> int:
     for kind, forest in bank.forests.items():
         if forest.feature_dim != goof.data[kind].shape[2]:
             raise FormatError(f"{args.bank}: {kind.value} forest does not fit {args.goof}")
-    matrices = {
-        grid: predict_matrix(bank, {k: goof.features(k, grid) for k in KIND_ORDER}, true_label=grid)
-        for grid in goof.grids()
-    }
+    pm = predict_matrix(bank, {kind: goof.stack(kind)[0] for kind in KIND_ORDER})
+    rows = pm.matrix.reshape(len(goof.labels), goof.group_count, len(KIND_ORDER))
+    matrices = {grid: PredictionMatrix(b, true_label=grid) for grid, b in zip(goof.grids(), rows)}
     save_bmatrices(args.out, matrices)
     print(f"wrote prediction matrices for {len(matrices)} grids -> {args.out}")
     return 0

@@ -103,8 +103,15 @@ class ExperimentConfig:
                 raise ConfigError("noise_kinds", f"unsupported kind {kind!r}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "must be nonempty")
-        # the ranges simulate_cell needs, each named here: the FIR length
-        # for every noise kind, alpha and beta for impulse noise only
+        # the ranges simulate_cell needs, each named here: finite floats (an
+        # SNR of +inf is noiseless), the FIR length for every noise kind,
+        # alpha and beta for impulse noise only
+        for name in ("room_width", "room_height", "spacing_over_wavelength", "carrier_frequency",
+                     "angular_spread_deg", "delay_spread_ratio", "source_freq", "impulse_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
+        if not all(snr > -math.inf for snr in self.snr_grid_db):
+            raise ConfigError("snr_grid_db", "must be finite or inf (noiseless)")
         for name in ("room_width", "room_height", "spacing_over_wavelength"):
             if not getattr(self, name) > 0:
                 raise ConfigError(name, "must be > 0")
@@ -278,6 +285,14 @@ def simulate_cell(
     geometry = config.geometry()
     key = cell_key(config.seed, noise_kind, snr_db, repetition)
     spread_rad = math.radians(config.angular_spread_deg)
+    spec = NoiseSpec(
+        kind=noise_kind,
+        snr_db=snr_db,
+        fir_window_length=config.color_fir_length,
+        alpha=config.impulse_alpha,
+        beta=config.impulse_beta,
+        delta=config.impulse_delta,
+    )
     blocks = []
     for gi, pos in enumerate(scenario.grid_positions):
         theta0, tau0 = channel.geometry_to_channel(pos, scenario)
@@ -296,14 +311,6 @@ def simulate_cell(
             np.random.default_rng((*key, gi, 1)),
             grid_label=gi + 1,
             source_freq=config.source_freq,
-        )
-        spec = NoiseSpec(
-            kind=noise_kind,
-            snr_db=snr_db,
-            fir_window_length=config.color_fir_length,
-            alpha=config.impulse_alpha,
-            beta=config.impulse_beta,
-            delta=config.impulse_delta,
         )
         blocks.append(channel.add_noise(block, spec, np.random.default_rng((*key, gi, 2))))
     return blocks

@@ -81,6 +81,18 @@ class WeakLearnerSpec:
 _COLUMNS = ("features", "weights", "threshold", "right", "histogram")
 
 
+def _depth(right: np.ndarray, roots: np.ndarray) -> int:
+    """Levels on the longest root-to-leaf path of the trees whose first
+    rows are ``roots`` in a node table with the ``right`` column."""
+    level, rows = 0, roots
+    while rows.size:
+        level += 1
+        step = right[rows]
+        rows = rows[step > 0]
+        rows = np.concatenate([rows + 1, rows + step[step > 0]])
+    return level
+
+
 @dataclass
 class Tree:
     """The rows of one tree in a node table (views into the forest's)."""
@@ -91,23 +103,12 @@ class Tree:
     right: np.ndarray  # (n,) rows from a split to its right child; 0 at a leaf
     histogram: np.ndarray  # (n, class_count) class counts of a leaf row
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when the whole tree is one leaf."""
-        return not self.right[0]
-
     def node_count(self) -> int:
         return len(self.right)
 
     def depth(self) -> int:
         """Levels on the longest root-to-leaf path."""
-        level, rows = 0, np.zeros(1, dtype=int)
-        while rows.size:
-            level += 1
-            step = self.right[rows]
-            rows = rows[step > 0]
-            rows = np.concatenate([rows + 1, rows + step[step > 0]])
-        return level
+        return _depth(self.right, np.zeros(1, dtype=int))
 
 
 # A node's draws are a counter-based hash (SplitMix64) of its key. The root
@@ -498,10 +499,7 @@ class Forest:
         split = self.right > 0
         left = np.where(split, rows + 1, rows)
         right = rows + self.right
-        depth, level = 1, self.roots
-        while (level := level[split[level]]).size:
-            level = np.concatenate([left[level], right[level]])
-            depth += 1
+        depth = _depth(self.right, self.roots)
         operands = [
             (np.ascontiguousarray(self.features[:, i]), np.ascontiguousarray(self.weights[:, i]))
             for i in range(self.features.shape[1])

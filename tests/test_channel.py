@@ -45,10 +45,6 @@ class TestSteeringVector:
         for theta in np.linspace(-math.pi / 2, math.pi / 2, 17):
             assert np.allclose(np.abs(steering_vector(theta, geom(6))), 1.0)
 
-    def test_element_pattern_sets_modulus(self):
-        g = ArrayGeometry(3, 0.5, element_pattern=lambda m, theta: 2.0 * m)
-        assert np.allclose(np.abs(steering_vector(0.3, g)), [2.0, 4.0, 6.0])
-
     def test_nonfinite_theta_rejected(self):
         with pytest.raises(ValueError):
             steering_vector(math.nan, geom())
@@ -127,6 +123,11 @@ class TestGeneratePaths:
         assert ps.aoas[0] == pytest.approx(0.3)
         assert ps.delays[0] == pytest.approx(1e-8)
         assert abs(ps.gains[0]) ** 2 == pytest.approx(1.0)
+
+    def test_zero_spread_cluster_sits_on_los(self):
+        # twenty copies of 0.3 average to 0.3 plus an ulp: no redraw may reject them
+        ps = generate_paths(0.3, 1e-8, 0.0, 0.0, 20, np.random.default_rng(0))
+        assert ps.aoas.shape == (20,) and (ps.aoas == 0.3).all()
 
     def test_gain_normalization(self):
         rng = np.random.default_rng(1)

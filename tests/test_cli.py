@@ -4,12 +4,13 @@ import dataclasses
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from goofloc import ExperimentConfig
 from goofloc.cli import main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
-from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep
+from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep, snr_cell
 from goofloc.fingerprints import KIND_ORDER
 
 
@@ -181,9 +182,27 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
         (sweep + ["--room-width", 0], "room_width"),
         (sweep + ["--room-width", -8], "room_width"),
         (sweep + ["--room-height", 0], "room_height"),
+        # values that convert but are not finite (an SNR of +inf is noiseless)
+        (sweep + ["--room-width", "inf"], "room_width"),
+        (simulate + ["--carrier-frequency", "nan"], "carrier_frequency"),
+        (simulate + ["--source-freq", "nan"], "source_freq"),
+        (simulate + ["--noise-kinds", "impulse", "--impulse-delta", "nan"], "impulse_delta"),
+        (simulate + ["--snr-grid-db", "nan"], "snr_grid_db"),
+        (simulate + ["--snr-grid-db=-inf"], "snr_grid_db"),
+        (simulate + ["--spacing-over-wavelength", "inf"], "spacing_over_wavelength"),
+        (simulate + ["--delay-spread-ratio", "inf"], "delay_spread_ratio"),
+        (simulate + ["--angular-spread-deg", "inf"], "angular_spread_deg"),
     ]:
         assert main([str(a) for a in argv]) == 2, argv
         assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_zero_angular_spread_simulates(tmp_path, capsys):
+    argv = ["simulate", "--seed", "1", "--grid-count", "4", "--noise-kinds", "impulse",
+            "--snr-grid-db", "10", "--angular-spread-deg", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(load_snapshot_dataset(tmp_path / "snapshots_impulse_10dB.goofsnap")) == 4
+    capsys.readouterr()
 
 
 def test_bad_repetition_leaves_no_out_dir(tmp_path, config_file, capsys):
@@ -304,6 +323,11 @@ def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
 
         matrices = load_bmatrices(cell / "b.txt")
         grids = sorted(matrices)
+        # the same cell's bank predicts the same labels, sample for sample
+        sweep_grids, sweep_matrix, _, _ = snr_cell(cfg, (0, kind, snr))
+        assert grids == sweep_grids, kind
+        staged_matrix = np.concatenate([matrices[g].matrix for g in grids])
+        assert np.array_equal(staged_matrix, sweep_matrix), kind
         for ki, family in enumerate(KIND_ORDER):
             rhos = [float((matrices[g].matrix[:, ki] == g).mean()) for g in grids]
             assert rhos == report.rows[(kind, snr, family.value)], (kind, family)

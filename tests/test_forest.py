@@ -118,7 +118,7 @@ class TestTrainTree:
 
     def test_single_sample_is_a_leaf(self):
         tree = train_tree([[0.5]], [3], WeakLearnerSpec(), 8, np.random.default_rng(2), class_count=4)
-        assert tree.is_leaf
+        assert tree.node_count() == 1
         assert tree_vote(tree, np.array([0.5])) == 3
 
     def test_four_corner_blobs(self):
@@ -142,7 +142,7 @@ class TestTrainTree:
     def test_leaf_histograms_count_reaching_samples(self):
         x, y = two_blob_data(n=20)
         tree = train_tree(x, y, WeakLearnerSpec(), 4, np.random.default_rng(7))
-        assert not tree.is_leaf
+        assert tree.node_count() > 1
         assert int(tree.histogram[tree.right == 0].sum()) == 20
         assert not tree.histogram[tree.right > 0].any()  # split rows count nothing
 
@@ -150,7 +150,7 @@ class TestTrainTree:
         x = np.zeros((6, 2))
         y = np.array([1, 1, 2, 2, 3, 3])
         tree = train_tree(x, y, WeakLearnerSpec(), 8, np.random.default_rng(8))
-        assert tree.is_leaf
+        assert tree.node_count() == 1
         assert tree_vote(tree, np.zeros(2)) == 1  # tie -> smallest label
 
     def test_oriented_hyperplane_on_diagonal_classes(self):
@@ -466,7 +466,8 @@ class TestColumnCodec:
 
     def test_single_leaf_and_class_count_one_cases_hold_what_they_say(self):
         trees = _codec_forest("single-leaf-trees").trees
-        assert any(tree.is_leaf for tree in trees) and not all(tree.is_leaf for tree in trees)
+        leaves = [tree.node_count() == 1 for tree in trees]
+        assert any(leaves) and not all(leaves)
         assert _codec_forest("class_count=1").class_count == 1
 
     def test_first_bad_record_of_a_column_is_named(self):
