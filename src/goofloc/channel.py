@@ -223,8 +223,9 @@ def generate_paths(
     mean_tol = 3.0 * angular_spread / math.sqrt(path_count)
     for _ in range(1000):
         aoas = rng.uniform(theta0 - half_a, theta0 + half_a, path_count)
-        # at zero spread every draw is theta0, but their mean can miss it by an ulp
-        if half_a == 0 or abs(float(aoas.mean()) - theta0) <= mean_tol:
+        # the float mean can miss theta0 by an ulp, more than the tolerance
+        # of a zero or tiny spread
+        if abs(float(aoas.mean()) - theta0) <= mean_tol + 1e-12:
             break
     else:
         raise NumericalFailure("1000 angle draws all strayed from the cluster centre")

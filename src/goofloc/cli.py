@@ -95,14 +95,11 @@ def _cmd_train(args) -> int:
     goof = load_goof(args.goof)
     if args.train_count is not None:
         goof, _ = goof.split(args.train_count, goof.group_count - args.train_count)
-    spec_kwargs = {"primitive": args.primitive, "threshold_candidates": args.threshold_candidates}
-    if args.feature_subspace is not None:
-        spec_kwargs["feature_subspace_size"] = args.feature_subspace
     bank = train_bank(
         goof,
         args.tree_count,
         args.depth_limit,
-        WeakLearnerSpec(**spec_kwargs),
+        WeakLearnerSpec(args.primitive, args.feature_subspace, args.threshold_candidates),
         cell_key(args.seed, goof.noise_kind, goof.snr_db),
     )
     save_bank(bank, args.out)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import SnapshotBlock
 from .errors import FormatError
-from .textio import positive_int, read_artifact, read_header, write_document
+from .textio import positive_int, read_arrays, read_artifact, read_header, write_arrays
 
 MAGIC = "GOOF-SNAP"
 VERSION = 1
@@ -36,8 +36,9 @@ def save_snapshot_dataset(path, blocks: list[SnapshotBlock]) -> None:
         "m": m, "l": length, "q": len(blocks), "noise_kind": first.noise_kind,
         "snr_db": first.snr_db,
     }
-    text = write_document(MAGIC, VERSION, header, ["end-header"]).encode("utf-8")
-    Path(path).write_bytes(text + b"".join(block.data.astype("<c16").tobytes() for block in blocks))
+    Path(path).write_bytes(
+        write_arrays(MAGIC, VERSION, header, [("<c16", block.data) for block in blocks])
+    )
 
 
 def load_snapshot_dataset(path) -> list[SnapshotBlock]:
@@ -52,28 +53,17 @@ def load_snapshot_dataset(path) -> list[SnapshotBlock]:
     m, length, q = (doc.get(key, positive_int) for key in ("m", "l", "q"))
     noise_kind = doc.get("noise_kind", default="none")
     snr_db = doc.get("snr_db", float, math.inf)
-    per_grid = m * length * 16  # complex128
-    expected = offset + q * per_grid
-    if len(raw) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, file has {len(raw)}",
-            len(raw),
+    (data,) = read_arrays(raw, offset, [("<c16", (q, m, length))])
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        gi = int(finite.argmin())
+        raise FormatError(f"non-finite sample in grid {gi + 1}", offset + gi * m * length * 16)
+    return [
+        SnapshotBlock(
+            data=grid.astype(np.complex128),  # writable, as a simulated block is
+            grid_label=gi + 1,
+            snr_db=snr_db if not math.isnan(snr_db) else math.inf,
+            noise_kind=noise_kind,
         )
-    if len(raw) > expected:
-        raise FormatError("trailing bytes after final grid matrix", expected)
-    blocks = []
-    for gi in range(q):
-        start = offset + gi * per_grid
-        data = np.frombuffer(raw, dtype="<c16", count=m * length, offset=start)
-        data = data.reshape(m, length).astype(np.complex128)
-        if not np.isfinite(data).all():
-            raise FormatError(f"non-finite sample in grid {gi + 1}", start)
-        blocks.append(
-            SnapshotBlock(
-                data=data,
-                grid_label=gi + 1,
-                snr_db=snr_db if not math.isnan(snr_db) else math.inf,
-                noise_kind=noise_kind,
-            )
-        )
-    return blocks
+        for gi, grid in enumerate(data)
+    ]

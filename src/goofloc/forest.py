@@ -35,9 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, Goof
-from .textio import (
-    convert, one_of, positive_int, read_artifact, read_document, write_document,
-)
+from .textio import one_of, positive_int, read_arrays, read_artifact, read_header, write_arrays
 
 # split primitive -> feature indices (and weights) per split
 PRIMITIVES = {"axis_aligned_stump": 1, "oriented_hyperplane_2d": 2}
@@ -78,7 +76,9 @@ class WeakLearnerSpec:
         return m
 
 
-_COLUMNS = ("features", "weights", "threshold", "right", "histogram")
+# the node table's columns and the little-endian dtype each is stored as
+_COLUMNS = {"features": "<i8", "weights": "<f8", "threshold": "<f8", "right": "<i8",
+            "histogram": "<i8"}
 
 
 def _depth(right: np.ndarray, roots: np.ndarray) -> int:
@@ -631,159 +631,90 @@ def predict_matrix(bank: ClassifierBank, samples_by_kind, true_label=None) -> Pr
 
 
 FOREST_MAGIC = "GOOF-FOREST"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
 
 
-def _format_rows(fmt: str, values: np.ndarray) -> list:
-    """The lines ``fmt % tuple(row)``, one per row of ``values``, formatted
-    in one call."""
-    if not len(values):
-        return []
-    return ("\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())).split("\n")
-
-
-def serialize_forest(forest: Forest) -> str:
-    """Lossless structured-text form, one record per table row in
-    pre-order and a ``tree i`` record before each tree's root;
-    byte-identical for identical forests. Each record kind is formatted
-    from the table's columns in one call."""
+def serialize_forest(forest: Forest) -> bytes:
+    """The header fields, then the node table's columns as the fixed
+    little-endian arrays of ``_COLUMNS``; byte-identical for identical
+    forests. ``roots`` is not stored: the reader derives it."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
         "depth_limit": forest.depth_limit,
         "tree_count": forest.tree_count,
+        "node_count": len(forest.right),
         "feature_dim": forest.feature_dim,
         "seed": forest.seed,
         "primitive": forest.spec.primitive,
         "feature_subspace": forest.spec.feature_subspace_size or 0,
         "threshold_candidates": forest.spec.threshold_candidates,
     }
-    leaf, split = forest.right == 0, forest.right != 0
-    arity = forest.features.shape[1]
-    floats = np.concatenate([forest.weights[split], forest.threshold[split, None]], axis=1)
-    hexes = np.array([*map(float.hex, floats.ravel().tolist())], dtype=object)
-    splits = np.concatenate(
-        [forest.features[split].astype(object), hexes.reshape(floats.shape)], axis=1
-    )
-    records = np.empty(len(leaf), dtype=object)
-    records[leaf] = _format_rows("leaf" + " %d" * forest.class_count, forest.histogram[leaf])
-    records[split] = _format_rows(
-        f"split {','.join(['%d'] * arity)} {','.join(['%s'] * arity)} %s", splits
-    )
-    records = np.insert(records, forest.roots, [f"tree {i}" for i in range(forest.tree_count)])
-    return write_document(FOREST_MAGIC, FOREST_VERSION, header, records.tolist())
+    columns = [(dtype, getattr(forest, name)) for name, dtype in _COLUMNS.items()]
+    return write_arrays(FOREST_MAGIC, FOREST_VERSION, header, columns)
 
 
-def _convert_rows(tokens: list, lines: list, to, what: str):
-    """``to(tokens)``, the tokens of every row at once (rows of equal
-    width, one line each). If that fails, the rows are converted one at a
-    time, so that the FormatError names the first bad row's line."""
-    try:
-        return to(tokens)
-    except (ValueError, OverflowError) as exc:
-        width = len(tokens) // len(lines)
-        for i, line in enumerate(lines):
-            convert(tokens[i * width : (i + 1) * width], to, what, line)
-        raise FormatError(f"bad {what} ({exc})") from None
+def _tree_roots(right: list, at: int) -> list:
+    """First row of each tree, after checking in one pass that ``right``
+    (the column's values; ``at`` is its byte offset) holds whole pre-order
+    trees: a stack holds the splits whose left subtree is open (on a
+    ``None`` for the tree), and the leaf that closes one must sit just
+    before that split's right child."""
+    roots, open_splits = [], []
+    for row, step in enumerate(right):
+        if not open_splits:
+            roots.append(row)
+            open_splits.append(None)
+        if step > 0:
+            open_splits.append(row)
+        elif step < 0:
+            raise FormatError(f"negative right offset in row {row}", at + 8 * row)
+        else:
+            split = open_splits.pop()
+            if split is not None and split + right[split] != row + 1:
+                raise FormatError(f"right offset of row {split} is not its right child",
+                                  at + 8 * split)
+    if open_splits:
+        raise FormatError(f"tree {len(roots) - 1} ends before its last leaf", at + 8 * len(right))
+    return roots
 
 
-def _from_hex(tokens: list) -> np.ndarray:
-    return np.array([*map(float.fromhex, tokens)])
-
-
-def deserialize_forest(raw) -> Forest:
-    """Read a :func:`serialize_forest` document (bytes or str).
-
-    One pass over the records checks the structure and places every row:
-    a stack holds the splits whose left subtree is open (on a ``None`` for
-    the tree), and the leaf that closes one sets that split's right-child
-    offset. The leaf rows, then the split rows, are then converted column
-    by column, each in one call. A malformed record is a FormatError
-    naming its line."""
-    doc = read_document(raw, FOREST_MAGIC, FOREST_VERSION)
+def deserialize_forest(raw: bytes) -> Forest:
+    """Read a :func:`serialize_forest` file, checking what prediction
+    relies on: the payload's length, every row's feature indices (leaf rows
+    are gathered too) and that ``right`` forms ``tree_count`` whole trees.
+    A bad header field is a FormatError naming its line, a bad payload one
+    carrying its byte offset."""
+    doc, offset = read_header(raw, FOREST_MAGIC, FOREST_VERSION)
     kind = doc.get("kind", lambda text: None if text == "none" else FingerprintKind(text), None)
     class_count = doc.get("class_count", positive_int)
     feature_dim = doc.get("feature_dim", positive_int)
     tree_count = doc.get("tree_count", positive_int)
+    n = doc.get("node_count", positive_int)
     spec = WeakLearnerSpec(
         primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
         feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
         threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
     )
     arity = PRIMITIVES[spec.primitive]
-    right = [0] * len(doc.records)
-    roots, open_splits, error = [], [], None
-    leaves, leaf_lines, counts = [], [], []
-    splits, split_lines, split_parts = [], [], []
-    row = 0
-    for line, text in doc.records:
-        tag, *parts = text.split()
-        if not open_splits:
-            if text != f"tree {len(roots)}":
-                error = FormatError(f"line {line}: expected 'tree {len(roots)}', got {text!r}")
-                break
-            roots.append(row)
-            open_splits.append(None)
-            continue
-        if tag == "leaf" and len(parts) == class_count:
-            leaves.append(row)
-            leaf_lines.append(line)
-            counts += parts
-            at = open_splits.pop()
-            if at is not None:
-                right[at] = row + 1 - at
-        elif tag == "split" and len(parts) == 3:
-            if not parts[0].count(",") == parts[1].count(",") == arity - 1:
-                error = FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
-                break
-            splits.append(row)
-            split_lines.append(line)
-            split_parts.append(parts)
-            open_splits.append(row)
-        else:
-            error = FormatError(f"line {line}: bad node record {text!r}")
-            break
-        row += 1
-    # only rows above the first structural error were collected, so a bad
-    # value among them is named before that error
-    histogram = np.zeros((row, class_count), dtype=np.int64)
-    features = np.zeros((row, arity), dtype=np.intp)
-    weights = np.zeros((row, arity))
-    threshold = np.zeros(row)
-    if leaves:
-        histogram[leaves] = _convert_rows(
-            counts, leaf_lines, lambda t: np.array(t, dtype=np.int64), "leaf"
-        ).reshape(-1, class_count)
-    if splits:
-        idx, w, cut = zip(*split_parts)
-        features[splits] = _convert_rows(
-            ",".join(idx).split(","), split_lines, lambda t: np.array(t, dtype=np.intp),
-            "feature indices",
-        ).reshape(-1, arity)
-        weights[splits] = _convert_rows(
-            ",".join(w).split(","), split_lines, _from_hex, "weights"
-        ).reshape(-1, arity)
-        outside = ((features[splits] < 0) | (features[splits] >= feature_dim)).any(axis=1)
-        if outside.any():
-            i = int(outside.argmax())
-            raise FormatError(f"line {split_lines[i]}: bad split features {idx[i]!r} {w[i]!r}")
-        threshold[splits] = _convert_rows(cut, split_lines, _from_hex, "threshold")
-    if error is not None:
-        raise error
-    if open_splits:
-        line = doc.records[-1][0]
-        raise FormatError(f"line {line}: tree {len(roots) - 1} ends before its last leaf")
+    shapes = {"features": (n, arity), "weights": (n, arity), "threshold": (n,), "right": (n,),
+              "histogram": (n, class_count)}
+    table = dict(zip(_COLUMNS, read_arrays(
+        raw, offset, [(dtype, shapes[name]) for name, dtype in _COLUMNS.items()]
+    )))
+    outside = ((table["features"] < 0) | (table["features"] >= feature_dim)).ravel()
+    if outside.any():
+        raise FormatError(f"feature index outside 0..{feature_dim - 1}",
+                          offset + 8 * int(outside.argmax()))
+    at = offset + sum(table[name].nbytes for name in ("features", "weights", "threshold"))
+    roots = _tree_roots(table["right"].tolist(), at)
     if len(roots) != tree_count:
         raise FormatError(
             f"line {doc.values['tree_count'][1]}: tree_count={tree_count}, "
             f"but {len(roots)} whole trees follow"
         )
     return Forest(
-        features=features,
-        weights=weights,
-        threshold=threshold,
-        right=np.array(right[:row], dtype=np.intp),
-        histogram=histogram,
+        **table,
         roots=np.array(roots, dtype=np.intp),
         depth_limit=doc.get("depth_limit", positive_int),
         feature_dim=feature_dim,
@@ -797,13 +728,13 @@ def save_bank(bank: ClassifierBank, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for kind in KIND_ORDER:
-        path = directory / f"forest_{kind.value}.txt"
-        path.write_text(serialize_forest(bank.forests[kind]), encoding="utf-8")
+        path = directory / f"forest_{kind.value}.goofforest"
+        path.write_bytes(serialize_forest(bank.forests[kind]))
 
 
 def load_bank(directory) -> ClassifierBank:
     forests = {}
     for kind in KIND_ORDER:
-        path = Path(directory) / f"forest_{kind.value}.txt"
+        path = Path(directory) / f"forest_{kind.value}.goofforest"
         forests[kind] = deserialize_forest(read_artifact(path))
     return ClassifierBank(forests=forests)

@@ -1,16 +1,23 @@
 """The one codec of every persisted artifact.
 
-An artifact is UTF-8 text: a ``<MAGIC> <version>`` line, leading
-single-token ``key=value`` header lines, then format-specific record
-lines (a snapshot dataset continues in binary after an ``end-header``
-line). Floats are written with ``repr`` so that round-trips are lossless
-and byte-identical across runs. Every malformed document raises
-:class:`FormatError` naming the line at fault.
+An artifact starts with UTF-8 text: a ``<MAGIC> <version>`` line, then
+single-token ``key=value`` header lines. A text artifact continues with
+format-specific record lines. A numeric artifact (a snapshot dataset, a
+forest) continues after an ``end-header`` line with fixed little-endian
+arrays whose shapes its header gives, written by :func:`write_arrays` and
+read by :func:`read_header` and :func:`read_arrays`. Floats in text are
+written with ``repr`` so that round-trips are lossless and byte-identical
+across runs. A malformed header or record raises :class:`FormatError`
+naming the line at fault, a malformed payload one carrying its byte
+offset.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -121,12 +128,38 @@ def read_document(raw, magic: str, version: int) -> Fields:
     return doc
 
 
+def write_arrays(magic: str, version: int, header: dict, arrays) -> bytes:
+    """A numeric artifact: the header, an ``end-header`` line, then the
+    bytes of each ``(dtype, array)`` of ``arrays`` in C order."""
+    text = write_document(magic, version, header, ["end-header"]).encode("utf-8")
+    return b"".join([text, *(np.asarray(array, dtype).tobytes() for dtype, array in arrays)])
+
+
 def read_header(raw: bytes, magic: str, version: int) -> tuple[Fields, int]:
-    """Header of a text/binary artifact and the offset of its payload."""
+    """Header of a numeric artifact and the offset of its payload."""
     end = raw.find(_END_HEADER)
     if end < 0:
+        read_document(raw.split(b"\n", 1)[0], magic, version)  # a wrong magic is named first
         raise FormatError("truncated header (no end-header line)", len(raw))
     return read_document(raw[:end], magic, version).header_only(), end + len(_END_HEADER)
+
+
+def read_arrays(raw: bytes, offset: int, layout) -> list:
+    """The read-only arrays of ``layout``, ``(dtype, shape)`` pairs laid
+    end to end from ``offset``, which must fill ``raw`` exactly."""
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+    expected = offset + sum(sizes)
+    if len(raw) < expected:
+        raise FormatError(
+            f"truncated payload: expected {expected} bytes, file has {len(raw)}", len(raw)
+        )
+    if len(raw) > expected:
+        raise FormatError("trailing bytes after the payload", expected)
+    arrays = []
+    for (dtype, shape), size in zip(layout, sizes):
+        arrays.append(np.frombuffer(raw, dtype, math.prod(shape), offset).reshape(shape))
+        offset += size
+    return arrays
 
 
 def read_artifact(path) -> bytes:

@@ -7,23 +7,19 @@ draws as the level-wise trainer in ``goofloc.forest``, so the two must
 build identical node tables; ``train_tree`` grows one tree with the
 level-wise trainer, and ``node_counts`` and ``information_gain`` are the
 full-tree sizes and the split gain spelled out. ``predict_forest`` walks
-one sample down one tree at a time. ``reference_serialize_forest`` and
-``reference_deserialize_forest`` are the ``GOOF-FOREST 1`` codec one
-table row, and one record, at a time.
+one sample down one tree at a time; ``nonfinite_probe`` makes samples
+whose projections include NaN and infinities. ``reference_serialize_forest``
+is the retired ``GOOF-FOREST 1`` text form, one record per table row: a
+canonical dump of a node table, whose digest pins trained tables whatever
+the file format.
 """
 
 import numpy as np
 
-from goofloc.errors import FormatError
-from goofloc.fingerprints import FingerprintKind
 from goofloc.forest import (
     _COLUMNS,
-    FOREST_MAGIC,
-    FOREST_VERSION,
     PRIMITIVES,
-    Forest,
     Tree,
-    WeakLearnerSpec,
     _child_keys,
     _fit_levels,
     _forest_draws,
@@ -33,7 +29,7 @@ from goofloc.forest import (
     _xlogx,
     shannon_entropy,
 )
-from goofloc.textio import comma_list, convert, one_of, positive_int, read_document, write_document
+from goofloc.textio import write_document
 
 
 def _best_split(x_node, y_node, key, spec, q, xlogx):
@@ -149,23 +145,23 @@ def predict_forest(forest, features) -> int:
     return int(votes.argmax()) + 1
 
 
-def _rows_table(rows: list, class_count: int) -> dict:
-    """Node-table columns of ``[features, weights, threshold, right,
-    histogram]`` rows; split rows (histogram None) count no samples."""
-    features, weights, threshold, right, hists = zip(*rows)
-    zero = np.zeros(class_count, dtype=np.int64)
-    return {
-        "features": np.array(features, dtype=np.intp),
-        "weights": np.array(weights, dtype=float),
-        "threshold": np.array(threshold, dtype=float),
-        "right": np.array(right, dtype=np.intp),
-        "histogram": np.array([zero if h is None else h for h in hists], dtype=np.int64),
-    }
+def nonfinite_probe(dim: int, seed: int) -> np.ndarray:
+    """Samples around the training data, about a tenth of the features
+    NaN and a tenth each +inf and -inf."""
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal((80, dim))
+    roll = rng.random(x.shape)
+    x[roll < 0.1] = np.nan
+    x[(roll >= 0.1) & (roll < 0.2)] = np.inf
+    x[(roll >= 0.2) & (roll < 0.3)] = -np.inf
+    x[:20] = rng.standard_normal((20, dim))  # some samples stay finite
+    return x
 
 
 def reference_serialize_forest(forest) -> str:
-    """Lossless structured-text form, one record per table row in
-    pre-order; byte-identical for identical forests."""
+    """The ``GOOF-FOREST 1`` text of a forest: its header fields, then one
+    record per table row in pre-order, a ``tree i`` record before each
+    tree's root; byte-identical for identical tables."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
@@ -189,59 +185,4 @@ def reference_serialize_forest(forest) -> str:
             records.append(f"split {idx} {w} {threshold.hex()}")
         else:
             records.append("leaf " + " ".join(map(str, hist)))
-    return write_document(FOREST_MAGIC, FOREST_VERSION, header, records)
-
-
-def reference_deserialize_forest(raw):
-    """Read a :func:`reference_serialize_forest` document (bytes or str). Records
-    fill the table in order; a stack holds the splits whose left subtree
-    is open (on a ``None`` for the tree), and the leaf that closes one
-    sets that split's right-child offset."""
-    doc = read_document(raw, FOREST_MAGIC, FOREST_VERSION)
-    kind = doc.get("kind", lambda text: None if text == "none" else FingerprintKind(text), None)
-    class_count = doc.get("class_count", positive_int)
-    feature_dim = doc.get("feature_dim", positive_int)
-    tree_count = doc.get("tree_count", positive_int)
-    spec = WeakLearnerSpec(
-        primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
-        feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
-        threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
-    )
-    arity = PRIMITIVES[spec.primitive]
-    rows, roots, open_splits = [], [], []
-    for line, text in doc.records:
-        tag, *parts = text.split()
-        if not open_splits:
-            if text != f"tree {len(roots)}":
-                raise FormatError(f"line {line}: expected 'tree {len(roots)}', got {text!r}")
-            roots.append(len(rows))
-            open_splits.append(None)
-        elif tag == "leaf" and len(parts) == class_count:
-            hist = convert(parts, lambda p: np.array(p, dtype=int), "leaf", line)
-            rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
-            at = open_splits.pop()
-            if at is not None:
-                rows[at][3] = len(rows) - at
-        elif tag == "split" and len(parts) == 3:
-            feats = convert(parts[0], comma_list(np.intp), "feature indices", line)
-            weights = convert(parts[1], comma_list(float.fromhex), "weights", line)
-            if not len(feats) == len(weights) == arity or not all(
-                0 <= f < feature_dim for f in feats
-            ):
-                raise FormatError(f"line {line}: bad split features {parts[0]!r} {parts[1]!r}")
-            threshold = convert(parts[2], float.fromhex, "threshold", line)
-            open_splits.append(len(rows))
-            rows.append([feats, weights, threshold, 0, None])
-        else:
-            raise FormatError(f"line {line}: bad node record {text!r}")
-    if open_splits or len(roots) != tree_count:
-        raise FormatError(f"{len(roots)} whole trees, but tree_count={tree_count}")
-    return Forest(
-        **_rows_table(rows, class_count),
-        roots=np.array(roots, dtype=np.intp),
-        depth_limit=doc.get("depth_limit", positive_int),
-        feature_dim=feature_dim,
-        seed=doc.get("seed", int),
-        spec=spec,
-        kind=kind,
-    )
+    return write_document("GOOF-FOREST", 1, header, records)

@@ -129,6 +129,11 @@ class TestGeneratePaths:
         ps = generate_paths(0.3, 1e-8, 0.0, 0.0, 20, np.random.default_rng(0))
         assert ps.aoas.shape == (20,) and (ps.aoas == 0.3).all()
 
+    def test_tiny_spread_cluster_sits_on_los(self):
+        # a tolerance of 3 * 1e-20 / sqrt(20) is far below the ulp the mean misses by
+        ps = generate_paths(0.3, 1e-8, 1e-20, 0.0, 20, np.random.default_rng(0))
+        assert ps.aoas.shape == (20,) and (ps.aoas == 0.3).all()
+
     def test_gain_normalization(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

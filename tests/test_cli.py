@@ -78,7 +78,7 @@ def test_stagewise_pipeline(tmp_path, config_file, capsys):
         "train", "--goof", str(goof_dir), "--train-count", "2", "--tree-count", "3",
         "--depth-limit", "4", "--seed", "5", "--out", str(bank_dir),
     ]) == 0
-    assert (bank_dir / "forest_cmf.txt").exists()
+    assert (bank_dir / "forest_cmf.goofforest").exists()
 
     bmat = tmp_path / "b.txt"
     assert main([
@@ -200,6 +200,14 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
 def test_zero_angular_spread_simulates(tmp_path, capsys):
     argv = ["simulate", "--seed", "1", "--grid-count", "4", "--noise-kinds", "impulse",
             "--snr-grid-db", "10", "--angular-spread-deg", "0", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(load_snapshot_dataset(tmp_path / "snapshots_impulse_10dB.goofsnap")) == 4
+    capsys.readouterr()
+
+
+def test_tiny_angular_spread_simulates(tmp_path, capsys):
+    argv = ["simulate", "--seed", "1", "--grid-count", "4", "--noise-kinds", "impulse",
+            "--snr-grid-db", "10", "--angular-spread-deg", "1e-20", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert len(load_snapshot_dataset(tmp_path / "snapshots_impulse_10dB.goofsnap")) == 4
     capsys.readouterr()
@@ -372,10 +380,10 @@ MUTANTS = {
               "--group-count", "4", "--out", "{root}/g2"]),
     "fpstore": ("goof/index.txt", lambda raw: raw.replace(b"grids=1,2,3,4", b"grids=1,2,3,"),
                 ["train", "--goof", "{root}/goof", "--seed", "1", "--out", "{root}/b2"]),
-    "forest": ("bank/forest_cmf.txt", lambda raw: raw.replace(b"tree_count=3\n", b""),
+    "forest": ("bank/forest_cmf.goofforest", lambda raw: raw.replace(b"tree_count=3\n", b""),
                ["test", "--goof", "{root}/goof", "--skip-count", "2", "--bank", "{root}/bank",
                 "--out", "{root}/b2.txt"]),
-    "forest_dim": ("bank/forest_cmf.txt",
+    "forest_dim": ("bank/forest_cmf.goofforest",
                    lambda raw: raw.replace(b"feature_dim=16", b"feature_dim=17"),
                    ["test", "--goof", "{root}/goof", "--bank", "{root}/bank",
                     "--out", "{root}/b2.txt"]),

@@ -1,5 +1,6 @@
 """Random forest: entropy/gain arithmetic, training, voting, serialization."""
 
+import dataclasses
 import hashlib
 import os
 import threading
@@ -31,8 +32,8 @@ from goofloc.forest import (
 from forest_reference import (
     information_gain,
     node_counts,
+    nonfinite_probe,
     predict_forest,
-    reference_deserialize_forest,
     reference_forest,
     reference_serialize_forest,
     reference_table,
@@ -322,28 +323,32 @@ class TestFlatPredictor:
         for tree in trees:
             assert all(np.shares_memory(getattr(tree, c), getattr(forest, c)) for c in _COLUMNS)
 
-    # sha256 of serialize_forest for fixed inputs: pins the GOOF-FOREST 1
-    # format and the keyed draws of training, so that changing either is
-    # a deliberate re-pin
-    @pytest.mark.parametrize("primitive, digest", [
+    # sha256 of fixed inputs' forests: the retired GOOF-FOREST 1 text dump
+    # pins the keyed draws of training (the node tables), and the file pins
+    # the GOOF-FOREST 2 format, so that changing either is a deliberate re-pin
+    @pytest.mark.parametrize("primitive, text_digest, file_digest", [
         pytest.param(
             "axis_aligned_stump",
             "95b7781a5d9a5708158bfaebf1212a600def592b812943270b19cfc45b40d445",
+            "1ea78f8ae74e60bd91e1ffc8e5505f28dd2cc81b9d512ac7e639306d5600f203",
             id="axis_aligned_stump",
         ),
         pytest.param(
             "oriented_hyperplane_2d",
             "8779f5dad725cfc848667cd89883b52826ddddaf10d38c89cd4db52e25149b06",
+            "0300139e21e8ab6185dd32d2793bd9a8df07a15add746127c5d4795b710404de",
             id="oriented_hyperplane_2d",
         ),
     ])
-    def test_serialized_forest_is_pinned(self, primitive, digest):
+    def test_serialized_forest_is_pinned(self, primitive, text_digest, file_digest):
         rng = np.random.default_rng(40)
         x = rng.standard_normal((48, 4))
         y = rng.integers(1, 5, size=48)
         forest = train_forest(x, y, 5, 5, WeakLearnerSpec(primitive=primitive), seed=41,
                               kind=FingerprintKind.FOCF)
-        assert hashlib.sha256(serialize_forest(forest).encode()).hexdigest() == digest
+        text = reference_serialize_forest(forest).encode()
+        assert hashlib.sha256(text).hexdigest() == text_digest
+        assert hashlib.sha256(serialize_forest(forest)).hexdigest() == file_digest
 
 
 def forest_of_leaves(leaf_labels, q=10):
@@ -402,30 +407,24 @@ class TestSerialization:
 
     def test_corrupt_document_rejected(self):
         with pytest.raises(FormatError, match=r"line \d+: "):
-            deserialize_forest("GOOF-FOREST 1\nkind=none\ntree_count=1\n")
-        # records that disagree with the header: leaf width is class_count,
-        # split features index 0..feature_dim-1 with one weight each, one
-        # feature per stump, and tree_count whole pre-order trees
+            deserialize_forest(b"GOOF-FOREST 2\nkind=none\ntree_count=1\nend-header\n")
+        # header fields that do not convert, or disagree with the trees that
+        # follow, and a file of the retired text format
         rng = np.random.default_rng(19)
         forest = train_forest(rng.standard_normal((30, 3)), rng.integers(1, 4, size=30), 2, 3,
                               WeakLearnerSpec(), seed=20)
-        text = serialize_forest(forest)
-        split = next(ln for ln in text.splitlines() if ln.startswith("split "))
-        _, idx, w, thr = split.split()
-        leaf = next(ln for ln in text.splitlines() if ln.startswith("leaf "))
+        raw = serialize_forest(forest)
         for old, new in [
-            (leaf, leaf + " 0"),
-            (split, f"split 3 {w} {thr}"),
-            (split, f"split {idx} {w},{w} {thr}"),
-            (split, f"split {idx},{idx} {w},{w} {thr}"),
-            (leaf + "\n", ""),
-            (leaf, leaf + "\n" + leaf),
-            ("tree 1", "tree 2"),
-            ("tree_count=2", "tree_count=1"),
-            ("class_count=3", "class_count=x"),
+            (b"tree_count=2", b"tree_count=1"),
+            (b"tree_count=2", b"tree_count=3"),
+            (b"class_count=3", b"class_count=x"),
+            (b"primitive=axis_aligned_stump", b"primitive=cone"),
+            (b"seed=20\n", b"seed=20\nseed=21\n"),
         ]:
             with pytest.raises(FormatError, match=r"line \d+: "):
-                deserialize_forest(text.replace(old, new, 1))
+                deserialize_forest(raw.replace(old, new, 1))
+        with pytest.raises(FormatError, match="line 1: expected 'GOOF-FOREST 2'"):
+            deserialize_forest(reference_serialize_forest(forest).encode())
 
 
 def _codec_forest(case: str) -> Forest:
@@ -447,50 +446,84 @@ def _codec_forest(case: str) -> Forest:
 CODEC_CASES = ["stump", "hyperplane", "single-leaf-trees", "all-single-leaf", "class_count=1"]
 
 
+def _corrupt(case: str):
+    """A corrupt file of the "stump" codec forest and the byte offset its
+    error must carry."""
+    forest = _codec_forest("stump")
+    raw = serialize_forest(forest)
+    n, arity = forest.right.size, forest.features.shape[1]
+    payload = raw.index(b"end-header\n") + len(b"end-header\n")
+    right_at = payload + 16 * n * arity + 8 * n  # after features, weights, threshold
+    split, leaf = int(np.flatnonzero(forest.right)[1]), int(np.flatnonzero(forest.right == 0)[2])
+
+    def edited(**columns):
+        return serialize_forest(dataclasses.replace(forest, **columns))
+
+    def column(name, row, value):
+        values = getattr(forest, name).copy()
+        values[row] = value
+        return {name: values}
+
+    node_count = f"node_count={n}\n".encode()
+    more, fewer = (raw.replace(node_count, f"node_count={n + d}\n".encode()) for d in (1, -1))
+    return {
+        "truncated column": (raw[: payload + 8 * n], payload + 8 * n),
+        "truncated file": (raw[:-1], len(raw) - 1),
+        "trailing bytes": (raw + bytes(8), len(raw)),
+        "node_count too large": (more, len(more)),
+        "node_count too small": (fewer, len(fewer) - 8 * (2 * arity + 2 + forest.class_count)),
+        "negative right": (edited(**column("right", split, -1)), right_at + 8 * split),
+        "right past its child": (edited(**column("right", 0, forest.right[0] + 1)), right_at),
+        "leaf made a split": (edited(**column("right", leaf, 1)), right_at + 8 * leaf),
+        "unfinished tree": (edited(features=forest.features[:-1], weights=forest.weights[:-1],
+                                   threshold=forest.threshold[:-1], right=forest.right[:-1],
+                                   histogram=forest.histogram[:-1]),
+                            payload + (n - 1) * (16 * arity + 16)),  # the end of right
+        "leaf feature past feature_dim": (edited(**column("features", leaf, forest.feature_dim)),
+                                          payload + 8 * arity * leaf),
+        "negative split feature": (edited(**column("features", split, -1)),
+                                   payload + 8 * arity * split),
+    }[case]
+
+
+CORRUPTIONS = ["truncated column", "truncated file", "trailing bytes", "node_count too large",
+               "node_count too small", "negative right", "right past its child",
+               "leaf made a split", "unfinished tree", "leaf feature past feature_dim",
+               "negative split feature"]
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_corrupt_payload_rejected_at_its_offset(case):
+    raw, offset = _corrupt(case)
+    with pytest.raises(FormatError) as err:
+        deserialize_forest(raw)
+    assert err.value.byte_offset == offset
+
+
 class TestColumnCodec:
-    """The column codec against the per-record reference codec in
-    forest_reference.py: the same bytes, and the same tables."""
+    """The node table stored as columns: every table round-trips with its
+    dtypes, derived roots and header fields, and the loaded table's text
+    dump in forest_reference.py is the trained table's."""
 
     @pytest.mark.parametrize("case", CODEC_CASES)
     def test_same_document_and_table_as_the_reference(self, case):
         forest = _codec_forest(case)
-        text = serialize_forest(forest)
-        assert text == reference_serialize_forest(forest)
-        back, reference = deserialize_forest(text.encode()), reference_deserialize_forest(text)
+        raw = serialize_forest(forest)
+        back = deserialize_forest(raw)
         for name in (*_COLUMNS, "roots"):
-            got, want = getattr(back, name), getattr(reference, name)
+            got, want = getattr(back, name), getattr(forest, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert np.array_equal(got, getattr(forest, name)), name
-        for name in ("depth_limit", "feature_dim", "seed", "spec", "kind"):
-            assert getattr(back, name) == getattr(reference, name), name
+        for name in ("class_count", "tree_count", "depth_limit", "feature_dim", "seed", "spec",
+                     "kind"):
+            assert getattr(back, name) == getattr(forest, name), name
+        assert reference_serialize_forest(back) == reference_serialize_forest(forest)
+        assert serialize_forest(back) == raw
 
     def test_single_leaf_and_class_count_one_cases_hold_what_they_say(self):
         trees = _codec_forest("single-leaf-trees").trees
         leaves = [tree.node_count() == 1 for tree in trees]
         assert any(leaves) and not all(leaves)
         assert _codec_forest("class_count=1").class_count == 1
-
-    def test_first_bad_record_of_a_column_is_named(self):
-        text = serialize_forest(_codec_forest("stump"))
-        lines = text.splitlines()
-        leaves = [i for i, line in enumerate(lines) if line.startswith("leaf ")]
-        for i in leaves[3], leaves[-1]:
-            lines[i] = lines[i].replace(" ", " x", 2)
-        with pytest.raises(FormatError, match=f"^line {leaves[3] + 1}: bad leaf"):
-            deserialize_forest("\n".join(lines))
-
-
-def nonfinite_probe(dim: int, seed: int) -> np.ndarray:
-    """Samples around the training data, about a tenth of the features
-    NaN and a tenth each +inf and -inf."""
-    rng = np.random.default_rng(seed)
-    x = 2.0 * rng.standard_normal((80, dim))
-    roll = rng.random(x.shape)
-    x[roll < 0.1] = np.nan
-    x[(roll >= 0.1) & (roll < 0.2)] = np.inf
-    x[(roll >= 0.2) & (roll < 0.3)] = -np.inf
-    x[:20] = rng.standard_normal((20, dim))  # some samples stay finite
-    return x
 
 
 def assert_walks_like_the_reference(forest, probe):
@@ -518,13 +551,10 @@ class TestLeanDescent:
     def test_stump_weights_other_than_one(self):
         forest = _codec_forest("stump")
         rng = np.random.default_rng(70)
-        lines = []
-        for line in serialize_forest(forest).splitlines():
-            if line.startswith("split "):
-                _, idx, _, cut = line.split()
-                line = f"split {idx} {float(rng.choice([-2.0, -0.5, 0.25, 3.0])).hex()} {cut}"
-            lines.append(line)
-        edited = deserialize_forest("\n".join(lines) + "\n")
+        split = forest.right > 0
+        weights = forest.weights.copy()
+        weights[split] = rng.choice([-2.0, -0.5, 0.25, 3.0], size=(split.sum(), 1))
+        edited = deserialize_forest(serialize_forest(dataclasses.replace(forest, weights=weights)))
         assert not (edited.weights[edited.right > 0] == 1.0).any()
         probe = nonfinite_probe(edited.feature_dim, seed=71)
         reference = assert_walks_like_the_reference(edited, probe)
@@ -532,8 +562,8 @@ class TestLeanDescent:
         assert not np.array_equal(forest.predict_batch(probe), reference)
 
     def test_trees_deeper_than_the_header(self):
-        text = serialize_forest(_codec_forest("stump"))
-        loaded = deserialize_forest(text.replace("depth_limit=6\n", "depth_limit=2\n", 1))
+        raw = serialize_forest(_codec_forest("stump"))
+        loaded = deserialize_forest(raw.replace(b"depth_limit=6\n", b"depth_limit=2\n", 1))
         assert loaded.depth_limit == 2
         assert max(tree.depth() for tree in loaded.trees) == 6
         assert_walks_like_the_reference(loaded, nonfinite_probe(loaded.feature_dim, seed=72))

@@ -24,11 +24,12 @@ from goofloc.forest import (
     deserialize_forest,
     load_bank,
     save_bank,
+    serialize_forest,
     train_bank,
 )
 from goofloc.textio import Fields, read_document, read_header, write_document
 
-from forest_reference import reference_deserialize_forest
+from forest_reference import nonfinite_probe, predict_forest
 
 
 def test_write_then_read_round_trip():
@@ -110,7 +111,7 @@ def _fpstore(out):
 def _forest(out):
     train, _ = _goof().split(2, 2)
     save_bank(train_bank(train, 2, 3, WeakLearnerSpec(), 1), out)
-    return [out / "forest_cmf.txt", out / "forest_psdf.txt"], lambda: load_bank(out)
+    return [out / "forest_cmf.goofforest", out / "forest_psdf.goofforest"], lambda: load_bank(out)
 
 
 def _bmat(out):
@@ -186,26 +187,28 @@ def test_mutated_artifact_loads_or_raises_typed_error(tmp_path, make):
         targets[which].write_bytes(originals[which])
 
 
-def _decoded(decode, data: bytes):
-    """The error type ``decode(data)`` raises, or the decoded forest's
-    table (dtype, shape and bytes of each column) and header fields."""
-    try:
-        forest = decode(data)
-    except (FormatError, ConfigError) as exc:
-        return type(exc)
-    columns = [getattr(forest, name) for name in (*_COLUMNS, "roots")]
-    return ([(c.dtype.str, c.shape, c.tobytes()) for c in columns], forest.depth_limit,
-            forest.feature_dim, forest.seed, forest.spec, forest.kind)
-
-
-def test_forest_mutants_decode_as_in_the_reference_codec(tmp_path):
-    # the column codec fails exactly where the per-record reference codec
-    # fails, and otherwise reads the same table
+# an infinite feature times a zero weight, or opposite infinities in a
+# hyperplane, give NaN projections, as in the reference walk
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_forest_mutants_fail_typed_or_predict_like_the_reference_walk(tmp_path):
+    # a mutant either raises FormatError/ConfigError, or loads into a forest
+    # that votes as the per-sample reference walk does and whose file loads
+    # back to the same table
     targets, _ = _forest(tmp_path)
     originals = [path.read_bytes() for path in targets]
     outcomes = set()
-    for _, data in mutants(originals):
-        got = _decoded(deserialize_forest, data)
-        assert got == _decoded(reference_deserialize_forest, data)
-        outcomes.add(got is FormatError)
+    for trial, (_, data) in enumerate(mutants(originals)):
+        try:
+            forest = deserialize_forest(data)
+        except (FormatError, ConfigError):
+            outcomes.add(False)
+            continue
+        outcomes.add(True)
+        probe = nonfinite_probe(forest.feature_dim, seed=trial)
+        reference = [predict_forest(forest, row) for row in probe]
+        assert np.array_equal(forest.predict_batch(probe), reference)
+        back = deserialize_forest(serialize_forest(forest))
+        for name in (*_COLUMNS, "roots"):
+            got, want = getattr(back, name), getattr(forest, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert outcomes == {True, False}  # the mutants both fail and load
