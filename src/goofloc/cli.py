@@ -184,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-count", type=int, required=True)
     p.add_argument("--flom-exponent", type=float, default=1.2)
     p.add_argument("--psd-points", type=int, default=None)
-    p.add_argument("--out", required=True, help="output fingerprint store directory")
+    p.add_argument("--out", required=True, help="output fingerprint store file")
     p.set_defaults(func=_cmd_build_goof)
 
     p = sub.add_parser("train", help="train the random-forest classifier bank")
-    p.add_argument("--goof", required=True, help="fingerprint store directory")
+    p.add_argument("--goof", required=True, help="fingerprint store file")
     p.add_argument("--train-count", type=int, default=None, help="groups per grid to train on")
     p.add_argument("--tree-count", type=int, default=40)
     p.add_argument("--depth-limit", type=int, default=8)
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("test", help="emit per-grid prediction matrices")
-    p.add_argument("--goof", required=True)
+    p.add_argument("--goof", required=True, help="fingerprint store file")
     p.add_argument("--skip-count", type=int, default=0, help="training groups to skip per grid")
     p.add_argument("--bank", required=True)
     p.add_argument("--out", required=True)

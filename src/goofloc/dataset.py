@@ -54,16 +54,12 @@ def load_snapshot_dataset(path) -> list[SnapshotBlock]:
     noise_kind = doc.get("noise_kind", default="none")
     snr_db = doc.get("snr_db", float, math.inf)
     (data,) = read_arrays(raw, offset, [("<c16", (q, m, length))])
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        gi = int(finite.argmin())
-        raise FormatError(f"non-finite sample in grid {gi + 1}", offset + gi * m * length * 16)
-    return [
-        SnapshotBlock(
-            data=grid.astype(np.complex128),  # writable, as a simulated block is
-            grid_label=gi + 1,
-            snr_db=snr_db if not math.isnan(snr_db) else math.inf,
-            noise_kind=noise_kind,
-        )
-        for gi, grid in enumerate(data)
-    ]
+    snr_db = math.inf if math.isnan(snr_db) else snr_db
+    blocks = []
+    for gi, grid in enumerate(data):
+        try:  # a writable copy, as a simulated block is; the block checks it is finite
+            blocks.append(SnapshotBlock(grid.astype(np.complex128), gi + 1, snr_db, noise_kind))
+        except ValueError:
+            at = offset + gi * m * length * 16
+            raise FormatError(f"non-finite sample in grid {gi + 1}", at) from None
+    return blocks

@@ -37,8 +37,8 @@ from .forest import (
 )
 from .fusion import full_matrix_mode, prediction_probability, swim
 from .textio import (
-    Fields, comma_list, convert, fmt_value, one_of, positive_int, read_artifact, read_document,
-    write_document,
+    Fields, comma_list, fmt_value, one_of, positive_int, read_arrays, read_artifact,
+    read_document, read_header, write_arrays, write_document,
 )
 
 CONFIG_MAGIC = "GOOF-CONFIG"
@@ -48,7 +48,7 @@ REPORT_MAGIC = "GOOF-REPORT"
 REPORT_VERSION = 1
 
 BMAT_MAGIC = "GOOF-BMAT"
-BMAT_VERSION = 1
+BMAT_VERSION = 2
 
 
 @dataclass
@@ -619,55 +619,40 @@ def load_report(path) -> Report:
 
 
 def save_bmatrices(path, matrices: dict) -> None:
-    """Persist per-grid prediction matrices as structured text."""
+    """Persist per-grid prediction matrices: the header names the grids
+    and their true labels (0 if unknown), then one (grids, sample_count,
+    kinds) little-endian int64 array follows."""
     grids = sorted(matrices)
     if not grids:
         raise ValueError("no prediction matrices to save")
-    z = matrices[grids[0]].matrix.shape[0]
+    stack = np.stack([matrices[grid].matrix for grid in grids])
     header = {
-        "kinds": [kind.value for kind in KIND_ORDER], "grid_count": len(grids), "sample_count": z,
+        "kinds": [kind.value for kind in KIND_ORDER],
+        "grids": grids,
+        "true": [matrices[grid].true_label or 0 for grid in grids],
+        "sample_count": stack.shape[1],
     }
-    records = []
-    for grid in grids:
-        pm = matrices[grid]
-        true = pm.true_label if pm.true_label is not None else 0
-        records.append(f"grid {grid} true={true}")
-        records.extend(" ".join(str(int(v)) for v in row) for row in pm.matrix)
-    text = write_document(BMAT_MAGIC, BMAT_VERSION, header, records)
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def _bmat_row(text: str) -> np.ndarray:
-    labels = np.array(text.split(), dtype=int)
-    if labels.shape != (len(KIND_ORDER),) or labels.min() < 1:
-        raise ValueError(f"need {len(KIND_ORDER)} labels >= 1")
-    return labels
+    Path(path).write_bytes(write_arrays(BMAT_MAGIC, BMAT_VERSION, header, [("<i8", stack)]))
 
 
 def load_bmatrices(path) -> dict:
-    """Read :func:`save_bmatrices` output; the records must match the
-    header's kinds, grid count and sample count."""
-    doc = read_document(read_artifact(path), BMAT_MAGIC, BMAT_VERSION)
-    kinds = fmt_value([kind.value for kind in KIND_ORDER])
-    grid_count = doc.get("grid_count", positive_int)
+    """Read :func:`save_bmatrices` output: the kinds must be the six
+    families, the grids distinct with one true label each, and every
+    predicted label >= 1."""
+    raw = read_artifact(path)
+    doc, offset = read_header(raw, BMAT_MAGIC, BMAT_VERSION)
+    doc.get("kinds", one_of(fmt_value([kind.value for kind in KIND_ORDER])))
+    grids = doc.get("grids", comma_list(positive_int))
+    true = doc.get("true", comma_list(int, len(grids)))
     z = doc.get("sample_count", positive_int)
-    if doc.get("kinds") != kinds or len(doc.records) != grid_count * (z + 1):
-        raise FormatError(
-            f"expected kinds={kinds} and {grid_count} x (1 + {z}) record lines,"
-            f" found {len(doc.records)}"
-        )
-    matrices = {}
-    for start in range(0, len(doc.records), z + 1):
-        line, text = doc.records[start]
-        parts = text.split()
-        if len(parts) != 3 or parts[0] != "grid":
-            raise FormatError(f"line {line}: expected 'grid <label> true=<label>', got {text!r}")
-        grid = convert(parts[1], positive_int, "grid", line)
-        if grid in matrices:
-            raise FormatError(f"line {line}: second matrix for grid {grid}")
-        true = Fields(line, parts[2:]).get("true", int)
-        rows = [convert(t, _bmat_row, "row", n) for n, t in doc.records[start + 1 : start + z + 1]]
-        matrices[grid] = PredictionMatrix(
-            matrix=np.array(rows), true_label=true if true > 0 else None
-        )
+    (stack,) = read_arrays(raw, offset, [("<i8", (len(grids), z, len(KIND_ORDER)))])
+    if stack.min() < 1:
+        at = int((stack < 1).argmax())  # the first label below 1, in file order
+        raise FormatError(f"prediction label {stack.flat[at]} is below 1", offset + 8 * at)
+    matrices = {
+        grid: PredictionMatrix(matrix=b, true_label=t if t > 0 else None)
+        for grid, b, t in zip(grids, stack, true)
+    }
+    if len(matrices) < len(grids):
+        raise FormatError(f"line {doc.values['grids'][1]}: a grid label repeats")
     return matrices

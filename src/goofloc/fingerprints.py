@@ -27,9 +27,7 @@ import numpy as np
 
 from .channel import SnapshotBlock
 from .errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
-from .textio import (
-    Fields, comma_list, positive_int, read_artifact, read_document, write_document,
-)
+from .textio import comma_list, positive_int, read_arrays, read_artifact, read_header, write_arrays
 
 
 class FingerprintKind(Enum):
@@ -302,38 +300,32 @@ def build_goof(
 
 
 GOOF_MAGIC = "GOOF-FPSTORE"
-GOOF_VERSION = 1
+GOOF_VERSION = 2
 
 
-def save_goof(goof: Goof, directory) -> None:
-    """Persist a fingerprint store: a text index plus one little-endian
-    float64 matrix per kind (row = sample, last column = grid label)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def save_goof(goof: Goof, path) -> None:
+    """Persist a fingerprint store as one file: the header, then each
+    kind's (Q, group_count, dim) features as little-endian float64, in
+    kind order."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "group_count": goof.group_count,
         "snapshots_per_group": goof.snapshots_per_group,
         "noise_kind": goof.noise_kind,
         "snr_db": goof.snr_db,
         "grids": goof.grids(),
+        "dims": [goof.data[kind].shape[2] for kind in KIND_ORDER],
     }
-    records = []
-    for kind in KIND_ORDER:
-        matrix = np.column_stack(goof.stack(kind))
-        fname = f"{kind.value}.f64"
-        records.append(
-            f"kind={kind.value} dim={matrix.shape[1] - 1} rows={matrix.shape[0]} file={fname}"
-        )
-        (directory / fname).write_bytes(matrix.astype("<f8").tobytes())
-    text = write_document(GOOF_MAGIC, GOOF_VERSION, header, records)
-    (directory / "index.txt").write_text(text, encoding="utf-8")
+    arrays = [("<f8", goof.data[kind]) for kind in KIND_ORDER]
+    path.write_bytes(write_arrays(GOOF_MAGIC, GOOF_VERSION, header, arrays))
 
 
-def load_goof(directory) -> Goof:
-    """Read a store written by :func:`save_goof`. Every malformed index
-    or matrix file raises :class:`FormatError`."""
-    directory = Path(directory)
-    doc = read_document(read_artifact(directory / "index.txt"), GOOF_MAGIC, GOOF_VERSION)
+def load_goof(path) -> Goof:
+    """Read a store written by :func:`save_goof`. A malformed header,
+    payload or store raises :class:`FormatError`."""
+    raw = read_artifact(path)
+    doc, offset = read_header(raw, GOOF_MAGIC, GOOF_VERSION)
     goof = Goof(
         group_count=doc.get("group_count", positive_int),
         snapshots_per_group=doc.get("snapshots_per_group", positive_int),
@@ -341,30 +333,11 @@ def load_goof(directory) -> Goof:
         snr_db=doc.get("snr_db", float, float("inf")),
         labels=doc.get("grids", lambda text: np.array(comma_list(int)(text), dtype=int)),
     )
-    rows = goof.labels.size * goof.group_count
-    for line, text in doc.records:
-        row = Fields(line, text.split())
-        kind = row.get("kind", FingerprintKind)
-        dim = row.get("dim", positive_int)
-        name = row.get("file")
-        if kind in goof.data:
-            raise FormatError(f"line {line}: second {kind.value} matrix")
-        if row.get("rows", int) != rows:
-            raise FormatError(
-                f"line {line}: rows must be {goof.labels.size} grids x {goof.group_count} groups"
-            )
-        blob = read_artifact(directory / name)
-        expected = rows * (dim + 1) * 8
-        if len(blob) != expected:
-            raise FormatError(
-                f"{name}: expected {expected} bytes, found {len(blob)}", min(len(blob), expected)
-            )
-        matrix = np.frombuffer(blob, dtype="<f8").reshape(rows, dim + 1)
-        if not np.array_equal(matrix[:, -1], np.repeat(goof.labels, goof.group_count)):
-            raise FormatError(f"{name}: grid labels disagree with the index")
-        goof.data[kind] = matrix[:, :-1].reshape(goof.labels.size, goof.group_count, dim)
+    dims = doc.get("dims", comma_list(positive_int, len(KIND_ORDER)))
+    layout = [("<f8", (goof.labels.size, goof.group_count, dim)) for dim in dims]
+    goof.data = dict(zip(KIND_ORDER, read_arrays(raw, offset, layout)))
     try:
         goof.validate()
     except ValueError as exc:
-        raise FormatError(f"malformed fingerprint store {directory}: {exc}") from exc
+        raise FormatError(f"malformed fingerprint store {path}: {exc}") from exc
     return goof

@@ -81,20 +81,21 @@ def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
 
     All windows are counted at once: differences of running one-hot label
     counts give the (U, H, L) counts of each window and column over the
-    labels 1..L, L the largest label in the matrix. Each
-    column's entropy is looked up by its nonzero counts in label order, so
-    it is the exact float :func:`shannon_entropy` returns for that column
-    and ties in the minimum break as they do there.
+    L distinct labels of the matrix in label order, so a large label costs
+    nothing. Each column's entropy is looked up by its nonzero counts in
+    label order, so it is the exact float :func:`shannon_entropy` returns
+    for that column and ties in the minimum break as they do there.
     """
     mat = _as_matrix(b)
     z, h = mat.shape
     if not 1 <= window_length <= z:
         raise ConfigError("window", f"window length {window_length} outside 1..{z}")
-    top = int(mat.max())  # no label above it occurs, so it is never counted
-    if mat.min() < 1 or (class_count is not None and top > class_count):
+    values, index = np.unique(mat, return_inverse=True)
+    if values[0] < 1 or (class_count is not None and values[-1] > class_count):
         raise ValueError("labels must lie in 1..class_count")
+    top = values.size
     running = np.zeros((z + 1, h, top), dtype=np.intp)
-    np.cumsum(mat[..., None] == np.arange(1, top + 1), axis=0, out=running[1:])
+    np.cumsum(index.reshape(z, h, 1) == np.arange(top), axis=0, out=running[1:])
     counts = running[window_length:] - running[:-window_length]  # (U, H, top)
     u = counts.shape[0]
     # each (window, column)'s nonzero counts first, in label order; a
@@ -108,7 +109,7 @@ def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     selected = entropies.reshape(u, h).argmin(axis=1)  # first minimum: smallest column
     produced = counts[np.arange(u), selected] > 0
     # first maximum: the smallest label among the most frequent
-    labels = np.where(produced, counts.sum(axis=1), -1).argmax(axis=1) + 1
+    labels = values[np.where(produced, counts.sum(axis=1), -1).argmax(axis=1)]
     return FusionResult(labels=labels, selected=selected, window_length=window_length)
 
 

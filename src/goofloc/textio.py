@@ -3,9 +3,10 @@
 An artifact starts with UTF-8 text: a ``<MAGIC> <version>`` line, then
 single-token ``key=value`` header lines. A text artifact continues with
 format-specific record lines. A numeric artifact (a snapshot dataset, a
-forest) continues after an ``end-header`` line with fixed little-endian
-arrays whose shapes its header gives, written by :func:`write_arrays` and
-read by :func:`read_header` and :func:`read_arrays`. Floats in text are
+fingerprint store, a forest, a set of prediction matrices) continues
+after an ``end-header`` line with fixed little-endian arrays whose shapes
+its header gives, written by :func:`write_arrays` and read by
+:func:`read_header` and :func:`read_arrays`. Floats in text are
 written with ``repr`` so that round-trips are lossless and byte-identical
 across runs. A malformed header or record raises :class:`FormatError`
 naming the line at fault, a malformed payload one carrying its byte
@@ -37,9 +38,17 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-def comma_list(to):
-    """Converter of ``a,b,c`` into a list of ``to``-converted items."""
-    return lambda text: [to(item) for item in text.split(",")]
+def comma_list(to, count: int | None = None):
+    """Converter of ``a,b,c`` into a list of ``to``-converted items,
+    exactly ``count`` of them if ``count`` is given."""
+
+    def check(text: str) -> list:
+        items = [to(item) for item in text.split(",")]
+        if count is not None and len(items) != count:
+            raise ValueError(f"need {count} items, got {len(items)}")
+        return items
+
+    return check
 
 
 def one_of(*choices):
@@ -56,14 +65,6 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise ValueError("must be >= 1")
     return value
-
-
-def convert(text, to, what: str, line: int):
-    """``to(text)``; a failure is a FormatError naming ``what`` and the line."""
-    try:
-        return to(text)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"line {line}: bad {what} {text!r} ({exc})") from None
 
 
 class Fields:
@@ -86,12 +87,17 @@ class Fields:
         self.values[key] = (text, line)
 
     def get(self, key: str, to=str, default=_REQUIRED):
-        """Field ``key`` converted by ``to``; ``default`` (as is) if absent."""
+        """Field ``key`` converted by ``to``; ``default`` (as is) if absent.
+        A failed conversion is a FormatError naming the key and its line."""
         if key not in self.values:
             if default is _REQUIRED:
                 raise FormatError(f"line {self.line}: missing field {key!r}")
             return default
-        return convert(self.values[key][0], to, key, self.values[key][1])
+        text, line = self.values[key]
+        try:
+            return to(text)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"line {line}: bad {key} {text!r} ({exc})") from None
 
     def header_only(self) -> Fields:
         """These fields, after checking that no record line follows them."""

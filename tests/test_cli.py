@@ -10,8 +10,11 @@ import pytest
 from goofloc import ExperimentConfig
 from goofloc.cli import main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
-from goofloc.experiments import config_to_text, load_bmatrices, run_snr_sweep, snr_cell
+from goofloc.experiments import (
+    config_to_text, load_bmatrices, run_snr_sweep, save_bmatrices, snr_cell,
+)
 from goofloc.fingerprints import KIND_ORDER
+from goofloc.forest import PredictionMatrix
 
 
 def micro_config():
@@ -68,21 +71,22 @@ def test_stagewise_pipeline(tmp_path, config_file, capsys):
     dataset = data_dir / "snapshots_gaussian_18dB.goofsnap"
     assert dataset.exists()
 
-    goof_dir = tmp_path / "goof"
+    goof = tmp_path / "goof"
     assert main([
-        "build-goof", "--dataset", str(dataset), "--group-count", "4", "--out", str(goof_dir),
+        "build-goof", "--dataset", str(dataset), "--group-count", "4", "--out", str(goof),
     ]) == 0
+    assert goof.read_bytes().startswith(b"GOOF-FPSTORE 2\n")
 
     bank_dir = tmp_path / "bank"
     assert main([
-        "train", "--goof", str(goof_dir), "--train-count", "2", "--tree-count", "3",
+        "train", "--goof", str(goof), "--train-count", "2", "--tree-count", "3",
         "--depth-limit", "4", "--seed", "5", "--out", str(bank_dir),
     ]) == 0
     assert (bank_dir / "forest_cmf.goofforest").exists()
 
     bmat = tmp_path / "b.txt"
     assert main([
-        "test", "--goof", str(goof_dir), "--skip-count", "2", "--bank", str(bank_dir),
+        "test", "--goof", str(goof), "--skip-count", "2", "--bank", str(bank_dir),
         "--out", str(bmat),
     ]) == 0
 
@@ -356,20 +360,49 @@ def test_indivisible_group_count_exit_code(tmp_path, config_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new", [("group_count=4", "group_count=abc"), ("kind=ssf", "kind=ssx")]
+    "old, new", [("group_count=4", "group_count=abc"), ("dims=16,4,", "dims=4,")]
 )
 def test_malformed_store_exit_code(tmp_path, config_file, capsys, old, new):
     assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path)]) == 0
-    goof_dir = tmp_path / "goof"
+    goof = tmp_path / "goof"
     assert main([
         "build-goof", "--dataset", str(tmp_path / "snapshots_gaussian_18dB.goofsnap"),
-        "--group-count", "4", "--out", str(goof_dir),
+        "--group-count", "4", "--out", str(goof),
     ]) == 0
-    index = goof_dir / "index.txt"
-    index.write_text(index.read_text().replace(old, new))
-    code = main(["train", "--goof", str(goof_dir), "--seed", "1", "--out", str(tmp_path / "b")])
+    raw = goof.read_bytes()
+    assert old.encode() in raw
+    goof.write_bytes(raw.replace(old.encode(), new.encode()))
+    code = main(["train", "--goof", str(goof), "--seed", "1", "--out", str(tmp_path / "b")])
     assert code == 3
     assert "format error" in capsys.readouterr().err
+
+
+def test_store_directory_exit_code(tmp_path, capsys):
+    # a fingerprint store is one file; the old index-plus-matrices directory is refused
+    store = tmp_path / "goof"
+    store.mkdir()
+    (store / "index.txt").write_text(
+        "GOOF-FPSTORE 1\ngroup_count=1\nsnapshots_per_group=1\ngrids=1\n"
+        "kind=cmf dim=1 rows=1 file=cmf.f64\n", encoding="utf-8",
+    )
+    (store / "cmf.f64").write_bytes(np.ones(2, "<f8").tobytes())
+    code = main(["train", "--goof", str(store), "--seed", "1", "--out", str(tmp_path / "b")])
+    assert code == 3
+    assert "format error" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+def test_fuse_large_label_exit_code(tmp_path, capsys):
+    # SWIM counts the labels that occur, so a huge one allocates nothing
+    rng = np.random.default_rng(3)
+    matrix = rng.integers(1, 4, size=(8, len(KIND_ORDER)))
+    matrix[2, 1] = 10**15
+    save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, true_label=1)})
+    out = tmp_path / "fusion.txt"
+    assert main(["fuse", "--bmatrices", str(tmp_path / "b"), "--window", "5",
+                 "--out", str(out)]) == 0
+    assert "grid=1 w=5 u=4 rho=" in out.read_text()
+    capsys.readouterr()
 
 
 # (artifact to corrupt, corruption, stage that reads it); each mutant
@@ -378,7 +411,7 @@ MUTANTS = {
     "snap": ("snapshots_gaussian_18dB.goofsnap", lambda raw: raw[:-1],
              ["build-goof", "--dataset", "{root}/snapshots_gaussian_18dB.goofsnap",
               "--group-count", "4", "--out", "{root}/g2"]),
-    "fpstore": ("goof/index.txt", lambda raw: raw.replace(b"grids=1,2,3,4", b"grids=1,2,3,"),
+    "fpstore": ("goof", lambda raw: raw.replace(b"grids=1,2,3,4", b"grids=1,2,3,"),
                 ["train", "--goof", "{root}/goof", "--seed", "1", "--out", "{root}/b2"]),
     "forest": ("bank/forest_cmf.goofforest", lambda raw: raw.replace(b"tree_count=3\n", b""),
                ["test", "--goof", "{root}/goof", "--skip-count", "2", "--bank", "{root}/bank",

@@ -84,3 +84,17 @@ def test_blocks_must_be_in_label_order(tmp_path):
     blocks[0], blocks[1] = blocks[1], blocks[0]
     with pytest.raises(ValueError):
         save_snapshot_dataset(tmp_path / "x.goofsnap", blocks)
+
+
+def test_non_finite_sample_names_its_grid(tmp_path):
+    blocks = make_blocks(q=4, m=3, length=5)
+    path = tmp_path / "cell.goofsnap"
+    save_snapshot_dataset(path, blocks)
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b"end-header\n") + 11
+    at = start + 3 * 5 * 16 + 7 * 16  # grid 2, element 1, snapshot 2
+    raw[at : at + 8] = np.array([np.nan], "<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="non-finite sample in grid 2") as err:
+        load_snapshot_dataset(path)
+    assert err.value.byte_offset == start + 3 * 5 * 16

@@ -461,6 +461,14 @@ class TestIngest:
 UNPAIRED = "error kind=gaussian snr=20.0 method=cmf "
 
 
+def _with_seventh_column(raw: bytes) -> bytes:
+    """A saved 3-grid, 8-sample matrix file with a seventh label in every row."""
+    header, payload = raw.split(b"end-header\n", 1)
+    stack = np.frombuffer(payload, "<i8").reshape(3, 8, 6)
+    wide = np.concatenate([stack, np.ones((3, 8, 1), "<i8")], axis=2)
+    return header + b"end-header\n" + wide.tobytes()
+
+
 class TestReports:
     def test_csv_shape_and_determinism(self, tmp_path):
         cfg = micro_config(
@@ -526,22 +534,52 @@ class TestReports:
             assert np.array_equal(back[g].matrix, matrices[g].matrix)
             assert back[g].true_label == g
 
+    def test_bmatrices_file_layout(self, tmp_path):
+        matrices = {g: PredictionMatrix(matrix=np.full((2, 6), g), true_label=g) for g in (2, 5)}
+        matrices[5].true_label = None
+        save_bmatrices(tmp_path / "b", matrices)
+        header, payload = (tmp_path / "b").read_bytes().split(b"end-header\n", 1)
+        assert header.decode().splitlines() == [
+            "GOOF-BMAT 2", "kinds=cmf,rssf,psdf,ssf,focf,flomf", "grids=2,5", "true=2,0",
+            "sample_count=2",
+        ]
+        assert payload == np.repeat([2, 5], 12).astype("<i8").tobytes()
+        assert load_bmatrices(tmp_path / "b")[5].true_label is None
+
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda lines: lines[:-1],  # one row fewer than sample_count
-            lambda lines: lines + ["1 1 1 1 1 1"],  # one row more
-            lambda lines: [ln.replace("grid_count=3", "grid_count=2") for ln in lines],
-            lambda lines: [ln.replace("kinds=cmf,", "kinds=") for ln in lines],
-            lambda lines: lines[:-1] + [lines[-1] + " 1"],  # a seventh column
-            lambda lines: lines[:-1] + ["0" + lines[-1][1:]],  # label 0
+            lambda raw: raw[:-48],  # one row fewer than sample_count
+            lambda raw: raw + np.ones(6, "<i8").tobytes(),  # one row more
+            lambda raw: raw.replace(b"grids=1,2,3\ntrue=1,2,3", b"grids=1,2\ntrue=1,2"),
+            lambda raw: raw.replace(b"kinds=cmf,", b"kinds="),
+            _with_seventh_column,
+            lambda raw: raw.replace(b"sample_count=8", b"sample_count=7"),
+            lambda raw: raw[:-8] + np.zeros(1, "<i8").tobytes(),  # label 0
+            lambda raw: raw.replace(b"grids=1,2,3", b"grids=1,1,3"),
+            lambda raw: raw.replace(b"true=1,2,3", b"true=1,2"),
         ],
-        ids=["dropped_row", "extra_row", "grid_count", "kinds", "wide_row", "zero_label"],
+        ids=["dropped_row", "extra_row", "grid_count", "kinds", "wide_row", "sample_count",
+             "zero_label", "repeated_grid", "true_count"],
     )
     def test_bmatrices_must_match_their_header(self, tmp_path, corrupt):
         matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2, 3)}
         path = tmp_path / "b.txt"
         save_bmatrices(path, matrices)
-        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        raw = path.read_bytes()
+        assert corrupt(raw) != raw
+        path.write_bytes(corrupt(raw))
         with pytest.raises(FormatError):
             load_bmatrices(path)
+
+    def test_bmatrices_bad_label_names_its_byte(self, tmp_path):
+        matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2)}
+        matrices[2].matrix[3, 4] = -7
+        matrices[2].matrix[5, 0] = 0
+        path = tmp_path / "b"
+        save_bmatrices(path, matrices)
+        raw = path.read_bytes()
+        with pytest.raises(FormatError, match="label -7") as err:
+            load_bmatrices(path)
+        # grid 2 starts after grid 1's 8 x 6 labels; (3, 4) is its 23rd label
+        assert err.value.byte_offset == raw.index(b"end-header\n") + 11 + 8 * (48 + 3 * 6 + 4)

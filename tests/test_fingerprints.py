@@ -1,5 +1,7 @@
 """Fingerprint estimators against independent brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -546,70 +548,54 @@ class TestGoofPersistence:
             assert np.array_equal(back.data[kind], goof.data[kind])
 
     def test_file_layout(self, tmp_path):
-        # one row per sample, grids in label order, groups in order, label last
+        # the header, then each kind's (grids, groups, dim) features in kind order
         goof = build_goof(make_blocks(q=3, length=32), group_count=4)
         save_goof(goof, tmp_path / "store")
-        for kind in KIND_ORDER:
-            rows = [
-                np.append(features, float(grid))
-                for grid in goof.grids()
-                for features in goof.features(kind, grid)
-            ]
-            expected = np.array(rows).astype("<f8").tobytes()
-            assert (tmp_path / "store" / f"{kind.value}.f64").read_bytes() == expected
-        index = (tmp_path / "store" / "index.txt").read_text().splitlines()
-        assert index[:6] == [
-            "GOOF-FPSTORE 1", "group_count=4", "snapshots_per_group=8",
-            "noise_kind=gaussian", "snr_db=10.0", "grids=1,2,3",
+        header, payload = (tmp_path / "store").read_bytes().split(b"end-header\n", 1)
+        assert header.decode().splitlines() == [
+            "GOOF-FPSTORE 2", "group_count=4", "snapshots_per_group=8",
+            "noise_kind=gaussian", "snr_db=10.0", "grids=1,2,3", "dims=9,3,24,3,9,9",
         ]
-        assert index[6] == "kind=cmf dim=9 rows=12 file=cmf.f64"
+        arrays = [[goof.features(kind, grid) for grid in goof.grids()] for kind in KIND_ORDER]
+        assert payload == b"".join(np.array(x).astype("<f8").tobytes() for x in arrays)
 
     def test_truncated_matrix_rejected(self, tmp_path):
         goof = build_goof(make_blocks(), group_count=4)
         save_goof(goof, tmp_path / "store")
-        target = tmp_path / "store" / "cmf.f64"
+        target = tmp_path / "store"
         target.write_bytes(target.read_bytes()[:-8])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_goof(tmp_path / "store")
+        assert err.value.byte_offset == target.stat().st_size
 
 
-def _drop_kind_line(store):
-    index = store / "index.txt"
-    lines = index.read_text().splitlines()
-    index.write_text("\n".join(ln for ln in lines if not ln.startswith("kind=ssf")) + "\n")
+def _bad_group_count(raw):
+    return raw.replace(b"group_count=4", b"group_count=abc")
 
 
-def _bad_group_count(store):
-    index = store / "index.txt"
-    index.write_text(index.read_text().replace("group_count=4", "group_count=abc"))
+def _drop_kind_dim(raw):
+    # the header names five dims: one kind is missing
+    return re.sub(rb"\ndims=\d+,", b"\ndims=", raw)
 
 
-def _indivisible_rows(store):
-    # drop the last row: 7 rows cannot hold 4 groups per grid
-    index = store / "index.txt"
-    index.write_text(index.read_text().replace("kind=rssf dim=3 rows=8", "kind=rssf dim=3 rows=7"))
-    target = store / "rssf.f64"
-    target.write_bytes(target.read_bytes()[: 7 * 4 * 8])
-
-
-def _disagreeing_labels(store):
-    target = store / "psdf.f64"
-    matrix = np.frombuffer(target.read_bytes(), dtype="<f8").reshape(8, -1).copy()
-    matrix[1, -1] = 2.0
-    target.write_bytes(matrix.tobytes())
+def _nan_feature(raw):
+    return raw[:-8] + np.array([np.nan], "<f8").tobytes()
 
 
 MALFORMED_STORES = {
     "group_count_abc": _bad_group_count,
-    "missing_kind": _drop_kind_line,
-    "indivisible_rows": _indivisible_rows,
-    "disagreeing_labels": _disagreeing_labels,
+    "missing_kind": _drop_kind_dim,
+    "truncated_payload": lambda raw: raw[:-8],
+    "trailing_bytes": lambda raw: raw + bytes(8),
+    "nan_feature": _nan_feature,
 }
 
 
 @pytest.mark.parametrize("corrupt", MALFORMED_STORES.values(), ids=MALFORMED_STORES.keys())
 def test_malformed_store_raises_format_error(tmp_path, corrupt):
     save_goof(build_goof(make_blocks(), group_count=4), tmp_path / "store")
-    corrupt(tmp_path / "store")
+    raw = (tmp_path / "store").read_bytes()
+    (tmp_path / "store").write_bytes(corrupt(raw))
+    assert corrupt(raw) != raw
     with pytest.raises(FormatError):
         load_goof(tmp_path / "store")

@@ -213,6 +213,17 @@ class TestSwimReference:
             assert np.array_equal(result.labels, labels)
             assert np.array_equal(result.selected, selected)
 
+    def test_large_label_is_counted_like_a_small_one(self):
+        # raising a matrix's largest label to 10**15 keeps the label order,
+        # so SWIM selects the same columns and fuses the same labels
+        for mat, window, _ in seeded_matrices(seed=8, count=100):
+            big = np.where(mat == mat.max(), 10**15, mat)
+            small, result = swim(mat, window), swim(big, window)
+            assert np.array_equal(result.selected, small.selected)
+            raised = np.where(small.labels == mat.max(), 10**15, small.labels)
+            assert np.array_equal(result.labels, raised)
+            assert swim(big, window, class_count=10**15).labels.tolist() == raised.tolist()
+
     def test_same_errors_as_the_per_window_loop(self):
         b = np.ones((4, 2), dtype=int)
         for window in (0, 5, -1):

@@ -104,8 +104,8 @@ def _goof():
 
 
 def _fpstore(out):
-    save_goof(_goof(), out)
-    return [out / "index.txt", out / "focf.f64"], lambda: load_goof(out)
+    save_goof(_goof(), out / "goof")
+    return [out / "goof"], lambda: load_goof(out / "goof")
 
 
 def _forest(out):
