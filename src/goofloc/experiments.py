@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +37,15 @@ from .forest import (
 )
 from .fusion import full_matrix_mode, prediction_probability, swim
 from .textio import (
-    Fields, comma_list, fmt_value, one_of, positive_int, read_arrays, read_artifact,
-    read_document, read_header, write_arrays, write_document,
+    comma_list, fmt_value, one_of, positive_int, read_arrays, read_artifact, read_document,
+    read_header, write_arrays, write_document,
 )
 
 CONFIG_MAGIC = "GOOF-CONFIG"
 CONFIG_VERSION = 1
 
 REPORT_MAGIC = "GOOF-REPORT"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 BMAT_MAGIC = "GOOF-BMAT"
 BMAT_VERSION = 2
@@ -194,7 +194,7 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 def config_from_text(raw) -> ExperimentConfig:
     """Read a :func:`config_to_text` document (bytes or str)."""
-    doc = read_document(raw, CONFIG_MAGIC, CONFIG_VERSION).header_only()
+    doc = read_document(raw, CONFIG_MAGIC, CONFIG_VERSION)
     return config_from_mapping({key: doc.get(key) for key in doc.values})
 
 
@@ -421,7 +421,7 @@ def _score_snr_cell(config, dist, report, cell, result):
             float(dist[mode_label - 1, grid - 1]),
         )
 
-        for w in config.windows:
+        for w in sorted(config.windows):
             t0 = time.perf_counter()
             fused = swim(b, w, class_count=config.grid_count)
             report.add_timing(
@@ -490,12 +490,11 @@ def run_forest_sweep(
     run in worker processes, as in :func:`run_snr_sweep`.
     """
     config.validate()
-    if vary == "tree_depth":
-        values = DEPTH_SWEEP_VALUES if values is None else tuple(values)
-    elif vary == "tree_number":
-        values = TREE_SWEEP_VALUES if values is None else tuple(values)
-    else:
+    if vary not in ("tree_depth", "tree_number"):
         raise ConfigError("vary", "must be tree_depth or tree_number")
+    if values is None:
+        values = DEPTH_SWEEP_VALUES if vary == "tree_depth" else TREE_SWEEP_VALUES
+    values = tuple(sorted(values))
     cells = list(product(range(config.repetitions), config.noise_kinds[:1], config.snr_grid_db))
     prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
 
@@ -510,20 +509,6 @@ def run_forest_sweep(
 
     cell_fn = partial(forest_cell, vary=vary, values=values)
     return _run_cells(config, cells, cell_fn, score, "sweep-forest", verbose)
-
-
-_METHOD_PREFIX_ORDER = {kind.value: i for i, kind in enumerate(KIND_ORDER)}
-_METHOD_PREFIX_ORDER.update(bank=-1, mode=len(KIND_ORDER))
-
-
-def _method_sort_key(method: str):
-    if method in _METHOD_PREFIX_ORDER:
-        return (0, _METHOD_PREFIX_ORDER[method], 0)
-    if method.startswith("swim_w") and method[6:].isdigit():
-        return (1, int(method[6:]), 0)
-    prefix, _, suffix = method.rpartition("_")
-    digits = "".join(ch for ch in suffix if ch.isdigit())
-    return (2, prefix, int(digits) if digits else 0)
 
 
 def emit_report(report: Report, fmt: str, out_dir) -> list:
@@ -553,10 +538,9 @@ def emit_report(report: Report, fmt: str, out_dir) -> list:
         return paths
 
     comment = f"# config_hash={report.config_hash} seed={report.seed}"
-    for noise_kind in sorted({key[0] for key in report.rows}):
+    for noise_kind, keys in groupby(sorted(report.rows, key=lambda k: k[:2]), lambda k: k[0]):
         lines = [comment, "snr_db,method,mean_rho,std_rho,n,mean_centroid_error_m"]
-        keys = [k for k in report.rows if k[0] == noise_kind]
-        for key in sorted(keys, key=lambda k: (k[1], _method_sort_key(k[2]))):
+        for key in keys:
             values = np.array(report.rows[key])
             errs = np.array(report.errors_m[key])
             lines.append(fmt_value([
@@ -566,8 +550,7 @@ def emit_report(report: Report, fmt: str, out_dir) -> list:
         write(f"curve_{noise_kind}.csv", "\n".join(lines) + "\n")
 
     lines = [comment, "method,train_seconds,test_seconds,predictions"]
-    for method in sorted(report.timings, key=_method_sort_key):
-        entry = report.timings[method]
+    for method, entry in report.timings.items():
         lines.append(fmt_value([method, entry["train_s"], entry["test_s"], entry["predictions"]]))
     write("timing.csv", "\n".join(lines) + "\n")
     write("config_echo.txt", f"config_hash={report.config_hash}\nseed={report.seed}\n")
@@ -575,46 +558,51 @@ def emit_report(report: Report, fmt: str, out_dir) -> list:
 
 
 def report_to_text(report: Report) -> str:
-    records = []
-    for key in sorted(report.rows, key=lambda k: (k[0], k[1], _method_sort_key(k[2]))):
-        noise_kind, snr, method = key
-        where = f"kind={noise_kind} snr={fmt_value(snr)} method={method}"
-        records.append(f"curve {where} values={fmt_value(report.rows[key])}")
-        records.append(f"error {where} values={fmt_value(report.errors_m[key])}")
-    for method in sorted(report.timings, key=_method_sort_key):
-        entry = report.timings[method]
-        records.append(
-            f"timing method={method} train={fmt_value(entry['train_s'])} "
-            f"test={fmt_value(entry['test_s'])} predictions={entry['predictions']}"
-        )
+    """``report`` as header fields, its rows stably sorted by (kind, SNR)."""
     header = {"config_hash": report.config_hash, "seed": report.seed}
-    return write_document(REPORT_MAGIC, REPORT_VERSION, header, records)
+    for key in sorted(report.rows, key=lambda k: k[:2]):
+        noise_kind, snr, method = key
+        where = f"{noise_kind}:{fmt_value(snr)}:{method}"
+        header[f"rho:{where}"] = report.rows[key]
+        header[f"error:{where}"] = report.errors_m[key]
+    for method, entry in report.timings.items():
+        header[f"timing:{method}"] = [entry["train_s"], entry["test_s"], entry["predictions"]]
+    return write_document(REPORT_MAGIC, REPORT_VERSION, header)
+
+
+def _timing(text: str) -> dict:
+    train_s, test_s, predictions = comma_list(str, 3)(text)
+    return {"train_s": float(train_s), "test_s": float(test_s), "predictions": int(predictions)}
 
 
 def load_report(path) -> Report:
+    """Read a :func:`report_to_text` document; each row needs both fields."""
     doc = read_document(read_artifact(path), REPORT_MAGIC, REPORT_VERSION)
     report = Report(config_hash=doc.get("config_hash"), seed=doc.get("seed", int))
-    tables = {"curve": report.rows, "error": report.errors_m}
-    for line, text in doc.records:
-        tag, *tokens = text.split()
-        row = Fields(line, tokens)
-        if tag in tables:
-            kind = row.get("kind", one_of(*channel.NOISE_KINDS))
-            key = (kind, row.get("snr", float), row.get("method"))
-            if key in tables[tag]:
-                raise FormatError(f"line {line}: second {tag} row for {key}")
-            tables[tag][key] = row.get("values", comma_list(float))
-        elif tag == "timing":
-            report.timings[row.get("method")] = {
-                "train_s": row.get("train", float),
-                "test_s": row.get("test", float),
-                "predictions": row.get("predictions", int),
-            }
-        else:
-            raise FormatError(f"line {line}: unknown report row tag {tag!r}")
-    shape = {key: len(values) for key, values in report.rows.items()}
-    if not shape or shape != {key: len(values) for key, values in report.errors_m.items()}:
-        raise FormatError("a report needs matching, nonempty curve and error rows")
+    tables = {"rho": report.rows, "error": report.errors_m}
+    lines = {}  # (tag, row) -> line
+    for key, (_, line) in doc.values.items():
+        tag, *where = key.split(":")
+        if tag in tables and len(where) == 3:
+            noise_kind, snr, method = where
+            try:
+                row = (one_of(*channel.NOISE_KINDS)(noise_kind), float(snr), method)
+            except ValueError as exc:
+                raise FormatError(f"line {line}: bad row key {key!r} ({exc})") from None
+            if (tag, row) in lines:
+                raise FormatError(f"line {line}: second {tag} field for {row}")
+            lines[tag, row] = line
+            tables[tag][row] = doc.get(key, comma_list(float))
+        elif tag == "timing" and len(where) == 1:
+            report.timings[where[0]] = doc.get(key, _timing)
+        elif key not in ("config_hash", "seed"):
+            raise FormatError(f"line {line}: unknown report field {key!r}")
+    if not lines:
+        raise FormatError(f"line {doc.line}: a report needs rho and error fields")
+    for (tag, row), line in lines.items():
+        other = "error" if tag == "rho" else "rho"
+        if len(tables[other].get(row, ())) != len(tables[tag][row]):
+            raise FormatError(f"line {line}: {tag} field has no {other} field of equal length")
     return report
 
 
@@ -626,6 +614,8 @@ def save_bmatrices(path, matrices: dict) -> None:
     if not grids:
         raise ValueError("no prediction matrices to save")
     stack = np.stack([matrices[grid].matrix for grid in grids])
+    if stack.shape[1] < 1 or stack.shape[2] != len(KIND_ORDER):
+        raise ValueError(f"need nonempty Z x {len(KIND_ORDER)} matrices, got {stack.shape[1:]}")
     header = {
         "kinds": [kind.value for kind in KIND_ORDER],
         "grids": grids,

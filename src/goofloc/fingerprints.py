@@ -156,8 +156,6 @@ def est_flom(block, p: float = 1.2, conj=None) -> np.ndarray:
         raise ConfigError("flom_exponent", "must be in (1, 2]")
     length = y.shape[-1]
     yc = y.conj() if conj is None else conj
-    if p == 2.0:
-        return (y @ _transpose(yc)) / length
     mags = np.abs(y)
     with np.errstate(divide="ignore"):
         weights = np.where(mags > 0, mags ** (p - 2.0), 0.0)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .forest import PredictionMatrix, shannon_entropy
+from .forest import shannon_entropy
 from .textio import fmt_value
 
 
@@ -35,8 +35,7 @@ class FusionResult:
 
 
 def _as_matrix(b) -> np.ndarray:
-    mat = b.matrix if isinstance(b, PredictionMatrix) else np.asarray(b)
-    mat = np.asarray(mat, dtype=int)
+    mat = np.asarray(b, dtype=int)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("prediction matrix must be a nonempty Z x H matrix")
     return mat
@@ -44,10 +43,14 @@ def _as_matrix(b) -> np.ndarray:
 
 def select_classifier(window: np.ndarray, class_count: int | None = None) -> int:
     """Column index (0-based) with minimum prediction entropy; ties go to
-    the smallest index."""
+    the smallest index. Each label counts as its rank among the distinct
+    labels, which keeps every entropy's float, however large the label."""
     mat = _as_matrix(window)
-    q = int(mat.max()) if class_count is None else class_count
-    entropies = [shannon_entropy(mat[:, g], q) for g in range(mat.shape[1])]
+    values, index = np.unique(mat, return_inverse=True)
+    if values[0] < 1 or (class_count is not None and values[-1] > class_count):
+        raise ValueError("labels must lie in 1..class_count")
+    index = index.reshape(mat.shape) + 1
+    entropies = [shannon_entropy(index[:, g], values.size) for g in range(mat.shape[1])]
     return int(np.argmin(entropies))
 
 

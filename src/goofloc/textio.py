@@ -1,16 +1,17 @@
 """The one codec of every persisted artifact.
 
 An artifact starts with UTF-8 text: a ``<MAGIC> <version>`` line, then
-single-token ``key=value`` header lines. A text artifact continues with
-format-specific record lines. A numeric artifact (a snapshot dataset, a
-fingerprint store, a forest, a set of prediction matrices) continues
-after an ``end-header`` line with fixed little-endian arrays whose shapes
-its header gives, written by :func:`write_arrays` and read by
-:func:`read_header` and :func:`read_arrays`. Floats in text are
-written with ``repr`` so that round-trips are lossless and byte-identical
-across runs. A malformed header or record raises :class:`FormatError`
-naming the line at fault, a malformed payload one carrying its byte
-offset.
+single-token ``key=value`` header lines. A text artifact that goofloc
+reads is its header alone: a config or a report. A numeric artifact (a
+snapshot dataset, a fingerprint store, a forest, a set of prediction
+matrices) continues after an ``end-header`` line with fixed little-endian
+arrays whose shapes its header gives, written by :func:`write_arrays` and
+read by :func:`read_header` and :func:`read_arrays`. Only the fusion
+result, which no stage reads, follows its header with record lines.
+Floats in text are written with ``repr`` so that round-trips are
+lossless and byte-identical across runs. A malformed header raises
+:class:`FormatError` naming the line at fault, a malformed payload one
+carrying its byte offset.
 """
 
 from __future__ import annotations
@@ -68,23 +69,11 @@ def positive_int(text: str) -> int:
 
 
 class Fields:
-    """The ``key=value`` pairs of a header or of one record, each with its
-    line; a document's header also carries its ``(line, text)`` records."""
+    """The ``key=value`` pairs of a header, each with its line."""
 
-    def __init__(self, line: int, tokens=()):
+    def __init__(self, line: int):
         self.line = line
         self.values: dict[str, tuple[str, int]] = {}
-        self.records: list[tuple[int, str]] = []
-        for token in tokens:
-            self._add(token, line)
-
-    def _add(self, token: str, line: int) -> None:
-        key, sep, text = token.partition("=")
-        if not sep or not key:
-            raise FormatError(f"line {line}: expected key=value, got {token!r}")
-        if key in self.values:
-            raise FormatError(f"line {line}: duplicate field {key!r}")
-        self.values[key] = (text, line)
 
     def get(self, key: str, to=str, default=_REQUIRED):
         """Field ``key`` converted by ``to``; ``default`` (as is) if absent.
@@ -99,13 +88,6 @@ class Fields:
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"line {line}: bad {key} {text!r} ({exc})") from None
 
-    def header_only(self) -> Fields:
-        """These fields, after checking that no record line follows them."""
-        if self.records:
-            line, text = self.records[0]
-            raise FormatError(f"line {line}: expected key=value, got {text!r}")
-        return self
-
 
 def write_document(magic: str, version: int, header: dict, records=()) -> str:
     lines = [f"{magic} {version}", *(f"{key}={fmt_value(v)}" for key, v in header.items())]
@@ -114,7 +96,7 @@ def write_document(magic: str, version: int, header: dict, records=()) -> str:
 
 def read_document(raw, magic: str, version: int) -> Fields:
     """Decode ``raw`` (bytes or str), skip blank lines, check the magic
-    line and split the header from the numbered record lines."""
+    line and read every other line as one ``key=value`` header field."""
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -127,10 +109,12 @@ def read_document(raw, magic: str, version: int) -> Fields:
     if lines[0][1].split() != [magic, str(version)]:
         raise FormatError(f"line {doc.line}: expected '{magic} {version}', got {lines[0][1]!r}")
     for n, text in lines[1:]:
-        if doc.records or len(text.split()) != 1 or "=" not in text:
-            doc.records.append((n, text))
-        else:
-            doc._add(text, n)
+        key, sep, value = text.partition("=")
+        if not sep or not key or len(text.split()) != 1:
+            raise FormatError(f"line {n}: expected key=value, got {text!r}")
+        if key in doc.values:
+            raise FormatError(f"line {n}: duplicate field {key!r}")
+        doc.values[key] = (value, n)
     return doc
 
 
@@ -147,7 +131,7 @@ def read_header(raw: bytes, magic: str, version: int) -> tuple[Fields, int]:
     if end < 0:
         read_document(raw.split(b"\n", 1)[0], magic, version)  # a wrong magic is named first
         raise FormatError("truncated header (no end-header line)", len(raw))
-    return read_document(raw[:end], magic, version).header_only(), end + len(_END_HEADER)
+    return read_document(raw[:end], magic, version), end + len(_END_HEADER)
 
 
 def read_arrays(raw: bytes, offset: int, layout) -> list:

@@ -116,6 +116,17 @@ def test_sweep_snr_and_report(tmp_path, config_file, capsys):
     capsys.readouterr()
 
 
+def test_version_1_report_exit_code(tmp_path, capsys):
+    # the record layout of GOOF-REPORT 1 is not read
+    path = tmp_path / "report.txt"
+    path.write_text("GOOF-REPORT 1\nconfig_hash=ab\nseed=1\n"
+                    "curve kind=gaussian snr=20.0 method=cmf values=1.0\n"
+                    "error kind=gaussian snr=20.0 method=cmf values=0.0\n")
+    assert main(["report", "--report", str(path), "--out-dir", str(tmp_path / "csv")]) == 3
+    assert "line 1: expected 'GOOF-REPORT 2'" in capsys.readouterr().err
+    assert not (tmp_path / "csv").exists()
+
+
 def test_sweep_forest(tmp_path, config_file, capsys):
     out = tmp_path / "forest"
     assert main([

@@ -457,8 +457,8 @@ class TestIngest:
             ingest_recorded_dataset(path)
 
 
-# the error row of one curve row
-UNPAIRED = "error kind=gaussian snr=20.0 method=cmf "
+# the rho field of one report row; its error field follows it
+ROW = "rho:gaussian:20.0:cmf="
 
 
 def _with_seventh_column(raw: bytes) -> bytes:
@@ -501,20 +501,66 @@ class TestReports:
         assert back.timings.keys() == report.timings.keys()
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, match",
         [
-            lambda lines: [ln for ln in lines if not ln.startswith(UNPAIRED)],
-            lambda lines: [ln.replace("kind=gaussian", "kind=../x") for ln in lines],
-            lambda lines: [ln.replace("seed=123", "seed=1x3") for ln in lines],
+            (lambda lines: [ln for ln in lines if not ln.startswith("error" + ROW[3:])],
+             r"^line 4: rho field has no error field of equal length"),
+            (lambda lines: [ln.replace("rho:gaussian:", "rho:../x:") for ln in lines],
+             r"^line 4: bad row key 'rho:../x:20.0:cmf'"),
+            (lambda lines: [ln.replace("seed=123", "seed=1x3") for ln in lines],
+             r"^line 3: bad seed"),
+            (lambda lines: [*lines, "curve:gaussian:20.0:cmf=1.0"],
+             r"^line 23: unknown report field 'curve:gaussian:20.0:cmf'"),
+            (lambda lines: [*lines, "rho:gaussian:cmf=1.0"],
+             r"^line 23: unknown report field 'rho:gaussian:cmf'"),
+            (lambda lines: [ln.replace(ROW, "rho:gaussian:2O.0:cmf=") for ln in lines],
+             r"^line 4: bad row key 'rho:gaussian:2O.0:cmf'"),
+            (lambda lines: [*lines, *(ln.replace(ROW, "rho:gaussian:2e1:cmf=") for ln in lines
+                                      if ln.startswith(ROW))],
+             r"^line 23: second rho field for \('gaussian', 20.0, 'cmf'\)"),
+            (lambda lines: [ln for ln in lines if not ln.startswith(ROW)],
+             r"^line 4: error field has no rho field of equal length"),
+            (lambda lines: [ln + ".5" if ln.startswith("timing:bank=") else ln for ln in lines],
+             r"^line 20: bad timing:bank '.*\.5' \(invalid literal for int"),
+            (lambda lines: lines[:3], r"^line 1: a report needs rho and error fields"),
         ],
-        ids=["unpaired_curve", "kind_outside_noise_kinds", "bad_seed"],
+        ids=["unpaired_curve", "kind_outside_noise_kinds", "bad_seed", "unknown_field",
+             "row_key_without_snr", "bad_snr", "second_spelling_of_a_row", "unpaired_error",
+             "non_integer_predictions", "no_rows"],
     )
-    def test_malformed_report_rejected(self, tmp_path, corrupt):
+    def test_malformed_report_rejected(self, tmp_path, corrupt, match):
         (path,) = emit_report(run_snr_sweep(micro_config()), "structured-text", tmp_path)
         lines = path.read_text().splitlines()
+        assert lines[:4] == ["GOOF-REPORT 2", lines[1], "seed=123", lines[3]]
+        assert lines[3].startswith(ROW) and lines[19].startswith("timing:bank=")
         path.write_text("\n".join(corrupt(lines)) + "\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=match):
             load_report(path)
+
+    def test_csv_method_order_follows_sorted_windows_and_values(self, tmp_path):
+        # rows are built in sorted window and value order, and re-emission
+        # from the saved report gives the same curves and timing methods
+        cfg = micro_config(group_count=12, train_count=4, test_count=8, windows=(8, 1, 5),
+                           snr_grid_db=(14.0, -2.0))
+        siof = [kind.value for kind in KIND_ORDER]
+        for report, methods, timed in [
+            (run_snr_sweep(cfg), [*siof, "mode", "swim_w1", "swim_w5", "swim_w8"],
+             ["bank", "mode", "swim_w1", "swim_w5", "swim_w8"]),
+            (run_forest_sweep(cfg, "tree_depth", values=(8, 2)), ["rssf_d2", "rssf_d8"],
+             ["rssf_d2", "rssf_d8"]),
+        ]:
+            emit_report(report, "csv", tmp_path / "direct")
+            (saved,) = emit_report(report, "structured-text", tmp_path)
+            emit_report(load_report(saved), "csv", tmp_path / "again")
+            curve = (tmp_path / "direct" / "curve_gaussian.csv").read_text()
+            assert [line.split(",")[:2] for line in curve.splitlines()[2:]] == [
+                [snr, method] for snr in ("-2.0", "14.0") for method in methods
+            ]
+            timing = (tmp_path / "direct" / "timing.csv").read_text().splitlines()[2:]
+            assert [line.split(",")[0] for line in timing] == timed
+            assert (tmp_path / "again" / "curve_gaussian.csv").read_text() == curve
+            again = (tmp_path / "again" / "timing.csv").read_text().splitlines()[2:]
+            assert [line.split(",")[0] for line in again] == timed
 
     def test_empty_report_refused(self, tmp_path):
         with pytest.raises(ValueError):
@@ -533,6 +579,13 @@ class TestReports:
         for g in matrices:
             assert np.array_equal(back[g].matrix, matrices[g].matrix)
             assert back[g].true_label == g
+
+    def test_bmatrices_refuse_what_the_reader_would(self, tmp_path):
+        # six columns and at least one sample per matrix, checked before writing
+        for matrix in (np.ones((4, 5), int), np.ones((0, 6), int), np.ones((4, 7), int)):
+            with pytest.raises(ValueError, match="nonempty Z x 6"):
+                save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, 1)})
+            assert not (tmp_path / "b").exists()
 
     def test_bmatrices_file_layout(self, tmp_path):
         matrices = {g: PredictionMatrix(matrix=np.full((2, 6), g), true_label=g) for g in (2, 5)}

@@ -214,7 +214,7 @@ class TestFlom:
     def test_p2_equals_covariance(self):
         rng = np.random.default_rng(11)
         y = random_block(rng)
-        assert np.abs(est_flom(y, 2.0) - est_covariance(y)).max() < 1e-12
+        assert np.array_equal(est_flom(y, 2.0), est_covariance(y))
 
     def test_constant_column_closed_form(self):
         # y_k(t) = c for all t, p = 1.5: column k equals mean(y_i) * |c|^-0.5 * conj(c)

@@ -215,7 +215,10 @@ class TestSwimReference:
 
     def test_large_label_is_counted_like_a_small_one(self):
         # raising a matrix's largest label to 10**15 keeps the label order,
-        # so SWIM selects the same columns and fuses the same labels
+        # so SWIM and the per-window loop select the same columns and fuse
+        # the same labels
+        assert select_classifier(np.array([[1, 2], [10**15, 2]])) == select_classifier(
+            np.array([[1, 2], [3, 2]]))
         for mat, window, _ in seeded_matrices(seed=8, count=100):
             big = np.where(mat == mat.max(), 10**15, mat)
             small, result = swim(mat, window), swim(big, window)
@@ -223,6 +226,8 @@ class TestSwimReference:
             raised = np.where(small.labels == mat.max(), 10**15, small.labels)
             assert np.array_equal(result.labels, raised)
             assert swim(big, window, class_count=10**15).labels.tolist() == raised.tolist()
+            labels, selected = reference_swim(big, window)
+            assert np.array_equal(labels, raised) and np.array_equal(selected, small.selected)
 
     def test_same_errors_as_the_per_window_loop(self):
         b = np.ones((4, 2), dtype=int)

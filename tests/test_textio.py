@@ -27,26 +27,30 @@ from goofloc.forest import (
     serialize_forest,
     train_bank,
 )
-from goofloc.textio import Fields, read_document, read_header, write_document
+from goofloc.textio import read_document, read_header, write_document
 
 from forest_reference import nonfinite_probe, predict_forest
 
 
 def test_write_then_read_round_trip():
-    text = write_document("GOOF-TEST", 2, {"a": 1, "b": 0.5, "c": ["x", "y"], "d": None},
-                          ["rec one", "k=v w=z"])
-    assert text == "GOOF-TEST 2\na=1\nb=0.5\nc=x,y\nd=none\nrec one\nk=v w=z\n"
+    text = write_document("GOOF-TEST", 2, {"a": 1, "b": 0.5, "c": ["x", "y"], "d": None})
+    assert text == "GOOF-TEST 2\na=1\nb=0.5\nc=x,y\nd=none\n"
     doc = read_document(text.encode("utf-8"), "GOOF-TEST", 2)
     assert doc.get("a", int) == 1 and doc.get("b", float) == 0.5
     assert doc.get("c") == "x,y" and doc.get("d") == "none"
     assert doc.get("absent", int, 7) == 7
-    assert doc.records == [(6, "rec one"), (7, "k=v w=z")]
+    # records are written (the fusion result), but no reader takes them
+    text = write_document("GOOF-TEST", 2, {"a": 1}, ["rec one", "k=v w=z"])
+    assert text == "GOOF-TEST 2\na=1\nrec one\nk=v w=z\n"
+    with pytest.raises(FormatError, match="^line 3: expected key=value, got 'rec one'$"):
+        read_document(text.encode("utf-8"), "GOOF-TEST", 2)
 
 
-def test_header_ends_at_first_record_and_blank_lines_are_skipped():
-    doc = read_document("\nGOOF-TEST 1\n\na=1\nrecord\nb=2\n", "GOOF-TEST", 1)
-    assert list(doc.values) == ["a"]
-    assert doc.records == [(5, "record"), (6, "b=2")]
+def test_blank_lines_are_skipped_and_a_record_line_is_refused():
+    doc = read_document("\nGOOF-TEST 1\n\na=1\n\nb=2\n", "GOOF-TEST", 1)
+    assert doc.line == 2 and doc.values == {"a": ("1", 4), "b": ("2", 6)}
+    with pytest.raises(FormatError, match="^line 5: expected key=value, got 'record'$"):
+        read_document("\nGOOF-TEST 1\n\na=1\nrecord\nb=2\n", "GOOF-TEST", 1)
 
 
 @pytest.mark.parametrize(
@@ -71,10 +75,11 @@ def test_invalid_utf8_is_a_format_error_at_its_byte():
     assert err.value.byte_offset == 14
 
 
-def test_record_fields_need_key_value_tokens():
-    assert Fields(4, ["a=1", "b=x=y"]).get("b") == "x=y"
-    with pytest.raises(FormatError, match="line 4: expected key=value"):
-        Fields(4, ["a=1", "loose"])
+def test_header_lines_need_one_key_value_token():
+    assert read_document("GOOF-TEST 1\nb=x=y\n", "GOOF-TEST", 1).get("b") == "x=y"
+    for line in ("a=1 b=2", "loose", "=1"):
+        with pytest.raises(FormatError, match=f"^line 3: expected key=value, got '{line}'$"):
+            read_document(f"GOOF-TEST 1\nb=2\n{line}\n", "GOOF-TEST", 1)
 
 
 def test_binary_header_stops_at_end_header():
