@@ -616,6 +616,8 @@ def save_bmatrices(path, matrices: dict) -> None:
     stack = np.stack([matrices[grid].matrix for grid in grids])
     if stack.shape[1] < 1 or stack.shape[2] != len(KIND_ORDER):
         raise ValueError(f"need nonempty Z x {len(KIND_ORDER)} matrices, got {stack.shape[1:]}")
+    if grids[0] < 1 or stack.min() < 1:
+        raise ValueError("grid keys and predicted labels must be >= 1")
     header = {
         "kinds": [kind.value for kind in KIND_ORDER],
         "grids": grids,

@@ -10,9 +10,9 @@ All trees of a forest grow together, one depth level per vectorized pass.
 A node's random draws depend only on its position (forest seed, tree,
 level, heap slot), never on the order in which nodes are grown, so the
 level-wise trainer builds exactly the trees a depth-first grower reading
-the same draws would build. For the same reason contiguous groups of
-trees can grow in separate processes, one per usable CPU, and their node
-tables concatenate into the table one process would build.
+the same draws would build, and groups of trees grown in the workers of
+a ``_tree_groups`` block (one per usable CPU, shared by a bank's forests)
+concatenate into the table one process would build.
 
 A forest is one node table: flat arrays over every tree's nodes in
 pre-order, tree after tree. A split row's left child is the next row and
@@ -27,6 +27,7 @@ import os
 import pickle
 import signal
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -355,51 +356,62 @@ def grow_trees_in_process() -> None:
     _TREE_GROUPS = False
 
 
-def _fork_map(fn, tasks: list) -> list:
-    """``[fn(task) for task in tasks]``: the first task in this process,
-    each other in a forked child that pickles its result, or its error,
-    back through a pipe. No thread is started. Every child is reaped
-    before this returns or raises, and the error raised is the first
-    task's in task order."""
-    children = []
-    try:
-        for task in tasks[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: never returns
-                status = 1
-                try:
-                    os.close(read_end)
+_WORKERS: list | None = None  # the open _tree_groups block's (pid, task fd, result fd)
+
+
+def _fork_worker() -> tuple:
+    """Fork a worker that grows each tree group read from its task pipe (the
+    arguments of :func:`_grow_levels`) and pickles back the node table, or
+    the error, until the pipe closes. Returns its pid and pipe ends."""
+    task_read, task_write = os.pipe()
+    result_read, result_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: never returns
+        try:
+            # its parent's ends of its own pipes and of the earlier workers'
+            for fd in [task_write, result_read, *(fd for _, *fds in _WORKERS for fd in fds)]:
+                os.close(fd)
+            with open(task_read, "rb") as tasks, open(result_write, "wb") as results:
+                while True:
+                    task = pickle.load(tasks)  # EOFError once the task pipe closes
                     try:
-                        outcome = (True, fn(task))
+                        outcome = (True, _grow_levels(*task))
                     except Exception as exc:
                         outcome = (False, exc)
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = [fn(tasks[0])]
-        for pid, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                try:
-                    ok, value = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError(f"tree group process {pid} died") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)  # no use finishing the other groups
-        raise
+                    pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
+                    results.flush()
+        except EOFError:
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(task_read)
+    os.close(result_write)
+    return pid, task_write, result_read
+
+
+@contextmanager
+def _tree_groups(trees: int):
+    """A block in which :func:`_fit_levels` grows tree groups in workers
+    forked for it, one per usable CPU but this one (:func:`worker_count`),
+    unless forking is unsafe (a thread is alive) or unwanted (a sweep's
+    worker); nested blocks share them. No thread is started. The outermost
+    block's exit reaps the workers, already killed if a group failed."""
+    global _WORKERS
+    if _WORKERS is not None:
+        yield
+        return
+    _WORKERS = []
+    try:
+        if _TREE_GROUPS and hasattr(os, "fork") and threading.active_count() == 1:
+            for _ in range(worker_count(trees) - 1):
+                _WORKERS.append(_fork_worker())
+        yield
     finally:
-        for pid, read_end in children:
-            os.close(read_end)
+        for pid, *fds in _WORKERS:
+            for fd in fds:
+                os.close(fd)
             os.waitpid(pid, 0)
+        _WORKERS = None
 
 
 def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
@@ -407,35 +419,44 @@ def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: i
     trees grown over the rows ``boots[i]`` of ``x`` from root keys
     ``keys[i]``.
 
-    The trees are cut into contiguous groups, one per usable CPU, except
-    where forking is unsafe (another Python thread is alive) or unwanted (a
-    sweep's worker); this process grows the first. Each tree's draws
-    depend on its own key alone, so the groups' tables, concatenated in
-    tree order, are the table of one process growing every tree.
+    Contiguous groups of the trees grow one in this process and one in
+    each worker of the open :func:`_tree_groups` block, if any. Each tree's
+    draws depend on its own key alone, so the groups' tables, concatenated
+    in tree order, are the table of one process growing every tree. The
+    error raised is the first in group order; it kills the workers.
     """
-    dim = x.shape[1]
-    arity = PRIMITIVES[spec.primitive]
-    if dim < arity:
-        raise ConfigError("primitive", f"{spec.primitive} needs at least {arity} features")
-    if depth_limit < 1:
-        raise ConfigError("depth_limit", "must be >= 1")
-    spec.subspace(dim)  # a bad subspace size fails here, not at the first split
-    groups = 1
-    if _TREE_GROUPS and hasattr(os, "fork") and threading.active_count() == 1:
-        groups = worker_count(len(keys))
-    bounds = [len(keys) * i // groups for i in range(groups + 1)]
-    tables = _fork_map(
-        lambda part: _grow_levels(x, y, boots[part], keys[part], depth_limit, spec, q),
-        [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])],
-    )
+    workers = (_WORKERS or [])[: len(keys) - 1]
+    cuts = [len(keys) * i // (len(workers) + 1) for i in range(len(workers) + 2)]
+    tasks = [(x, y, boots[a:b], keys[a:b], depth_limit, spec, q) for a, b in zip(cuts, cuts[1:])]
+    try:
+        for (_, task_write, _), task in zip(workers, tasks[1:]):
+            with open(task_write, "wb", closefd=False) as pipe:
+                pickle.dump(task, pipe, pickle.HIGHEST_PROTOCOL)
+        tables = [_grow_levels(*tasks[0])]
+        for pid, _, result_read in workers:
+            with open(result_read, "rb", closefd=False) as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"tree group process {pid} died") from None
+            if not ok:
+                raise value
+            tables.append(value)
+    except BaseException:
+        for pid, *_ in workers:  # no use finishing the other groups
+            os.kill(pid, signal.SIGKILL)
+        raise
     table = {name: np.concatenate([t[name] for t in tables]) for name in _COLUMNS}
     starts = np.cumsum([0] + [len(t["right"]) for t in tables[:-1]])
     table["roots"] = np.concatenate([t["roots"] + start for t, start in zip(tables, starts)])
     return table
 
 
-def _training_set(samples, labels, class_count: int | None):
-    """Validated (x, y, class count) of a labelled sample matrix."""
+def _training_set(samples, labels, tree_count: int, depth_limit: int, spec: WeakLearnerSpec,
+                  class_count: int | None):
+    """Validated (x, y, class count): every check training makes, before any fork."""
+    if tree_count < 1:
+        raise ConfigError("tree_count", "must be >= 1")
     x = np.asarray(samples, dtype=float)
     y = np.asarray(labels, dtype=int)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[0] != y.shape[0]:
@@ -443,6 +464,12 @@ def _training_set(samples, labels, class_count: int | None):
     q = int(y.max()) if class_count is None else class_count
     if y.min() < 1 or y.max() > q:
         raise ValueError("labels must lie in 1..class_count")
+    arity = PRIMITIVES[spec.primitive]
+    if x.shape[1] < arity:
+        raise ConfigError("primitive", f"{spec.primitive} needs at least {arity} features")
+    if depth_limit < 1:
+        raise ConfigError("depth_limit", "must be >= 1")
+    spec.subspace(x.shape[1])  # a bad subspace size fails here, not at the first split
     return x, y, q
 
 
@@ -545,14 +572,14 @@ def train_forest(
     Each tree's bootstrap and root key come from its own rng stream derived
     from ``seed`` and every node's draws from its key, so training is a
     deterministic function of (data, hyperparameters, seed), whichever
-    processes grow the trees (see :func:`_fit_levels`).
+    processes grow the trees (see :func:`_tree_groups`).
     """
-    if tree_count < 1:
-        raise ConfigError("tree_count", "must be >= 1")
-    x, y, q = _training_set(samples, labels, class_count)
+    x, y, q = _training_set(samples, labels, tree_count, depth_limit, spec, class_count)
     boots, keys = _forest_draws(seed, tree_count, len(y))
+    with _tree_groups(tree_count):
+        table = _fit_levels(x, y, boots, keys, depth_limit, spec, q)
     return Forest(
-        **_fit_levels(x, y, boots, keys, depth_limit, spec, q),
+        **table,
         depth_limit=depth_limit,
         feature_dim=x.shape[1],
         seed=seed,
@@ -602,16 +629,16 @@ def train_bank(
     """Train the whole bank from a training fingerprint store.
 
     ``seed`` is an int or a key tuple of ints (such as a sweep cell key);
-    forest i is seeded from ``(*key, 100 + i)``.
+    forest i is seeded from ``(*key, 100 + i)``. Every family's arguments
+    are checked before the six forests grow in one :func:`_tree_groups`.
     """
     key = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    forests = {}
-    for i, kind in enumerate(KIND_ORDER):
-        x, y = goof.stack(kind)
-        forests[kind] = train_forest(
-            x, y, tree_count, depth_limit, spec, key_seed(*key, 100 + i),
-            class_count=class_count, kind=kind,
-        )
+    for kind in KIND_ORDER:
+        _training_set(*goof.stack(kind), tree_count, depth_limit, spec, class_count)
+    with _tree_groups(tree_count):
+        forests = {kind: train_forest(*goof.stack(kind), tree_count, depth_limit, spec,
+                                      key_seed(*key, 100 + i), class_count=class_count, kind=kind)
+                   for i, kind in enumerate(KIND_ORDER)}
     return ClassifierBank(forests=forests)
 
 

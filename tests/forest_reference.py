@@ -94,7 +94,7 @@ def reference_forest(samples, labels, tree_count, depth_limit, spec, seed, class
 def train_tree(samples, labels, spec, depth_limit, rng, class_count=None) -> Tree:
     """Grow one decision tree on all samples with the level-wise trainer,
     from a root key drawn from ``rng``."""
-    x, y, q = _training_set(samples, labels, class_count)
+    x, y, q = _training_set(samples, labels, 1, depth_limit, spec, class_count)
     keys = rng.integers(0, 2**64, size=1, dtype=np.uint64)
     table = _fit_levels(x, y, np.arange(len(y))[None], keys, depth_limit, spec, q)
     return Tree(*(table[name] for name in _COLUMNS))

@@ -587,6 +587,22 @@ class TestReports:
                 save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, 1)})
             assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("grid, label", [(1, 0), (0, 1), (1, -3)])
+    def test_bmatrices_refuse_labels_and_grids_below_one(self, tmp_path, grid, label):
+        matrix = np.ones((4, 6), int)
+        matrix[2, 3] = label
+        matrices = {grid: PredictionMatrix(matrix, 1), 2: PredictionMatrix(np.ones((4, 6), int))}
+        with pytest.raises(ValueError, match="must be >= 1"):
+            save_bmatrices(tmp_path / "b", matrices)
+        assert not (tmp_path / "b").exists()
+
+    def test_bmatrices_reload_and_save_byte_identically(self, tmp_path):
+        rng = np.random.default_rng(1)
+        matrices = {g: PredictionMatrix(rng.integers(1, 9, size=(3, 6)), g) for g in (1, 4, 9)}
+        save_bmatrices(tmp_path / "a", matrices)
+        save_bmatrices(tmp_path / "b", load_bmatrices(tmp_path / "a"))
+        assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
+
     def test_bmatrices_file_layout(self, tmp_path):
         matrices = {g: PredictionMatrix(matrix=np.full((2, 6), g), true_label=g) for g in (2, 5)}
         matrices[5].true_label = None
@@ -627,11 +643,13 @@ class TestReports:
 
     def test_bmatrices_bad_label_names_its_byte(self, tmp_path):
         matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2)}
-        matrices[2].matrix[3, 4] = -7
-        matrices[2].matrix[5, 0] = 0
         path = tmp_path / "b"
         save_bmatrices(path, matrices)
-        raw = path.read_bytes()
+        # the writer refuses labels below 1, so they are patched into the file
+        raw = bytearray(path.read_bytes())
+        labels = np.frombuffer(raw, "<i8", offset=raw.index(b"end-header\n") + 11)
+        labels[48 + 3 * 6 + 4], labels[48 + 5 * 6] = -7, 0
+        path.write_bytes(raw)
         with pytest.raises(FormatError, match="label -7") as err:
             load_bmatrices(path)
         # grid 2 starts after grid 1's 8 x 6 labels; (3, 4) is its 23rd label

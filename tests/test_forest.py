@@ -20,6 +20,7 @@ from goofloc.forest import (
     ClassifierBank,
     Forest,
     deserialize_forest,
+    key_seed,
     load_bank,
     predict_matrix,
     save_bank,
@@ -626,7 +627,8 @@ class TestTreeGroups:
         grow = forest_module._grow_levels
 
         def failing(x, y, boots, group_keys, *args):
-            fail(keys.index(group_keys[0]))
+            if group_keys[0] in keys:  # a group of this forest, not of another family's
+                fail(keys.index(group_keys[0]))
             return grow(x, y, boots, group_keys, *args)
 
         monkeypatch.setattr(forest_module, "_grow_levels", failing)
@@ -692,6 +694,82 @@ class TestTreeGroups:
             thread.join()
         assert forks == []
         assert_tables_equal(alone, reference_forest(x, y, 6, 4, WeakLearnerSpec(), 5))
+
+    @pytest.mark.parametrize("trees", [2, 5])
+    def test_a_bank_forks_its_workers_once(self, monkeypatch, forks, trees):
+        goof = tiny_goof()
+        use_cpus(monkeypatch, 1)
+        alone = train_bank(goof, trees, 5, WeakLearnerSpec(), seed=8)
+        assert forks == []
+        for cpus in (2, 3):
+            use_cpus(monkeypatch, cpus)
+            forks.clear()
+            bank = train_bank(goof, trees, 5, WeakLearnerSpec(), seed=8)
+            assert len(forks) == min(cpus, trees) - 1
+            assert_nothing_left()
+            for kind in KIND_ORDER:
+                assert_tables_equal(bank.forests[kind], vars(alone.forests[kind]))
+
+    @staticmethod
+    def failing_family(monkeypatch, goof, family, fail):
+        """Make the group starting at tree i of the bank's forest ``family``
+        (seeded as ``train_bank(goof, 6, 4, ..., seed=5)`` seeds it) call
+        ``fail(i)`` first."""
+        n = len(goof.stack(KIND_ORDER[family])[1])
+        TestTreeGroups.failing_groups(monkeypatch, key_seed(5, 100 + family), 6, n, fail)
+
+    def test_a_workers_error_on_a_later_family_is_raised(self, monkeypatch, forks):
+        def fail(first):
+            if first:
+                raise NumericalFailure(f"group at tree {first}")
+
+        use_cpus(monkeypatch, 2)
+        goof = tiny_goof()
+        self.failing_family(monkeypatch, goof, 2, fail)
+        with pytest.raises(NumericalFailure, match="group at tree 3$"):
+            train_bank(goof, 6, 4, WeakLearnerSpec(), seed=5)
+        assert len(forks) == 1
+        assert_nothing_left()
+
+    def test_an_error_here_stops_the_banks_workers(self, monkeypatch, forks):
+        def fail(first):
+            if first:
+                time.sleep(30)
+            else:
+                raise NumericalFailure("first group")
+
+        use_cpus(monkeypatch, 3)
+        goof = tiny_goof()
+        self.failing_family(monkeypatch, goof, 1, fail)
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="first group"):
+            train_bank(goof, 6, 4, WeakLearnerSpec(), seed=5)
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 2
+        assert_nothing_left()
+
+    def test_a_bank_worker_that_dies_is_an_error(self, monkeypatch, forks):
+        use_cpus(monkeypatch, 2)
+        goof = tiny_goof()
+        self.failing_family(monkeypatch, goof, 4, lambda first: first and os._exit(3))
+        with pytest.raises(RuntimeError, match="died"):
+            train_bank(goof, 6, 4, WeakLearnerSpec(), seed=5)
+        assert len(forks) == 1
+        assert_nothing_left()
+
+    @pytest.mark.parametrize("args, error", [
+        # 4 features fit CMF (9 features) but not RSSF, the second family (3)
+        (dict(spec=WeakLearnerSpec(feature_subspace_size=4)), "feature_subspace"),
+        (dict(depth_limit=0), "depth_limit"),
+        (dict(tree_count=0), "tree_count"),
+        (dict(class_count=1), "labels must lie"),
+    ])
+    def test_a_bad_argument_fails_before_the_bank_forks(self, monkeypatch, forks, args, error):
+        use_cpus(monkeypatch, 2)
+        args = dict(tree_count=6, depth_limit=4, spec=WeakLearnerSpec(), seed=5) | args
+        with pytest.raises((ConfigError, ValueError), match=error):
+            train_bank(tiny_goof(), **args)
+        assert forks == []
 
 
 def tiny_goof(q=2, length=64, seed=0):
