@@ -1,8 +1,9 @@
 """Sliding-window fusion, step by step.
 
-Builds a prediction matrix at a noisy SNR, walks one window through the
-selection / constrained-mode logic, then compares the single-family
-classifiers, the full-matrix mode baseline, and the windowed fusion.
+Builds a prediction matrix at a noisy SNR, shows the column entropies of
+one window and the classifier SWIM trusts in each window, then compares
+the single-family classifiers, the full-matrix mode baseline, and the
+windowed fusion.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from goofloc import ExperimentConfig, WeakLearnerSpec, build_goof, prediction_pr
 from goofloc.experiments import simulate_cell
 from goofloc.fingerprints import KIND_ORDER
 from goofloc.forest import predict_matrix, shannon_entropy, train_bank
-from goofloc.fusion import constrained_mode, full_matrix_mode, select_classifier
+from goofloc.fusion import full_matrix_mode
 
 
 def main():
@@ -37,10 +38,13 @@ def main():
     print(f"\nfirst window of length {w}:")
     for name, col in zip(names, window.T):
         h = shannon_entropy(col, cfg.grid_count)
-        print(f"  {name:8s} predictions {list(col)}  entropy {h:.3f} bits")
-    g = select_classifier(window, cfg.grid_count)
-    fused = constrained_mode(window, window[:, g])
-    print(f"selected classifier: {names[g]} (minimum entropy); fused label: {fused}")
+        print(f"  {name:8s} predictions {col.tolist()}  entropy {abs(h):.3f} bits")
+    fused = swim(pm.matrix, w, cfg.grid_count)
+    print(f"trusted classifier: {names[fused.selected[0]]} (minimum entropy); "
+          f"fused label: {fused.labels[0]}")
+    print(f"\nevery window of length {w} (trusted column -> fused label):")
+    for u, (g, label) in enumerate(zip(fused.selected, fused.labels)):
+        print(f"  samples {u}-{u + w - 1}: {names[g]:8s} -> {label}")
 
     print("\nper-grid prediction probability, averaged over all 16 grids:")
     per_method = {name: [] for name in names}
@@ -64,6 +68,12 @@ def main():
         u = cfg.test_count - w + 1
         print(f"  W={w}: {u} predictions per grid, mean rho = {np.mean(rhos):.3f}")
     print("(W=8 equals the full-matrix baseline above, with one prediction per grid)")
+
+    trusted = np.concatenate([swim(rows[q].matrix, 5, cfg.grid_count).selected
+                              for q in test.grids()])
+    counts = np.bincount(trusted, minlength=len(names))
+    print("\nwindows that trusted each classifier at W=5, over all grids:")
+    print("  " + "  ".join(f"{name} {n}" for name, n in zip(names, counts)))
 
 
 if __name__ == "__main__":

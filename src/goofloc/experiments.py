@@ -618,10 +618,13 @@ def save_bmatrices(path, matrices: dict) -> None:
         raise ValueError(f"need nonempty Z x {len(KIND_ORDER)} matrices, got {stack.shape[1:]}")
     if grids[0] < 1 or stack.min() < 1:
         raise ValueError("grid keys and predicted labels must be >= 1")
+    true = [matrices[grid].true_label or 0 for grid in grids]
+    if min(true) < 0:
+        raise ValueError("true labels must be >= 1, or 0 or None if unknown")
     header = {
         "kinds": [kind.value for kind in KIND_ORDER],
         "grids": grids,
-        "true": [matrices[grid].true_label or 0 for grid in grids],
+        "true": true,
         "sample_count": stack.shape[1],
     }
     Path(path).write_bytes(write_arrays(BMAT_MAGIC, BMAT_VERSION, header, [("<i8", stack)]))

@@ -118,9 +118,12 @@ class Tree:
 # slot) and no draw depends on the order in which nodes are grown.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SIDES = np.array([0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7], dtype=np.uint64)  # left, right
-# Bound on the elements of each array a split-search chunk builds (pairs x
-# candidates, and class slots x candidates x threshold bins): it caps the
-# trainer's working set, and no result depends on it.
+# Bound on the cells of a split-search chunk: its nodes start within one
+# block of this many (pair, candidate) cells and one block of this many
+# (class slot, candidate, threshold bin) cells, so each such array holds
+# less than the bound plus its last node's share. The threshold compare
+# builds t times the (pair, candidate) cells at once. The bound caps the
+# trainer's working set; no result depends on it.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -177,22 +180,37 @@ def _class_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray) -> np.ndarray:
-    """Information gain in bits of splitting the class counts ``parent``
-    (k, q, 1, 1) into ``part`` (k, q, m, t) and the rest; 0 where either
-    is empty. Swapping ``part`` and the rest, or dropping classes that
-    neither holds, gives the same value bit for bit.
+def _pair_table(counts: np.ndarray, xlogx: np.ndarray):
+    """``(table, at)`` with ``table[at[r] + p] == xlogx[p] + xlogx[r - p]``
+    for 0 <= p <= r, every count r in ``counts`` and r = 0: one segment per
+    distinct count, so the table grows with the counts, not their square."""
+    seen = np.bincount(counts)
+    seen[0] = 1
+    r = np.flatnonzero(seen)
+    at = np.zeros(r[-1] + 1, dtype=np.intp)
+    at[r] = np.cumsum(r + 1) - (r + 1)
+    p = np.arange(at[-1] + r[-1] + 1) - np.repeat(at[r], r + 1)
+    return xlogx[p] + xlogx[np.repeat(r, r + 1) - p], at
 
-    Uses n H(counts) = n log2 n - sum_c c log2 c, so every entropy term
-    is a lookup in ``xlogx``.
+
+def _split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray, pairs) -> np.ndarray:
+    """Information gain in bits of splitting the class counts ``parent``
+    into ``part`` and the rest, classes along axis 1 of both (``parent``
+    broadcasts against ``part``); 0 where either side is empty. Swapping
+    ``part`` and the rest, or dropping classes that neither holds, gives
+    the same value bit for bit.
+
+    Uses n H(counts) = n log2 n - sum_c c log2 c, so every entropy term is
+    a lookup in ``xlogx``; a class's two child terms, ``xlogx[p] +
+    xlogx[r - p]``, are one lookup in the ``pairs`` that :func:`_pair_table`
+    built over the class and node counts, the same float sum.
     """
-    rest = parent - part
+    table, at = pairs
     n = parent.sum(axis=1)
     n_part = part.sum(axis=1)
-    n_rest = n - n_part
-    children = xlogx[n_part] + xlogx[n_rest] - _class_sum(xlogx[part] + xlogx[rest])
+    children = table[at[n] + n_part] - _class_sum(table[at[parent] + part])
     gain = (xlogx[n] - _class_sum(xlogx[parent]) - children) / n
-    return np.where((n_part > 0) & (n_rest > 0), gain, 0.0)
+    return np.where((n_part > 0) & (n_part < n), gain, 0.0)
 
 
 def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
@@ -203,12 +221,15 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
     split mask, the chosen features, weights and threshold of each node
     (zeros where it does not split) and, per pair, whether it goes right.
 
-    Searched nodes are scored in chunks. Each projection falls in the bin
-    of how many of its node's sorted thresholds it reaches; one bincount
-    over (node, class, candidate, bin) counts the chunk, and prefix sums
-    over the bins give every candidate's left-child class counts. A node's
-    classes are renumbered to those it holds, so the counts of a chunk
-    have as many class slots as its most mixed node.
+    Searched nodes are scored in chunks. One broadcast compare of each
+    projection against its node's sorted thresholds counts the thresholds
+    it reaches, its bin; one bincount over (bin, class, node, candidate)
+    counts the chunk, and running sums over the bins give every
+    candidate's left-child class counts. A node's classes are renumbered
+    to those it holds, so the counts of a chunk have as many class slots
+    as its most mixed node. Equal thresholds cut alike and share a gain,
+    so the first maximum in draw order is the least draw index among the
+    cells of the maximum, whatever order sorting gave equal thresholds.
     """
     k, q = hist.shape
     dim = x.shape[1]
@@ -232,43 +253,57 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
     rank[nodes] = np.arange(nodes.size)
     pairs = np.flatnonzero(search[node])
     pairs = pairs[np.argsort(rank[node[pairs]], kind="stable")]
-    starts = np.concatenate([[0], np.cumsum(hist[nodes].sum(axis=1))])
+    sizes = hist[nodes].sum(axis=1)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
     chunk = (starts[:-1] // max(1, _CHUNK_CELLS // m)
              + (np.cumsum(width) - width) // max(1, _CHUNK_CELLS // (m * (t + 1))))
     bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), nodes.size]
+    # each pair's class slot among the classes its node holds
+    slot = (np.cumsum(present, axis=1) - 1)[node[pairs], label[pairs]]
+    lookup = _pair_table(np.concatenate([hist[nodes].ravel(), sizes]), xlogx)
+    flat = x.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
-        ids, at, c, q_c = nodes[a:b], pairs[starts[a] : starts[b]], b - a, width[b - 1]
-        local = rank[node[at]] - a
-        slot = local * q_c + (np.cumsum(present[ids], axis=1) - 1)[local, label[at]]
+        ids, c, q_c, run = nodes[a:b], b - a, width[b - 1], sizes[a:b]
+        at = pairs[starts[a] : starts[b]]
+        # (class slot, node) of each pair
+        member = slot[starts[a] : starts[b]] * c + np.repeat(np.arange(c), run)
         f, w, u = _node_draws(keys[ids], dim, spec)
-        proj = x[rows[at, None], f[local, :, 0]] * w[local, :, 0]  # (S, m)
+        # each node's draws repeated over its run of pairs: (S, m, arity)
+        f_at, w_at = np.repeat(f, run, axis=0), np.repeat(w, run, axis=0)
+        base = rows[at, None] * dim
+        proj = np.take(flat, base + f_at[..., 0]) * w_at[..., 0]  # (S, m)
         for i in range(1, arity):
-            proj += x[rows[at, None], f[local, :, i]] * w[local, :, i]
+            proj += np.take(flat, base + f_at[..., i]) * w_at[..., i]
         offsets = starts[a:b] - starts[a]
         lo = np.minimum.reduceat(proj, offsets)
         hi = np.maximum.reduceat(proj, offsets)
         cut = lo[..., None] + (hi - lo)[..., None] * u  # (c, m, t)
-        ascending = np.sort(cut, axis=2)
-        bins = np.zeros(proj.shape, dtype=np.intp)
-        for j in range(t):
-            bins += proj >= ascending[local, :, j]
-        cell = (slot[:, None] * m + np.arange(m)) * (t + 1) + bins
-        counts = np.bincount(cell.ravel(), minlength=c * q_c * m * (t + 1))
-        # samples left of the j-th smallest threshold sit in bins 0..j
-        left = np.cumsum(counts.reshape(c, q_c, m, t + 1), axis=3)[..., :t]
-        parent = np.bincount(slot, minlength=c * q_c).reshape(c, q_c, 1, 1)
-        gain = _split_gain(left, parent, xlogx)  # (c, m, t), thresholds ascending
-        order = np.argsort(cut, axis=2, kind="stable")
-        gain = np.take_along_axis(gain, np.argsort(order, axis=2), axis=2).reshape(c, m * t)
-        best = gain.argmax(axis=1)  # first maximum: lowest candidate, then threshold
-        ok = gain[np.arange(c), best] > 1e-12
+        ascending = np.sort(cut, axis=2).transpose(2, 0, 1)  # (t, c, m)
+        reached = proj >= np.repeat(ascending, run, axis=1)  # (t, S, m)
+        # summed in the smallest type that holds t: bytes add fastest
+        bins = reached.sum(axis=0, dtype=np.min_scalar_type(t))
+        span = q_c * c * m
+        cell = np.multiply(bins, span, dtype=np.intp) + (member[:, None] * m + np.arange(m))
+        counts = np.bincount(cell.ravel(), minlength=(t + 1) * span)
+        # samples left of the j-th smallest threshold sit in bins 0..j; one
+        # add per bin runs over whole slabs, where cumsum steps row by row
+        left = counts[: t * span].reshape(t, q_c, c, m)
+        for j in range(1, t):
+            left[j] += left[j - 1]
+        parent = np.bincount(member, minlength=q_c * c).reshape(1, q_c, c, 1)
+        gain = _split_gain(left, parent, xlogx, lookup)  # (t, c, m), thresholds ascending
+        top = gain.max(axis=0).max(axis=1)
+        drawn = np.arange(m) * t + np.argsort(cut, axis=2).transpose(2, 0, 1)
+        best = np.where(gain == top[:, None], drawn, m * t).min(axis=0).min(axis=1)
+        ok = top > 1e-12
         cand, j = np.divmod(best, t)
         chosen = cut[np.arange(c), cand, j]
         split[ids] = ok
         feats[ids[ok]] = f[ok, cand[ok]]
         weights[ids[ok]] = w[ok, cand[ok]]
         threshold[ids[ok]] = chosen[ok]
-        go_right[at] = proj[np.arange(at.size), cand[local]] >= chosen[local]
+        picked = np.take(proj, np.arange(at.size) * m + np.repeat(cand, run))
+        go_right[at] = picked >= np.repeat(chosen, run)
     return split, feats, weights, threshold, go_right
 
 

@@ -41,29 +41,6 @@ def _as_matrix(b) -> np.ndarray:
     return mat
 
 
-def select_classifier(window: np.ndarray, class_count: int | None = None) -> int:
-    """Column index (0-based) with minimum prediction entropy; ties go to
-    the smallest index. Each label counts as its rank among the distinct
-    labels, which keeps every entropy's float, however large the label."""
-    mat = _as_matrix(window)
-    values, index = np.unique(mat, return_inverse=True)
-    if values[0] < 1 or (class_count is not None and values[-1] > class_count):
-        raise ValueError("labels must lie in 1..class_count")
-    index = index.reshape(mat.shape) + 1
-    entropies = [shannon_entropy(index[:, g], values.size) for g in range(mat.shape[1])]
-    return int(np.argmin(entropies))
-
-
-def constrained_mode(window: np.ndarray, selected_column) -> int:
-    """Most frequent label in the window among those the selected
-    classifier produced; ties go to the smallest label."""
-    mat = _as_matrix(window)
-    candidates = np.unique(np.asarray(selected_column, dtype=int))
-    counts = {int(c): int((mat == c).sum()) for c in candidates}
-    best = max(counts.values())
-    return min(label for label, count in counts.items() if count == best)
-
-
 @lru_cache(maxsize=1 << 12)
 def _entropy_of_counts(key: bytes) -> float:
     """:func:`shannon_entropy` of the labels whose nonzero counts, in label
@@ -78,9 +55,10 @@ def _entropy_of_counts(key: bytes) -> float:
 def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     """Slide a length-W window down the sample axis and fuse each window.
 
-    Emits U = Z - W + 1 predictions; every prediction is a label that the
-    selected classifier produced inside its own window. Equal to
-    :func:`select_classifier` then :func:`constrained_mode` on each window.
+    Emits U = Z - W + 1 predictions. Each window trusts the classifier
+    whose predictions in it have the least entropy (the first on a tie)
+    and fuses to the most frequent label of the window among those that
+    classifier produced (the smallest on a tie).
 
     All windows are counted at once: differences of running one-hot label
     counts give the (U, H, L) counts of each window and column over the

@@ -6,7 +6,9 @@ tests every candidate threshold sample by sample. It reads the same keyed
 draws as the level-wise trainer in ``goofloc.forest``, so the two must
 build identical node tables; ``train_tree`` grows one tree with the
 level-wise trainer, and ``node_counts`` and ``information_gain`` are the
-full-tree sizes and the split gain spelled out. ``predict_forest`` walks
+full-tree sizes and the split gain spelled out; ``split_gain`` is the gain
+over count arrays with one lookup per entropy term, which the trainer's
+table lookup must equal bit for bit. ``predict_forest`` walks
 one sample down one tree at a time; ``nonfinite_probe`` makes samples
 whose projections include NaN and infinities. ``reference_serialize_forest``
 is the retired ``GOOF-FOREST 1`` text form, one record per table row: a
@@ -23,13 +25,27 @@ from goofloc.forest import (
     _child_keys,
     _fit_levels,
     _forest_draws,
+    _class_sum,
     _node_draws,
-    _split_gain,
     _training_set,
     _xlogx,
     shannon_entropy,
 )
 from goofloc.textio import write_document
+
+
+def split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray) -> np.ndarray:
+    """Information gain in bits of splitting the class counts ``parent``
+    into ``part`` and the rest, classes along axis 1; 0 where either is
+    empty. Every entropy term is its own lookup in ``xlogx``, summed in the
+    order ``goofloc.forest._split_gain`` sums its pair lookups."""
+    rest = parent - part
+    n = parent.sum(axis=1)
+    n_part = part.sum(axis=1)
+    n_rest = n - n_part
+    children = xlogx[n_part] + xlogx[n_rest] - _class_sum(xlogx[part] + xlogx[rest])
+    gain = (xlogx[n] - _class_sum(xlogx[parent]) - children) / n
+    return np.where((n_part > 0) & (n_rest > 0), gain, 0.0)
 
 
 def _best_split(x_node, y_node, key, spec, q, xlogx):
@@ -41,7 +57,7 @@ def _best_split(x_node, y_node, key, spec, q, xlogx):
     go_right = proj[:, :, None] >= cut[None, :, :]  # (n, m, t)
     onehot = np.eye(q, dtype=np.int64)[y_node - 1]
     right = np.einsum("nmt,nq->qmt", go_right.astype(np.int64), onehot)
-    gain = _split_gain(right[None], onehot.sum(axis=0)[None, :, None, None], xlogx)[0]
+    gain = split_gain(right[None], onehot.sum(axis=0)[None, :, None, None], xlogx)[0]
     ci, ti = np.unravel_index(np.argmax(gain), gain.shape)
     if gain[ci, ti] <= 1e-12:
         return None

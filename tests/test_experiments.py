@@ -596,6 +596,16 @@ class TestReports:
             save_bmatrices(tmp_path / "b", matrices)
         assert not (tmp_path / "b").exists()
 
+    def test_bmatrices_refuse_a_negative_true_label(self, tmp_path):
+        matrices = {1: PredictionMatrix(np.ones((4, 6), int), 1),
+                    2: PredictionMatrix(np.ones((4, 6), int), -2)}
+        with pytest.raises(ValueError, match="true labels"):
+            save_bmatrices(tmp_path / "b", matrices)
+        assert not (tmp_path / "b").exists()
+        matrices[2].true_label = 0  # 0, like None, saves as unknown
+        save_bmatrices(tmp_path / "b", matrices)
+        assert load_bmatrices(tmp_path / "b")[2].true_label is None
+
     def test_bmatrices_reload_and_save_byte_identically(self, tmp_path):
         rng = np.random.default_rng(1)
         matrices = {g: PredictionMatrix(rng.integers(1, 9, size=(3, 6)), g) for g in (1, 4, 9)}

@@ -19,6 +19,9 @@ from goofloc.forest import (
     PRIMITIVES,
     ClassifierBank,
     Forest,
+    _pair_table,
+    _split_gain,
+    _xlogx,
     deserialize_forest,
     key_seed,
     load_bank,
@@ -38,6 +41,7 @@ from forest_reference import (
     reference_forest,
     reference_serialize_forest,
     reference_table,
+    split_gain,
     train_tree,
     tree_vote,
 )
@@ -226,6 +230,39 @@ EDGE_CASES = [
 ]
 
 
+class TestSplitGain:
+    """The trainer's pair-table gain against one lookup per entropy term."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_lookup_equals_the_naive_gain_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        t, q, k, m = 6, 5, 7, 4
+        parent = rng.integers(0, 9, size=(1, q, k, 1))
+        parent[:, rng.random((q, k)) < 0.3] = 0  # classes a node does not hold
+        parent[:, q - 2 :, : k // 2] = 0  # padded class slots
+        parent[:, 0] += 1  # no node is empty
+        parent[:, :, k - 1] = 0
+        parent[:, 0, k - 1] = 40  # one node of a single class
+        part = np.minimum(rng.integers(0, 12, size=(t, q, k, m)), parent)
+        part[0] = 0  # every sample on one side
+        part[-1] = parent
+        xlogx = _xlogx(int(parent.sum(axis=1).max()))
+        lookup = _pair_table(np.concatenate([parent.ravel(), parent.sum(axis=1).ravel()]), xlogx)
+        gain = _split_gain(part, parent, xlogx, lookup)
+        naive = split_gain(part, parent, xlogx)
+        assert gain.tobytes() == naive.tobytes()
+        assert not gain[0].any() and not gain[-1].any() and not gain[:, k - 1].any()
+        assert (gain > 0).any()
+
+    def test_pair_table_holds_each_count_once(self):
+        xlogx = _xlogx(9)
+        table, at = _pair_table(np.array([3, 9, 3, 0, 5]), xlogx)
+        assert table.size == (0 + 1) + (3 + 1) + (5 + 1) + (9 + 1)
+        for r in (0, 3, 5, 9):
+            for p in range(r + 1):
+                assert table[at[r] + p] == xlogx[p] + xlogx[r - p]
+
+
 class TestLevelWiseTrainer:
     """The level-wise trainer against the recursive reference grower in
     forest_reference.py. Both read the same position-keyed draws, so their
@@ -253,6 +290,22 @@ class TestLevelWiseTrainer:
             spec = WeakLearnerSpec(primitive=primitive)
             forest = train_forest(x, y, 8, 7, spec, seed=3)
             assert_tables_equal(forest, reference_forest(x, y, 8, 7, spec, 3))
+
+    @pytest.mark.parametrize("thresholds", [1, 10])
+    @pytest.mark.parametrize("primitive", list(PRIMITIVES))
+    def test_ties_follow_draw_order(self, primitive, thresholds):
+        # few distinct values, each row three times and one constant column:
+        # many candidate thresholds cut alike and share one gain, so the
+        # first maximum in draw order picks the split
+        rng = np.random.default_rng(41)
+        x = np.repeat(rng.integers(0, 3, size=(16, 5)).astype(float), 3, axis=0)
+        x[:, 2] = 1.5
+        y = np.repeat(rng.integers(1, 5, size=16), 3)
+        spec = WeakLearnerSpec(primitive=primitive, feature_subspace_size=3,
+                               threshold_candidates=thresholds)
+        forest = train_forest(x, y, 6, 6, spec, seed=5)
+        assert_tables_equal(forest, reference_forest(x, y, 6, 6, spec, 5))
+        assert forest.right.any()
 
     @pytest.mark.parametrize("primitive", list(PRIMITIVES))
     @pytest.mark.parametrize("case", EDGE_CASES)

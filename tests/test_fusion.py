@@ -8,7 +8,9 @@ import pytest
 from goofloc import prediction_probability, swim
 from goofloc.errors import ConfigError
 from goofloc.forest import shannon_entropy
-from goofloc.fusion import FusionResult, constrained_mode, full_matrix_mode, select_classifier
+from goofloc.fusion import FusionResult, full_matrix_mode
+
+from fusion_reference import constrained_mode, reference_swim, select_classifier
 
 
 class TestEntropies:
@@ -149,20 +151,6 @@ class TestSwim:
             swim(b, 5)
         with pytest.raises(ValueError):
             swim(b, 0)
-
-
-def reference_swim(b, window_length, class_count=None):
-    """SWIM one window at a time: :func:`select_classifier`, then
-    :func:`constrained_mode` on the selected column."""
-    mat = np.asarray(b, dtype=int)
-    q = int(mat.max()) if class_count is None else class_count
-    labels, selected = [], []
-    for u in range(mat.shape[0] - window_length + 1):
-        window = mat[u : u + window_length]
-        g = select_classifier(window, q)
-        selected.append(g)
-        labels.append(constrained_mode(window, window[:, g]))
-    return np.array(labels), np.array(selected)
 
 
 def seeded_matrices(seed=5, count=400):
