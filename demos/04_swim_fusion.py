@@ -38,7 +38,7 @@ def main():
     print(f"\nfirst window of length {w}:")
     for name, col in zip(names, window.T):
         h = shannon_entropy(col, cfg.grid_count)
-        print(f"  {name:8s} predictions {col.tolist()}  entropy {abs(h):.3f} bits")
+        print(f"  {name:8s} predictions {col.tolist()}  entropy {h:.3f} bits")
     fused = swim(pm.matrix, w, cfg.grid_count)
     print(f"trusted classifier: {names[fused.selected[0]]} (minimum entropy); "
           f"fused label: {fused.labels[0]}")

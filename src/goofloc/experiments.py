@@ -630,15 +630,23 @@ def save_bmatrices(path, matrices: dict) -> None:
     Path(path).write_bytes(write_arrays(BMAT_MAGIC, BMAT_VERSION, header, [("<i8", stack)]))
 
 
+def _true_label(text: str) -> int:
+    """A stored true label: a grid label, or 0 if unknown."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 1, or 0 if unknown")
+    return value
+
+
 def load_bmatrices(path) -> dict:
     """Read :func:`save_bmatrices` output: the kinds must be the six
-    families, the grids distinct with one true label each, and every
+    families, the grids distinct with one true label >= 0 each, and every
     predicted label >= 1."""
     raw = read_artifact(path)
     doc, offset = read_header(raw, BMAT_MAGIC, BMAT_VERSION)
     doc.get("kinds", one_of(fmt_value([kind.value for kind in KIND_ORDER])))
     grids = doc.get("grids", comma_list(positive_int))
-    true = doc.get("true", comma_list(int, len(grids)))
+    true = doc.get("true", comma_list(_true_label, len(grids)))
     z = doc.get("sample_count", positive_int)
     (stack,) = read_arrays(raw, offset, [("<i8", (len(grids), z, len(KIND_ORDER)))])
     if stack.min() < 1:

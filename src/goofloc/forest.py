@@ -51,7 +51,8 @@ def shannon_entropy(labels, class_count: int) -> float:
         raise ValueError("labels must lie in 1..class_count")
     counts = np.bincount(arr, minlength=class_count + 1)[1:]
     p = counts[counts > 0] / arr.size
-    return float(-(p * np.log2(p)).sum())
+    # 0 - sum, not -sum: one label sums to +0.0, which negation turns into -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 @dataclass
@@ -120,11 +121,13 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SIDES = np.array([0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7], dtype=np.uint64)  # left, right
 # Bound on the cells of a split-search chunk: its nodes start within one
 # block of this many (pair, candidate) cells and one block of this many
-# (class slot, candidate, threshold bin) cells, so each such array holds
-# less than the bound plus its last node's share. The threshold compare
-# builds t times the (pair, candidate) cells at once. The bound caps the
-# trainer's working set; no result depends on it.
-_CHUNK_CELLS = 1 << 14
+# (class held, candidate, threshold bin) cells. Thresholds are binned and
+# class terms looked up one at a time, so no array of the split search
+# grows with t: each holds about one block (less than the bound plus its
+# last node's share), the class-slot ones padded to the chunk's most mixed
+# node. The bound caps the trainer's working set: a peak of about 5 MB
+# while a 40-tree forest trains at 2^16. No result depends on it.
+_CHUNK_CELLS = 1 << 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -208,7 +211,13 @@ def _split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray, pairs) 
     table, at = pairs
     n = parent.sum(axis=1)
     n_part = part.sum(axis=1)
-    children = table[at[n] + n_part] - _class_sum(table[at[parent] + part])
+    # one class at a time, in class order (the float sum _class_sum gives),
+    # so no index or term array spans every class
+    ends = at[parent]
+    terms = table[ends[:, 0] + part[:, 0]]
+    for i in range(1, part.shape[1]):
+        terms += table[ends[:, i] + part[:, i]]
+    children = table[at[n] + n_part] - terms
     gain = (xlogx[n] - _class_sum(xlogx[parent]) - children) / n
     return np.where((n_part > 0) & (n_part < n), gain, 0.0)
 
@@ -221,15 +230,17 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
     split mask, the chosen features, weights and threshold of each node
     (zeros where it does not split) and, per pair, whether it goes right.
 
-    Searched nodes are scored in chunks. One broadcast compare of each
-    projection against its node's sorted thresholds counts the thresholds
-    it reaches, its bin; one bincount over (bin, class, node, candidate)
-    counts the chunk, and running sums over the bins give every
-    candidate's left-child class counts. A node's classes are renumbered
-    to those it holds, so the counts of a chunk have as many class slots
-    as its most mixed node. Equal thresholds cut alike and share a gain,
-    so the first maximum in draw order is the least draw index among the
-    cells of the maximum, whatever order sorting gave equal thresholds.
+    Searched nodes are scored in chunks. Each projection is compared with
+    its node's sorted thresholds one threshold at a time, counting the
+    thresholds it reaches, its bin; one bincount over (bin, class, node,
+    candidate) counts the chunk, and running sums over the bins give every
+    candidate's left-child class counts. Each array of a chunk holds about
+    one block of ``_CHUNK_CELLS`` cells; t does not multiply it. A node's
+    classes are renumbered to those it holds, so the counts of a chunk have
+    as many class slots as its most mixed node. Equal thresholds cut alike
+    and share a gain, so the first maximum in draw order is the least draw
+    index among the cells of the maximum, whatever order sorting gave equal
+    thresholds.
     """
     k, q = hist.shape
     dim = x.shape[1]
@@ -279,9 +290,11 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
         hi = np.maximum.reduceat(proj, offsets)
         cut = lo[..., None] + (hi - lo)[..., None] * u  # (c, m, t)
         ascending = np.sort(cut, axis=2).transpose(2, 0, 1)  # (t, c, m)
-        reached = proj >= np.repeat(ascending, run, axis=1)  # (t, S, m)
-        # summed in the smallest type that holds t: bytes add fastest
-        bins = reached.sum(axis=0, dtype=np.min_scalar_type(t))
+        # one threshold at a time, counted in the smallest type that holds
+        # t: bytes add fastest
+        bins = np.zeros(proj.shape, dtype=np.min_scalar_type(t))
+        for j in range(t):
+            bins += proj >= np.repeat(ascending[j], run, axis=0)
         span = q_c * c * m
         cell = np.multiply(bins, span, dtype=np.intp) + (member[:, None] * m + np.arange(m))
         counts = np.bincount(cell.ravel(), minlength=(t + 1) * span)

@@ -416,6 +416,18 @@ def test_fuse_large_label_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fuse_negative_true_label_exit_code(tmp_path, capsys):
+    matrix = np.ones((4, len(KIND_ORDER)), int)
+    save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, true_label=1)})
+    raw = (tmp_path / "b").read_bytes()
+    (tmp_path / "b").write_bytes(raw.replace(b"true=1", b"true=-2"))
+    out = tmp_path / "fusion.txt"
+    assert main(["fuse", "--bmatrices", str(tmp_path / "b"), "--window", "2",
+                 "--out", str(out)]) == 3
+    assert "line 4: bad true '-2'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # (artifact to corrupt, corruption, stage that reads it); each mutant
 # stands for a class of damage the seeded mutation test draws at random
 MUTANTS = {

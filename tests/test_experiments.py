@@ -606,6 +606,15 @@ class TestReports:
         save_bmatrices(tmp_path / "b", matrices)
         assert load_bmatrices(tmp_path / "b")[2].true_label is None
 
+    def test_bmatrices_negative_true_label_names_its_line(self, tmp_path):
+        # the writer refuses a negative true label, so it is patched into the file
+        matrices = {g: PredictionMatrix(np.ones((4, 6), int), g) for g in (1, 3)}
+        save_bmatrices(tmp_path / "b", matrices)
+        raw = (tmp_path / "b").read_bytes()
+        (tmp_path / "b").write_bytes(raw.replace(b"true=1,3", b"true=1,-2"))
+        with pytest.raises(FormatError, match="line 4: bad true '1,-2'"):
+            load_bmatrices(tmp_path / "b")
+
     def test_bmatrices_reload_and_save_byte_identically(self, tmp_path):
         rng = np.random.default_rng(1)
         matrices = {g: PredictionMatrix(rng.integers(1, 9, size=(3, 6)), g) for g in (1, 4, 9)}

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,7 @@ class TestNodeCounts:
 class TestShannonEntropy:
     def test_pure_set_is_zero(self):
         assert shannon_entropy([3, 3, 3], 5) == 0.0
+        assert math.copysign(1.0, shannon_entropy([6, 6, 6], 16)) == 1.0  # not -0.0
 
     def test_even_two_class_split(self):
         assert shannon_entropy([1, 2, 1, 2], 2) == pytest.approx(1.0)
@@ -280,7 +283,8 @@ class TestLevelWiseTrainer:
         assert_tables_equal(forest, reference_forest(x, y, 6, depth, spec, depth, classes))
         assert_whole_bootstrap(forest, 50)
 
-    @pytest.mark.parametrize("cells", [1, 400])
+    # one node per chunk, a few nodes, the default, a whole level per chunk
+    @pytest.mark.parametrize("cells", [1, 400, forest_module._CHUNK_CELLS, 1 << 20])
     def test_chunking_changes_nothing(self, monkeypatch, cells):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((120, 9))
@@ -290,6 +294,24 @@ class TestLevelWiseTrainer:
             spec = WeakLearnerSpec(primitive=primitive)
             forest = train_forest(x, y, 8, 7, spec, seed=3)
             assert_tables_equal(forest, reference_forest(x, y, 8, 7, spec, 3))
+
+    def test_chunk_bound_caps_the_working_set(self, monkeypatch):
+        # a psdf-shaped training set: 16 grids x 12 groups, 224 features
+        rng = np.random.default_rng(0)
+        y = np.repeat(np.arange(1, 17), 12)
+        x = rng.standard_normal((16, 224))[y - 1] + rng.standard_normal((192, 224))
+        monkeypatch.setattr(forest_module, "_TREE_GROUPS", False)  # every tree in this process
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_forest(x, y, 40, 8, WeakLearnerSpec(), seed=1, class_count=16)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # measured 4.8 MB; building the compare for all t thresholds at once,
+        # a (t, pairs, candidates) array, peaks at 8.1 MB under the same bound
+        assert peak < 6_000_000
 
     @pytest.mark.parametrize("thresholds", [1, 10])
     @pytest.mark.parametrize("primitive", list(PRIMITIVES))
