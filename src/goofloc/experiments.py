@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import groupby, product
@@ -28,9 +27,10 @@ from .fingerprints import KIND_ORDER, FingerprintKind, build_goof, feature_dim
 from .forest import (
     PredictionMatrix,
     WeakLearnerSpec,
-    grow_trees_in_process,
+    forked,
     key_seed,
     predict_matrix,
+    run_all,
     train_bank,
     train_forest,
     worker_count,
@@ -321,31 +321,6 @@ def _distance_matrix(scenario: Scenario) -> np.ndarray:
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
 
 
-@contextmanager
-def _cell_map(workers: int):
-    """The ``map`` that runs a sweep's cells: the builtin one, in-process,
-    for one worker, else that of a pool of forked workers, shut down before
-    the block is left. Both yield results in cell order, so the error raised
-    is the first failing cell's. Pass the pool's result iterator straight to
-    the loop: when an error unwinds the loop it drops the iterator, which
-    cancels the cells not yet started. The pool's cells already keep every
-    CPU busy, so its workers grow each forest in-process, never in tree
-    groups: pools never nest."""
-    if workers == 1:
-        yield map
-        return
-    # imported here: the pool's modules add about 2 MB to the resident set
-    # of every process that imports goofloc, and most never run a pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # forked workers inherit the imported modules, and unlike forkserver or
-    # spawn no helper process outlives the pool
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=grow_trees_in_process) as pool:
-        yield pool.map
-
-
 def _cell_stores(config: ExperimentConfig, cell: tuple, train_count: int, test_count: int):
     """Simulate and extract one ``(rep, noise_kind, snr)`` cell, then split
     its store into ``(goof_train, goof_test)``."""
@@ -372,13 +347,14 @@ def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
 
 def _run_cells(config: ExperimentConfig, cells: list, cell_fn, score, name: str,
                verbose: bool) -> Report:
-    """Run ``cell_fn(config, cell)`` for every cell in worker processes
-    (see :func:`worker_count`) and hand each result to ``score(report,
-    cell, result)`` here, in cell order, so the report does not depend on
-    the worker count."""
+    """Run ``cell_fn(config, cell)`` for every cell on one forked worker
+    per usable CPU (:func:`worker_count`), or here if that is one, and hand
+    each result to ``score(report, cell, result)`` here, in cell order, so
+    the report does not depend on the worker count."""
     report = Report(config_hash=config_hash(config), seed=config.seed)
-    with _cell_map(worker_count(len(cells))) as cell_map:
-        for cell, result in zip(cells, cell_map(partial(cell_fn, config), cells)):
+    run, n = partial(cell_fn, config), worker_count(len(cells))
+    with forked(n if n > 1 else 0, run) as workers:
+        for cell, result in zip(cells, run_all(workers, run, [(cell,) for cell in cells])):
             score(report, cell, result)
             if verbose:
                 rep, noise_kind, snr = cell

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 import threading
 from contextlib import contextmanager
@@ -317,6 +318,7 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
         threshold[ids[ok]] = chosen[ok]
         picked = np.take(proj, np.arange(at.size) * m + np.repeat(cand, run))
         go_right[at] = picked >= np.repeat(chosen, run)
+        del f_at, w_at, base, proj, bins, cell, counts, left, gain, drawn, picked
     return split, feats, weights, threshold, go_right
 
 
@@ -392,38 +394,27 @@ def worker_count(tasks: int) -> int:
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-# Cleared in a sweep's worker processes, whose cells already keep every
-# CPU busy: a forest trained there grows in its own process.
-_TREE_GROUPS = True
-
-
-def grow_trees_in_process() -> None:
-    """Grow every forest this process trains from now on in the process
-    itself, never in tree groups."""
-    global _TREE_GROUPS
-    _TREE_GROUPS = False
-
-
 _WORKERS: list | None = None  # the open _tree_groups block's (pid, task fd, result fd)
 
 
-def _fork_worker() -> tuple:
-    """Fork a worker that grows each tree group read from its task pipe (the
-    arguments of :func:`_grow_levels`) and pickles back the node table, or
-    the error, until the pipe closes. Returns its pid and pipe ends."""
+def _fork_worker(run, siblings: list) -> tuple:
+    """Fork a worker that pickles back ``run(*task)``, or its error, for each
+    task read from its pipe until the pipe closes, after closing the parent's
+    ends of its own and its ``siblings``' pipes. Returns its pid and ends."""
+    global _WORKERS
     task_read, task_write = os.pipe()
     result_read, result_write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker: never returns
         try:
-            # its parent's ends of its own pipes and of the earlier workers'
-            for fd in [task_write, result_read, *(fd for _, *fds in _WORKERS for fd in fds)]:
+            _WORKERS = []  # its tasks keep every CPU busy: it grows trees in-process
+            for fd in [task_write, result_read, *(fd for _, *fds in siblings for fd in fds)]:
                 os.close(fd)
             with open(task_read, "rb") as tasks, open(result_write, "wb") as results:
                 while True:
                     task = pickle.load(tasks)  # EOFError once the task pipe closes
                     try:
-                        outcome = (True, _grow_levels(*task))
+                        outcome = (True, run(*task))
                     except Exception as exc:
                         outcome = (False, exc)
                     pickle.dump(outcome, results, pickle.HIGHEST_PROTOCOL)
@@ -438,27 +429,77 @@ def _fork_worker() -> tuple:
 
 
 @contextmanager
+def forked(count: int, run):
+    """A block with ``count`` workers forked to run ``run`` for
+    :func:`run_all`, none in a worker or beside another thread (forking a
+    threaded process is unsafe). Every exit kills and reaps them."""
+    workers = []
+    try:
+        if _WORKERS is None and hasattr(os, "fork") and threading.active_count() == 1:
+            for _ in range(count):
+                workers.append(_fork_worker(run, workers))
+        yield workers
+    finally:
+        for pid, *fds in workers:
+            os.kill(pid, signal.SIGKILL)  # idle, or its task is of no use after an error
+            for fd in fds:
+                os.close(fd)
+            os.waitpid(pid, 0)
+
+
+def run_all(workers: list, run, tasks: list):
+    """``run(*task)`` for every task, yielded in task order: run here when
+    asked for if there are no workers, else by the :func:`forked` workers,
+    each handed a task now and the next as soon as its result is in, before
+    any result is yielded. The first error in task order is raised; a
+    worker that dies ends the run at once."""
+    if not workers:
+        return (run(*task) for task in tasks)
+    pending = iter(enumerate(tasks))
+    busy = {}  # result fd -> (pid, task fd, index of its task)
+
+    def hand(pid, task_write, result_read):
+        for i, task in pending:  # the next task, if any
+            with open(task_write, "wb", closefd=False) as pipe:
+                pickle.dump(task, pipe, pickle.HIGHEST_PROTOCOL)
+            busy[result_read] = pid, task_write, i
+            return
+
+    def results():
+        outcomes = {}  # task index -> (ok, value)
+        for i in range(len(tasks)):
+            # wait for task i's result, then take only the results already in
+            while ready := select.select(list(busy), [], [], 0 if i in outcomes else None)[0]:
+                for fd in ready:
+                    pid, task_write, done = busy.pop(fd)
+                    with open(fd, "rb", closefd=False) as pipe:
+                        try:
+                            outcomes[done] = pickle.load(pipe)
+                        except EOFError:
+                            raise RuntimeError(f"worker process {pid} died") from None
+                    hand(pid, task_write, fd)
+            ok, value = outcomes.pop(i)
+            if not ok:
+                raise value
+            yield value
+
+    for worker in workers:
+        hand(*worker)
+    return results()
+
+
+@contextmanager
 def _tree_groups(trees: int):
-    """A block in which :func:`_fit_levels` grows tree groups in workers
-    forked for it, one per usable CPU but this one (:func:`worker_count`),
-    unless forking is unsafe (a thread is alive) or unwanted (a sweep's
-    worker); nested blocks share them. No thread is started. The outermost
-    block's exit reaps the workers, already killed if a group failed."""
+    """A block whose :func:`_fit_levels` calls grow tree groups in
+    :func:`forked` workers; nested blocks share those of the outermost."""
     global _WORKERS
     if _WORKERS is not None:
         yield
         return
-    _WORKERS = []
     try:
-        if _TREE_GROUPS and hasattr(os, "fork") and threading.active_count() == 1:
-            for _ in range(worker_count(trees) - 1):
-                _WORKERS.append(_fork_worker())
-        yield
+        with forked(worker_count(trees) - 1, _grow_levels) as _WORKERS:
+            yield
     finally:
-        for pid, *fds in _WORKERS:
-            for fd in fds:
-                os.close(fd)
-            os.waitpid(pid, 0)
         _WORKERS = None
 
 
@@ -471,29 +512,13 @@ def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: i
     each worker of the open :func:`_tree_groups` block, if any. Each tree's
     draws depend on its own key alone, so the groups' tables, concatenated
     in tree order, are the table of one process growing every tree. The
-    error raised is the first in group order; it kills the workers.
+    error raised is the first in group order.
     """
     workers = (_WORKERS or [])[: len(keys) - 1]
     cuts = [len(keys) * i // (len(workers) + 1) for i in range(len(workers) + 2)]
     tasks = [(x, y, boots[a:b], keys[a:b], depth_limit, spec, q) for a, b in zip(cuts, cuts[1:])]
-    try:
-        for (_, task_write, _), task in zip(workers, tasks[1:]):
-            with open(task_write, "wb", closefd=False) as pipe:
-                pickle.dump(task, pipe, pickle.HIGHEST_PROTOCOL)
-        tables = [_grow_levels(*tasks[0])]
-        for pid, _, result_read in workers:
-            with open(result_read, "rb", closefd=False) as pipe:
-                try:
-                    ok, value = pickle.load(pipe)
-                except EOFError:
-                    raise RuntimeError(f"tree group process {pid} died") from None
-            if not ok:
-                raise value
-            tables.append(value)
-    except BaseException:
-        for pid, *_ in workers:  # no use finishing the other groups
-            os.kill(pid, signal.SIGKILL)
-        raise
+    others = run_all(workers, _grow_levels, tasks[1:])
+    tables = [_grow_levels(*tasks[0]), *others]
     table = {name: np.concatenate([t[name] for t in tables]) for name in _COLUMNS}
     starts = np.cumsum([0] + [len(t["right"]) for t in tables[:-1]])
     table["roots"] = np.concatenate([t["roots"] + start for t, start in zip(tables, starts)])

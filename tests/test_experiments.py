@@ -1,6 +1,5 @@
 """Experiment harness: configs, sweeps, reports, dataset ingestion."""
 
-import concurrent.futures
 import math
 import os
 import threading
@@ -12,6 +11,7 @@ import pytest
 
 from goofloc import ExperimentConfig, build_goof, swim
 from goofloc import experiments
+from goofloc import forest as forest_module
 from goofloc.cli import ingest_recorded_dataset
 from goofloc.dataset import save_snapshot_dataset
 from goofloc.errors import ConfigError, DegenerateInputError, FormatError, NumericalFailure
@@ -339,10 +339,15 @@ class TestParallelCells:
         assert_no_workers_left()
 
     def test_one_worker_or_one_cell_builds_no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+        # tree-group workers may fork (one cell on two CPUs), cell workers not
+        fork_worker = forest_module._fork_worker
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        def refuse(run, siblings):
+            if run is not forest_module._grow_levels:
+                raise AssertionError("a cell worker was forked")
+            return fork_worker(run, siblings)
+
+        monkeypatch.setattr(forest_module, "_fork_worker", refuse)
         use_cpus(monkeypatch, 1)
         two_cells = micro_config(snr_grid_db=(0.0, 12.0))
         run_snr_sweep(two_cells)
@@ -432,6 +437,51 @@ class TestParallelCells:
         with pytest.raises(NumericalFailure):
             run_snr_sweep(cfg)
         assert len(list(tmp_path.iterdir())) < 12
+        assert_no_workers_left()
+
+    def test_a_failing_cell_stops_the_running_cells(self, monkeypatch):
+        def cell(config, noise_kind, snr_db, repetition=0):
+            if snr_db:
+                time.sleep(30)
+            raise ConfigError("snr_grid_db", "first cell")
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "simulate_cell", cell)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="first cell"):
+            run_snr_sweep(micro_config(snr_grid_db=(0.0, 12.0)))
+        assert time.perf_counter() - start < 10
+        assert_no_workers_left()
+
+    def test_a_cell_worker_that_dies_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def cell(config, noise_kind, snr_db, repetition=0):
+            if os.getpid() == parent:
+                raise AssertionError("a cell ran in this process")
+            os._exit(3)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "simulate_cell", cell)
+        with pytest.raises(RuntimeError, match="died"):
+            run_snr_sweep(micro_config(snr_grid_db=(0.0, 12.0)))
+        assert_no_workers_left()
+
+    def test_a_free_worker_takes_the_next_cell(self, monkeypatch, tmp_path):
+        # cells [slow, fast, fast, fast] on two workers: the worker that is
+        # free runs every fast cell while the other runs the slow one
+        def cell(config, noise_kind, snr_db, repetition=0):
+            if snr_db == 0.0:
+                time.sleep(1.0)
+            blocks = simulate_cell(config, noise_kind, snr_db, repetition)
+            (tmp_path / f"{snr_db:g}").write_text(repr(time.monotonic()))
+            return blocks
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(experiments, "simulate_cell", cell)
+        run_snr_sweep(micro_config(snr_grid_db=(0.0, 6.0, 12.0, 18.0)))
+        done = {path.name: float(path.read_text()) for path in tmp_path.iterdir()}
+        assert max(done["6"], done["12"], done["18"]) < done["0"]
         assert_no_workers_left()
 
 

@@ -300,7 +300,7 @@ class TestLevelWiseTrainer:
         rng = np.random.default_rng(0)
         y = np.repeat(np.arange(1, 17), 12)
         x = rng.standard_normal((16, 224))[y - 1] + rng.standard_normal((192, 224))
-        monkeypatch.setattr(forest_module, "_TREE_GROUPS", False)  # every tree in this process
+        use_cpus(monkeypatch, 1)  # every tree in this process
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -309,7 +309,7 @@ class TestLevelWiseTrainer:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # measured 4.8 MB; building the compare for all t thresholds at once,
+        # measured 4.7 MB; building the compare for all t thresholds at once,
         # a (t, pairs, candidates) array, peaks at 8.1 MB under the same bound
         assert peak < 6_000_000
 
