@@ -305,6 +305,7 @@ def sample_alpha_stable(
     return delta + scale * x
 
 
+@np.errstate(all="ignore")  # noise that is not finite is raised below, not warned about
 def add_noise(
     block: SnapshotBlock, noise_spec: NoiseSpec, rng: np.random.Generator
 ) -> SnapshotBlock:
@@ -322,7 +323,11 @@ def add_noise(
     sig_power = block.signal_power
     if sig_power is None:
         sig_power = float(np.mean(np.abs(block.data) ** 2))
-    target = sig_power * 10.0 ** (-noise_spec.snr_db / 10.0)
+    try:  # Python floats raise where they overflow
+        target = sig_power * 10.0 ** (-noise_spec.snr_db / 10.0)
+        scale = target ** (1.0 / noise_spec.alpha) if noise_spec.kind == "impulse" else None
+    except OverflowError:
+        target = scale = math.inf  # noise that is not finite: raised below
 
     if noise_spec.kind == "gaussian":
         noise = math.sqrt(target / 2.0) * (
@@ -339,7 +344,6 @@ def add_noise(
         for i in range(m):
             noise[i] = np.convolve(white[i], fir, mode="valid")
     else:  # impulse
-        scale = target ** (1.0 / noise_spec.alpha)
         re = sample_alpha_stable(
             noise_spec.alpha, noise_spec.beta, scale, noise_spec.delta, (m, length), rng
         )
@@ -347,7 +351,10 @@ def add_noise(
             noise_spec.alpha, noise_spec.beta, scale, noise_spec.delta, (m, length), rng
         )
         noise = re + 1j * im
+    data = block.data + noise
+    if not np.isfinite(data).all():
+        raise NumericalFailure(f"{noise_spec.kind} noise at {noise_spec.snr_db:g} dB is not finite")
     return replace(
-        block, data=block.data + noise, snr_db=noise_spec.snr_db, noise_kind=noise_spec.kind,
+        block, data=data, snr_db=noise_spec.snr_db, noise_kind=noise_spec.kind,
         signal_power=sig_power,
     )

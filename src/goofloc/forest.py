@@ -122,12 +122,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _SIDES = np.array([0xD1B54A32D192ED03, 0x8CB92BA72F3D8DD7], dtype=np.uint64)  # left, right
 # Bound on the cells of a split-search chunk: its nodes start within one
 # block of this many (pair, candidate) cells and one block of this many
-# (class held, candidate, threshold bin) cells. Thresholds are binned and
-# class terms looked up one at a time, so no array of the split search
-# grows with t: each holds about one block (less than the bound plus its
-# last node's share), the class-slot ones padded to the chunk's most mixed
-# node. The bound caps the trainer's working set: a peak of about 5 MB
-# while a 40-tree forest trains at 2^16. No result depends on it.
+# (class held, candidate, threshold bin) cells. Thresholds are binned one
+# at a time, so no array of the split search grows with t: each holds less
+# than one block plus its last node's share. The bound caps the trainer's
+# working set: a peak of about 5 MB while a 40-tree forest trains at 2^16.
+# No result depends on it.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -175,15 +174,6 @@ def _xlogx(n: int) -> np.ndarray:
     return c * np.log2(np.maximum(c, 1.0))
 
 
-def _class_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 (classes), one class at a time in class order, so
-    classes with zero terms can be left out without changing a bit."""
-    total = values[:, 0]
-    for i in range(1, values.shape[1]):
-        total = total + values[:, i]
-    return total
-
-
 def _pair_table(counts: np.ndarray, xlogx: np.ndarray):
     """``(table, at)`` with ``table[at[r] + p] == xlogx[p] + xlogx[r - p]``
     for 0 <= p <= r, every count r in ``counts`` and r = 0: one segment per
@@ -197,30 +187,33 @@ def _pair_table(counts: np.ndarray, xlogx: np.ndarray):
     return xlogx[p] + xlogx[np.repeat(r, r + 1) - p], at
 
 
-def _split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray, pairs) -> np.ndarray:
-    """Information gain in bits of splitting the class counts ``parent``
-    into ``part`` and the rest, classes along axis 1 of both (``parent``
-    broadcasts against ``part``); 0 where either side is empty. Swapping
-    ``part`` and the rest, or dropping classes that neither holds, gives
-    the same value bit for bit.
+def _split_gain(left: np.ndarray, parent: np.ndarray, owner: np.ndarray, n: np.ndarray,
+                xlogx: np.ndarray, pairs) -> np.ndarray:
+    """Information gain in bits, (t, c, m), of splitting c nodes of ``n``
+    samples each into ``left`` (t, S, m) and the rest; 0 where either side
+    is empty. Class slot s holds ``parent[s]`` samples of node
+    ``owner[s]``; a node's slots are consecutive and in class order.
+    Swapping ``left`` and the rest, or dropping classes that neither holds,
+    gives the same value bit for bit.
 
     Uses n H(counts) = n log2 n - sum_c c log2 c, so every entropy term is
     a lookup in ``xlogx``; a class's two child terms, ``xlogx[p] +
     xlogx[r - p]``, are one lookup in the ``pairs`` that :func:`_pair_table`
-    built over the class and node counts, the same float sum.
+    built over the class and node counts, the same float sum. ``bincount``
+    adds its weights one at a time in input order, so each node's terms
+    are summed in class order (``reduceat`` does not: it sums integers).
     """
     table, at = pairs
-    n = parent.sum(axis=1)
-    n_part = part.sum(axis=1)
-    # one class at a time, in class order (the float sum _class_sum gives),
-    # so no index or term array spans every class
-    ends = at[parent]
-    terms = table[ends[:, 0] + part[:, 0]]
-    for i in range(1, part.shape[1]):
-        terms += table[ends[:, i] + part[:, i]]
-    children = table[at[n] + n_part] - terms
-    gain = (xlogx[n] - _class_sum(xlogx[parent]) - children) / n
-    return np.where((n_part > 0) & (n_part < n), gain, 0.0)
+    c, m = n.size, left.shape[2]
+    n_left = np.add.reduceat(left, np.searchsorted(owner, np.arange(c)), axis=1)
+    # one threshold at a time, so no term array spans every threshold;
+    # each (slot, candidate) adds to its (node, candidate)
+    node = (owner[:, None] * m + np.arange(m)).ravel()
+    ends = at[parent][:, None]
+    terms = np.stack([np.bincount(node, table[ends + part].ravel(), c * m) for part in left])
+    children = table[at[n][:, None] + n_left] - terms.reshape(n_left.shape)
+    gain = ((xlogx[n] - np.bincount(owner, xlogx[parent], c))[:, None] - children) / n[:, None]
+    return np.where((n_left > 0) & (n_left < n[:, None]), gain, 0.0)
 
 
 def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
@@ -233,15 +226,15 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
 
     Searched nodes are scored in chunks. Each projection is compared with
     its node's sorted thresholds one threshold at a time, counting the
-    thresholds it reaches, its bin; one bincount over (bin, class, node,
+    thresholds it reaches, its bin; one bincount over (bin, class slot,
     candidate) counts the chunk, and running sums over the bins give every
-    candidate's left-child class counts. Each array of a chunk holds about
-    one block of ``_CHUNK_CELLS`` cells; t does not multiply it. A node's
-    classes are renumbered to those it holds, so the counts of a chunk have
-    as many class slots as its most mixed node. Equal thresholds cut alike
-    and share a gain, so the first maximum in draw order is the least draw
-    index among the cells of the maximum, whatever order sorting gave equal
-    thresholds.
+    candidate's left-child class counts. A node has one slot per class it
+    holds, so each array of a chunk holds about one block of
+    ``_CHUNK_CELLS`` cells; t does not multiply it. The gain's bincount adds
+    a node's slots one at a time in class order, bit for bit the sum of a
+    class-by-class loop. Equal thresholds cut alike and share a gain, so
+    the first maximum in draw order is the least draw index among the cells
+    of the maximum, whatever order sorting gave equal thresholds.
     """
     k, q = hist.shape
     dim = x.shape[1]
@@ -254,31 +247,25 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
     go_right = np.zeros(node.size, dtype=bool)
     if not search.any():
         return split, feats, weights, threshold, go_right
-    present = hist > 0
-    # searched nodes, fewest classes first, so that a chunk pads few slots;
-    # each node's pairs stay one run, in the same order
+    # one class slot per (searched node, class it holds), node by node in
+    # class order; a node's pairs are one run (pairs stay sorted by node)
+    held = (hist > 0) & search[:, None]
     nodes = np.flatnonzero(search)
-    width = present[nodes].sum(axis=1)
-    fewest = np.argsort(width, kind="stable")
-    nodes, width = nodes[fewest], width[fewest]
-    rank = np.zeros(k, dtype=np.intp)
-    rank[nodes] = np.arange(nodes.size)
     pairs = np.flatnonzero(search[node])
-    pairs = pairs[np.argsort(rank[node[pairs]], kind="stable")]
+    slot = (np.cumsum(held.ravel()) - 1).reshape(k, q)[node[pairs], label[pairs]]
+    parent = hist[held]  # each slot's sample count
+    owner = np.nonzero(held[nodes])[0]  # each slot's node
     sizes = hist[nodes].sum(axis=1)
     starts = np.concatenate([[0], np.cumsum(sizes)])
+    first = np.concatenate([[0], np.cumsum(held[nodes].sum(axis=1))])  # each node's first slot
     chunk = (starts[:-1] // max(1, _CHUNK_CELLS // m)
-             + (np.cumsum(width) - width) // max(1, _CHUNK_CELLS // (m * (t + 1))))
+             + first[:-1] // max(1, _CHUNK_CELLS // (m * (t + 1))))
     bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1), nodes.size]
-    # each pair's class slot among the classes its node holds
-    slot = (np.cumsum(present, axis=1) - 1)[node[pairs], label[pairs]]
-    lookup = _pair_table(np.concatenate([hist[nodes].ravel(), sizes]), xlogx)
+    lookup = _pair_table(np.concatenate([parent, sizes]), xlogx)
     flat = x.ravel()
     for a, b in zip(bounds[:-1], bounds[1:]):
-        ids, c, q_c, run = nodes[a:b], b - a, width[b - 1], sizes[a:b]
+        ids, c, run, s = nodes[a:b], b - a, sizes[a:b], slice(first[a], first[b])
         at = pairs[starts[a] : starts[b]]
-        # (class slot, node) of each pair
-        member = slot[starts[a] : starts[b]] * c + np.repeat(np.arange(c), run)
         f, w, u = _node_draws(keys[ids], dim, spec)
         # each node's draws repeated over its run of pairs: (S, m, arity)
         f_at, w_at = np.repeat(f, run, axis=0), np.repeat(w, run, axis=0)
@@ -296,16 +283,17 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
         bins = np.zeros(proj.shape, dtype=np.min_scalar_type(t))
         for j in range(t):
             bins += proj >= np.repeat(ascending[j], run, axis=0)
-        span = q_c * c * m
-        cell = np.multiply(bins, span, dtype=np.intp) + (member[:, None] * m + np.arange(m))
+        span = (first[b] - first[a]) * m
+        member = (slot[starts[a] : starts[b]] - first[a])[:, None] * m + np.arange(m)
+        cell = np.multiply(bins, span, dtype=np.intp) + member
         counts = np.bincount(cell.ravel(), minlength=(t + 1) * span)
         # samples left of the j-th smallest threshold sit in bins 0..j; one
         # add per bin runs over whole slabs, where cumsum steps row by row
-        left = counts[: t * span].reshape(t, q_c, c, m)
+        left = counts[: t * span].reshape(t, -1, m)
         for j in range(1, t):
             left[j] += left[j - 1]
-        parent = np.bincount(member, minlength=q_c * c).reshape(1, q_c, c, 1)
-        gain = _split_gain(left, parent, xlogx, lookup)  # (t, c, m), thresholds ascending
+        # (t, c, m), thresholds ascending
+        gain = _split_gain(left, parent[s], owner[s] - a, run, xlogx, lookup)
         top = gain.max(axis=0).max(axis=1)
         drawn = np.arange(m) * t + np.argsort(cut, axis=2).transpose(2, 0, 1)
         best = np.where(gain == top[:, None], drawn, m * t).min(axis=0).min(axis=1)
@@ -318,7 +306,7 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
         threshold[ids[ok]] = chosen[ok]
         picked = np.take(proj, np.arange(at.size) * m + np.repeat(cand, run))
         go_right[at] = picked >= np.repeat(chosen, run)
-        del f_at, w_at, base, proj, bins, cell, counts, left, gain, drawn, picked
+        del f_at, w_at, base, proj, bins, member, cell, counts, left, gain, drawn, picked
     return split, feats, weights, threshold, go_right
 
 

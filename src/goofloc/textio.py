@@ -30,8 +30,6 @@ _END_HEADER = b"\nend-header\n"
 def fmt_value(v) -> str:
     if v is None:
         return "none"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(float(v))
     if isinstance(v, (list, tuple)):

@@ -25,13 +25,21 @@ from goofloc.forest import (
     _child_keys,
     _fit_levels,
     _forest_draws,
-    _class_sum,
     _node_draws,
     _training_set,
     _xlogx,
     shannon_entropy,
 )
 from goofloc.textio import write_document
+
+
+def _class_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 (classes), one class at a time in class order, so
+    classes with zero terms can be left out without changing a bit."""
+    total = values[:, 0]
+    for i in range(1, values.shape[1]):
+        total = total + values[:, i]
+    return total
 
 
 def split_gain(part: np.ndarray, parent: np.ndarray, xlogx: np.ndarray) -> np.ndarray:

@@ -273,6 +273,22 @@ def test_overflowing_snapshots_exit_code(tmp_path, staged, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # nothing but the message reaches stderr
+@pytest.mark.parametrize("argv", [
+    # alpha-stable draws at so small an alpha overflow to inf
+    ["simulate", "--noise-kinds", "impulse", "--impulse-alpha", "0.01", "--snr-grid-db", "-10"],
+    ["sweep-snr", "--noise-kinds", "impulse", "--impulse-alpha", "0.01", "--snr-grid-db", "6",
+     "--repetitions", "1", "--quiet"],
+    # 10^400 overflows the noise power
+    ["simulate", "--noise-kinds", "gaussian", "--snr-grid-db", "-4000"],
+])
+def test_overflowing_noise_exit_code(tmp_path, capsys, argv):
+    code = main([*argv, "--seed", "1", "--grid-count", "4", "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
 def test_degenerate_snapshots_exit_code(tmp_path, staged, capsys):
     # an all-zero antenna row leaves the PSD fingerprint undefined
     blocks = load_snapshot_dataset(staged / "snapshots_gaussian_18dB.goofsnap")

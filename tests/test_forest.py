@@ -242,16 +242,21 @@ class TestSplitGain:
         t, q, k, m = 6, 5, 7, 4
         parent = rng.integers(0, 9, size=(1, q, k, 1))
         parent[:, rng.random((q, k)) < 0.3] = 0  # classes a node does not hold
-        parent[:, q - 2 :, : k // 2] = 0  # padded class slots
+        parent[:, q - 2 :, : k // 2] = 0  # classes half the nodes lack
         parent[:, 0] += 1  # no node is empty
         parent[:, :, k - 1] = 0
         parent[:, 0, k - 1] = 40  # one node of a single class
         part = np.minimum(rng.integers(0, 12, size=(t, q, k, m)), parent)
         part[0] = 0  # every sample on one side
         part[-1] = parent
-        xlogx = _xlogx(int(parent.sum(axis=1).max()))
-        lookup = _pair_table(np.concatenate([parent.ravel(), parent.sum(axis=1).ravel()]), xlogx)
-        gain = _split_gain(part, parent, xlogx, lookup)
+        n = parent.sum(axis=1).ravel()
+        xlogx = _xlogx(int(n.max()))
+        lookup = _pair_table(np.concatenate([parent.ravel(), n]), xlogx)
+        # the trainer's layout: each node's held classes packed, node by node
+        held = parent[0, :, :, 0].T > 0  # (k, q)
+        packed = part.transpose(0, 2, 1, 3)[:, held]  # (t, S, m)
+        owner = np.nonzero(held)[0]
+        gain = _split_gain(packed, parent[0, :, :, 0].T[held], owner, n, xlogx, lookup)
         naive = split_gain(part, parent, xlogx)
         assert gain.tobytes() == naive.tobytes()
         assert not gain[0].any() and not gain[-1].any() and not gain[:, k - 1].any()
@@ -312,6 +317,30 @@ class TestLevelWiseTrainer:
         # measured 4.7 MB; building the compare for all t thresholds at once,
         # a (t, pairs, candidates) array, peaks at 8.1 MB under the same bound
         assert peak < 6_000_000
+
+    def test_chunks_hold_only_the_held_class_slots(self, monkeypatch):
+        # the psdf-shaped set above, where padding each node of a chunk to
+        # its most mixed one scores 120,120 class cells to hold 65,670
+        rng = np.random.default_rng(0)
+        y = np.repeat(np.arange(1, 17), 12)
+        x = rng.standard_normal((16, 224))[y - 1] + rng.standard_normal((192, 224))
+        use_cpus(monkeypatch, 1)
+        held, slots = [], []
+        split_level, split_gain = forest_module._split_level, forest_module._split_gain
+
+        def level_spy(x, rows, label, node, hist, keys, search, *rest):
+            held.append(int((hist[search] > 0).sum()))
+            return split_level(x, rows, label, node, hist, keys, search, *rest)
+
+        def gain_spy(left, parent, owner, *rest):
+            assert left.shape[1] == parent.size == owner.size
+            slots.append(parent.size)
+            return split_gain(left, parent, owner, *rest)
+
+        monkeypatch.setattr(forest_module, "_split_level", level_spy)
+        monkeypatch.setattr(forest_module, "_split_gain", gain_spy)
+        train_forest(x, y, 40, 8, WeakLearnerSpec(), seed=1, class_count=16)
+        assert sum(slots) == sum(held) > 0
 
     @pytest.mark.parametrize("thresholds", [1, 10])
     @pytest.mark.parametrize("primitive", list(PRIMITIVES))
