@@ -32,10 +32,8 @@ from .experiments import (
     simulate_cell,
 )
 from .fingerprints import KIND_ORDER, build_goof, load_goof, save_goof
-from .forest import (
-    PredictionMatrix, WeakLearnerSpec, load_bank, predict_matrix, save_bank, train_bank,
-)
-from .fusion import fusion_report_rows, prediction_probability, swim
+from .forest import WeakLearnerSpec, load_bank, predict_matrix, save_bank, train_bank
+from .fusion import fusion_report_rows, swim
 from .textio import fmt_value, read_artifact, write_document
 
 
@@ -43,6 +41,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="structured-text config file")
     for f in fields(ExperimentConfig):
         parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, **types) -> None:
+    """One flag per named config field, defaulting to the field's default."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for name, to in types.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=to, default=defaults[name])
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,16 +75,16 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
-    # a bad repetition raises before --out-dir exists
-    cell_key(config.seed, config.noise_kinds[0], config.snr_grid_db[0], args.repetition)
+    # every cell is simulated before --out-dir exists, so a failing cell
+    # (or a bad repetition) leaves no file behind
+    cells = [(kind, snr, simulate_cell(config, kind, snr, repetition=args.repetition))
+             for kind in config.noise_kinds for snr in config.snr_grid_db]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind in config.noise_kinds:
-        for snr in config.snr_grid_db:
-            blocks = simulate_cell(config, kind, snr, repetition=args.repetition)
-            path = out_dir / f"snapshots_{kind}_{snr:g}dB.goofsnap"
-            save_snapshot_dataset(path, blocks)
-            print(f"wrote {path}")
+    for kind, snr, blocks in cells:
+        path = out_dir / f"snapshots_{kind}_{snr:g}dB.goofsnap"
+        save_snapshot_dataset(path, blocks)
+        print(f"wrote {path}")
     return 0
 
 
@@ -94,7 +99,7 @@ def _cmd_build_goof(args) -> int:
 def _cmd_train(args) -> int:
     goof = load_goof(args.goof)
     if args.train_count is not None:
-        goof, _ = goof.split(args.train_count, goof.group_count - args.train_count)
+        goof = goof.groups(0, args.train_count)
     bank = train_bank(
         goof,
         args.tree_count,
@@ -109,29 +114,22 @@ def _cmd_train(args) -> int:
 
 def _cmd_test(args) -> int:
     goof = load_goof(args.goof)
-    if args.skip_count:
-        _, goof = goof.split(args.skip_count, goof.group_count - args.skip_count)
+    goof = goof.groups(args.skip_count, goof.group_count - args.skip_count)
     bank = load_bank(args.bank)
     for kind, forest in bank.forests.items():
         if forest.feature_dim != goof.data[kind].shape[2]:
             raise FormatError(f"{args.bank}: {kind.value} forest does not fit {args.goof}")
     pm = predict_matrix(bank, {kind: goof.stack(kind)[0] for kind in KIND_ORDER})
-    rows = pm.matrix.reshape(len(goof.labels), goof.group_count, len(KIND_ORDER))
-    matrices = {grid: PredictionMatrix(b, true_label=grid) for grid, b in zip(goof.grids(), rows)}
-    save_bmatrices(args.out, matrices)
-    print(f"wrote prediction matrices for {len(matrices)} grids -> {args.out}")
+    stack = pm.matrix.reshape(len(goof.labels), goof.group_count, len(KIND_ORDER))
+    save_bmatrices(args.out, goof.grids(), goof.grids(), stack)
+    print(f"wrote prediction matrices for {len(stack)} grids -> {args.out}")
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    matrices = load_bmatrices(args.bmatrices)
-    results = {}
-    for grid, pm in matrices.items():
-        result = swim(pm.matrix, args.window)
-        if pm.true_label is not None:
-            result.rho = prediction_probability(result.labels, pm.true_label)
-        results[grid] = result
-    rows = fusion_report_rows(results, args.window, [k.value for k in KIND_ORDER])
+    grids, true, stack = load_bmatrices(args.bmatrices)
+    results = [swim(b, args.window) for b in stack]
+    rows = fusion_report_rows(grids, true, results, args.window, [k.value for k in KIND_ORDER])
     text = write_document("GOOF-FUSION", 1, {"window": args.window}, rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -182,19 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-goof", help="extract the six fingerprint families")
     p.add_argument("--dataset", required=True, help="snapshot dataset file")
     p.add_argument("--group-count", type=int, required=True)
-    p.add_argument("--flom-exponent", type=float, default=1.2)
-    p.add_argument("--psd-points", type=int, default=None)
+    _add_field_flags(p, flom_exponent=float, psd_points=int)
     p.add_argument("--out", required=True, help="output fingerprint store file")
     p.set_defaults(func=_cmd_build_goof)
 
     p = sub.add_parser("train", help="train the random-forest classifier bank")
     p.add_argument("--goof", required=True, help="fingerprint store file")
     p.add_argument("--train-count", type=int, default=None, help="groups per grid to train on")
-    p.add_argument("--tree-count", type=int, default=40)
-    p.add_argument("--depth-limit", type=int, default=8)
-    p.add_argument("--primitive", default="axis_aligned_stump")
-    p.add_argument("--feature-subspace", type=int, default=None)
-    p.add_argument("--threshold-candidates", type=int, default=10)
+    _add_field_flags(p, tree_count=int, depth_limit=int, primitive=str, feature_subspace=int,
+                     threshold_candidates=int)
     p.add_argument("--seed", type=int, required=True, help="seed of the sweep cell in --goof")
     p.add_argument("--out", required=True, help="output bank directory")
     p.set_defaults(func=_cmd_train)

@@ -25,7 +25,6 @@ from .channel import ArrayGeometry, NoiseSpec, Scenario, make_grid_scenario
 from .errors import ConfigError, FormatError
 from .fingerprints import KIND_ORDER, FingerprintKind, build_goof, feature_dim
 from .forest import (
-    PredictionMatrix,
     WeakLearnerSpec,
     forked,
     key_seed,
@@ -96,13 +95,16 @@ class ExperimentConfig:
             raise ConfigError("grid_count", "must be >= 1")
         if self.num_elements < 2:
             raise ConfigError("num_elements", "must be >= 2")
-        if not self.noise_kinds:
-            raise ConfigError("noise_kinds", "must be nonempty")
+        # a repeated value would run its cells, and count their grids, twice
+        for name in _TUPLE_FIELDS:
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(name, "must be nonempty")
+            if len(set(values)) < len(values):
+                raise ConfigError(name, "must not repeat a value")
         for kind in self.noise_kinds:
             if kind not in channel.NOISE_KINDS:
                 raise ConfigError("noise_kinds", f"unsupported kind {kind!r}")
-        if not self.snr_grid_db:
-            raise ConfigError("snr_grid_db", "must be nonempty")
         # the ranges simulate_cell needs, each named here: finite floats (an
         # SNR of +inf is noiseless), the FIR length for every noise kind,
         # alpha and beta for impulse noise only
@@ -146,8 +148,6 @@ class ExperimentConfig:
         snapshots_per_group = self.snapshot_count // self.group_count
         if self.psd_points is not None and not 1 <= self.psd_points <= snapshots_per_group:
             raise ConfigError("psd_points", f"must be in 1..{snapshots_per_group}")
-        if not self.windows:
-            raise ConfigError("windows", "must be nonempty")
         for w in self.windows:
             if not 1 <= w <= self.test_count:
                 raise ConfigError("windows", f"window {w} outside 1..{self.test_count}")
@@ -332,8 +332,8 @@ def _cell_stores(config: ExperimentConfig, cell: tuple, train_count: int, test_c
 
 def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
     """The training half of one SNR-sweep cell: simulate, extract, split,
-    train the bank and predict the test groups. Returns ``(grids, matrix,
-    train_s, predict_s)``, ``matrix`` the (Z*G, 6) predictions, grid-major."""
+    train the bank and predict the test groups. Returns ``(grids, stack,
+    train_s, predict_s)``, ``stack`` the (grids, Z, 6) predictions."""
     rep, noise_kind, snr = cell
     goof_train, goof_test = _cell_stores(config, cell, config.train_count, config.test_count)
     key = cell_key(config.seed, noise_kind, snr, rep)
@@ -342,7 +342,8 @@ def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
                       key, class_count=config.grid_count)
     t1 = time.perf_counter()
     pm = predict_matrix(bank, {kind: goof_test.stack(kind)[0] for kind in KIND_ORDER})
-    return goof_test.grids(), pm.matrix, t1 - t0, time.perf_counter() - t1
+    stack = pm.matrix.reshape(len(goof_test.labels), goof_test.group_count, len(KIND_ORDER))
+    return goof_test.grids(), stack, t1 - t0, time.perf_counter() - t1
 
 
 def _run_cells(config: ExperimentConfig, cells: list, cell_fn, score, name: str,
@@ -380,9 +381,10 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
 
 def _score_snr_cell(config, dist, report, cell, result):
     _, noise_kind, snr = cell
-    grids, matrix, train_s, predict_s = result
-    report.add_timing("bank", train_s=train_s, test_s=predict_s, predictions=len(matrix))
-    for grid, b in zip(grids, matrix.reshape(len(grids), -1, matrix.shape[1])):
+    grids, stack, train_s, predict_s = result
+    report.add_timing("bank", train_s=train_s, test_s=predict_s,
+                      predictions=stack.shape[0] * stack.shape[1])
+    for grid, b in zip(grids, stack):
         for ki, kind in enumerate(KIND_ORDER):
             rho = float((b[:, ki] == grid).mean())
             err = float(dist[b[:, ki] - 1, grid - 1].mean())
@@ -582,21 +584,20 @@ def load_report(path) -> Report:
     return report
 
 
-def save_bmatrices(path, matrices: dict) -> None:
-    """Persist per-grid prediction matrices: the header names the grids
-    and their true labels (0 if unknown), then one (grids, sample_count,
-    kinds) little-endian int64 array follows."""
-    grids = sorted(matrices)
-    if not grids:
-        raise ValueError("no prediction matrices to save")
-    stack = np.stack([matrices[grid].matrix for grid in grids])
-    if stack.shape[1] < 1 or stack.shape[2] != len(KIND_ORDER):
+def save_bmatrices(path, grids, true, stack) -> None:
+    """Persist a prediction stack: the header names the grids and their
+    true labels (0 if unknown), then the (grids, sample_count, kinds)
+    ``stack`` follows as one little-endian int64 array."""
+    if stack.ndim != 3 or stack.shape[1] < 1 or stack.shape[2] != len(KIND_ORDER):
         raise ValueError(f"need nonempty Z x {len(KIND_ORDER)} matrices, got {stack.shape[1:]}")
-    if grids[0] < 1 or stack.min() < 1:
+    if not len(grids) == len(true) == len(stack) >= 1:
+        raise ValueError("need one grid and one true label per matrix, and a matrix at least")
+    if len(set(grids)) < len(grids):
+        raise ValueError("a grid label repeats")
+    if min(grids) < 1 or stack.min() < 1:
         raise ValueError("grid keys and predicted labels must be >= 1")
-    true = [matrices[grid].true_label or 0 for grid in grids]
     if min(true) < 0:
-        raise ValueError("true labels must be >= 1, or 0 or None if unknown")
+        raise ValueError("true labels must be >= 1, or 0 if unknown")
     header = {
         "kinds": [kind.value for kind in KIND_ORDER],
         "grids": grids,
@@ -614,10 +615,10 @@ def _true_label(text: str) -> int:
     return value
 
 
-def load_bmatrices(path) -> dict:
-    """Read :func:`save_bmatrices` output: the kinds must be the six
-    families, the grids distinct with one true label >= 0 each, and every
-    predicted label >= 1."""
+def load_bmatrices(path) -> tuple:
+    """Read :func:`save_bmatrices` output as ``(grids, true, stack)``: the
+    kinds must be the six families, the grids distinct with one true label
+    >= 0 each, and every predicted label >= 1."""
     raw = read_artifact(path)
     doc, offset = read_header(raw, BMAT_MAGIC, BMAT_VERSION)
     doc.get("kinds", one_of(fmt_value([kind.value for kind in KIND_ORDER])))
@@ -628,10 +629,6 @@ def load_bmatrices(path) -> dict:
     if stack.min() < 1:
         at = int((stack < 1).argmax())  # the first label below 1, in file order
         raise FormatError(f"prediction label {stack.flat[at]} is below 1", offset + 8 * at)
-    matrices = {
-        grid: PredictionMatrix(matrix=b, true_label=t if t > 0 else None)
-        for grid, b, t in zip(grids, stack, true)
-    }
-    if len(matrices) < len(grids):
+    if len(set(grids)) < len(grids):
         raise FormatError(f"line {doc.values['grids'][1]}: a grid label repeats")
-    return matrices
+    return grids, true, stack

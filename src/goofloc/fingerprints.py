@@ -208,21 +208,20 @@ class Goof:
         x = self.data[kind]
         return x.reshape(-1, x.shape[2]), np.repeat(self.labels, x.shape[1])
 
+    def groups(self, start: int, count: int) -> "Goof":
+        """The store cut to ``count`` groups per grid from group ``start``."""
+        if start < 0 or count < 1 or start + count > self.group_count:
+            raise ConfigError(
+                "train_count",
+                f"need >= 1 of the {self.group_count} groups from group {start} on; got {count}",
+            )
+        data = {kind: x[:, start : start + count] for kind, x in self.data.items()}
+        return replace(self, group_count=count, data=data)
+
     def split(self, train_count: int, test_count: int) -> tuple["Goof", "Goof"]:
         """First ``train_count`` groups per grid for training, the next
         ``test_count`` for testing (groups are i.i.d. given the block)."""
-        if min(train_count, test_count) < 1 or train_count + test_count > self.group_count:
-            raise ConfigError(
-                "train_count",
-                f"need >= 1 training and >= 1 test groups, at most {self.group_count}"
-                f" in all; got {train_count} + {test_count}",
-            )
-
-        def part(start: int, count: int) -> Goof:
-            data = {kind: x[:, start : start + count] for kind, x in self.data.items()}
-            return replace(self, group_count=count, data=data)
-
-        return part(0, train_count), part(train_count, test_count)
+        return self.groups(0, train_count), self.groups(train_count, test_count)
 
     def validate(self) -> None:
         if self.group_count < 1:

@@ -656,11 +656,6 @@ class PredictionMatrix:
     matrix: np.ndarray  # (Z, H) int
     true_label: int | None = None
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=int)
-        if self.matrix.ndim != 2:
-            raise ValueError("prediction matrix must be 2-D")
-
 
 @dataclass
 class ClassifierBank:

@@ -27,7 +27,6 @@ class FusionResult:
     labels: np.ndarray  # (U,) fused grid labels
     selected: np.ndarray  # (U,) chosen classifier column indices (0-based)
     window_length: int
-    rho: float | None = None  # filled in once the true label is known
 
     @property
     def prediction_count(self) -> int:
@@ -108,16 +107,18 @@ def prediction_probability(labels, true_label: int) -> float:
     return float((arr == true_label).mean())
 
 
-def fusion_report_rows(results: dict, window_length: int, kind_names) -> list[str]:
-    """Structured-text rows, one per grid: (grid, W, U, rho, histogram of
-    selected classifiers across windows)."""
+def fusion_report_rows(grids, true, results, window_length: int, kind_names) -> list[str]:
+    """Structured-text rows, one per grid in label order: (grid, W, U, rho,
+    histogram of selected classifiers across windows). ``results[i]`` is
+    grid ``grids[i]``'s fusion; its rho is ``none`` where ``true[i]`` is 0
+    (unknown)."""
     rows = []
-    for grid in sorted(results):
-        result = results[grid]
+    for grid, label, result in sorted(zip(grids, true, results), key=lambda row: row[0]):
         hist = Counter(kind_names[int(g)] for g in result.selected)
         hist_text = ",".join(f"{name}:{hist[name]}" for name in sorted(hist))
+        rho = prediction_probability(result.labels, label) if label else None
         rows.append(
             f"grid={grid} w={window_length} u={result.prediction_count} "
-            f"rho={fmt_value(result.rho)} selected={hist_text}"
+            f"rho={fmt_value(rho)} selected={hist_text}"
         )
     return rows

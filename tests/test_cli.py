@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from goofloc import ExperimentConfig
-from goofloc.cli import main
+from goofloc.cli import build_parser, main
 from goofloc.dataset import load_snapshot_dataset, save_snapshot_dataset
 from goofloc.experiments import (
     config_to_text, load_bmatrices, run_snr_sweep, save_bmatrices, snr_cell,
 )
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import PredictionMatrix
 
 
 def micro_config():
@@ -181,8 +180,13 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
         (["train", "--goof", goof, "--train-count", 99, "--seed", 1, "--out", out], "train_count"),
         (["train", "--goof", goof, "--train-count", 0, "--seed", 1, "--out", out], "train_count"),
         (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out], "train_count"),
+        (["test", "--goof", goof, "--skip-count", 4, "--bank", bank, "--out", out], "train_count"),
         (["fuse", "--bmatrices", bmat, "--window", 9], "window"),
         (["fuse", "--bmatrices", bmat, "--window", 0], "window"),
+        # a repeated value would run a cell, and count its grids, again
+        (simulate + ["--noise-kinds", "gaussian,gaussian"], "noise_kinds"),
+        (simulate + ["--snr-grid-db", "10,10"], "snr_grid_db"),
+        (simulate + ["--windows", "2,2"], "windows"),
         # ranges the simulation needs
         (sweep + ["--impulse-alpha", 3], "impulse_alpha"),
         (sweep + ["--impulse-alpha", 0], "impulse_alpha"),
@@ -234,6 +238,44 @@ def test_bad_repetition_leaves_no_out_dir(tmp_path, config_file, capsys):
     assert main([str(a) for a in argv]) == 2
     assert "config error: repetition" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failing_cell_leaves_no_out_dir(tmp_path, capsys):
+    # the gaussian cell simulates, then the impulse cell overflows
+    out = tmp_path / "x"
+    argv = ["simulate", "--seed", "1", "--grid-count", "4", "--noise-kinds", "gaussian,impulse",
+            "--impulse-alpha", "0.01", "--snr-grid-db", "10", "--out-dir", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
+
+
+def test_train_count_of_every_group(tmp_path, staged, capsys):
+    # --train-count G trains on the whole store, as leaving the flag out does
+    argv = ["train", "--goof", str(staged / "goof"), "--tree-count", "3", "--depth-limit", "4",
+            "--seed", "5"]
+    assert main([*argv, "--train-count", "4", "--out", str(tmp_path / "all")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    names = sorted(path.name for path in (tmp_path / "all").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "default").iterdir())
+    assert len(names) == len(KIND_ORDER)
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_stage_flags_default_to_the_config_fields():
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    parser = build_parser()
+    for argv, names in [
+        (["build-goof", "--dataset", "d", "--group-count", "4", "--out", "o"],
+         ("flom_exponent", "psd_points")),
+        (["train", "--goof", "g", "--seed", "1", "--out", "o"],
+         ("tree_count", "depth_limit", "primitive", "feature_subspace", "threshold_candidates")),
+    ]:
+        args = parser.parse_args(argv)
+        for name in names:
+            assert getattr(args, name) == defaults[name], (argv[0], name)
 
 
 # two cells each, so two workers really run in a pool
@@ -360,15 +402,13 @@ def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
         for argv in stages:
             assert main([str(a) for a in argv]) == 0
 
-        matrices = load_bmatrices(cell / "b.txt")
-        grids = sorted(matrices)
+        grids, true, stack = load_bmatrices(cell / "b.txt")
         # the same cell's bank predicts the same labels, sample for sample
-        sweep_grids, sweep_matrix, _, _ = snr_cell(cfg, (0, kind, snr))
-        assert grids == sweep_grids, kind
-        staged_matrix = np.concatenate([matrices[g].matrix for g in grids])
-        assert np.array_equal(staged_matrix, sweep_matrix), kind
+        sweep_grids, sweep_stack, _, _ = snr_cell(cfg, (0, kind, snr))
+        assert grids == sweep_grids == true, kind
+        assert np.array_equal(stack, sweep_stack), kind
         for ki, family in enumerate(KIND_ORDER):
-            rhos = [float((matrices[g].matrix[:, ki] == g).mean()) for g in grids]
+            rhos = [float((b[:, ki] == g).mean()) for g, b in zip(grids, stack)]
             assert rhos == report.rows[(kind, snr, family.value)], (kind, family)
         rows = (cell / "fusion.txt").read_text().splitlines()[2:]
         fused = [float(row.split("rho=")[1].split()[0]) for row in rows]
@@ -424,7 +464,7 @@ def test_fuse_large_label_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(3)
     matrix = rng.integers(1, 4, size=(8, len(KIND_ORDER)))
     matrix[2, 1] = 10**15
-    save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, true_label=1)})
+    save_bmatrices(tmp_path / "b", [1], [1], matrix[None])
     out = tmp_path / "fusion.txt"
     assert main(["fuse", "--bmatrices", str(tmp_path / "b"), "--window", "5",
                  "--out", str(out)]) == 0
@@ -433,8 +473,7 @@ def test_fuse_large_label_exit_code(tmp_path, capsys):
 
 
 def test_fuse_negative_true_label_exit_code(tmp_path, capsys):
-    matrix = np.ones((4, len(KIND_ORDER)), int)
-    save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, true_label=1)})
+    save_bmatrices(tmp_path / "b", [1], [1], np.ones((1, 4, len(KIND_ORDER)), int))
     raw = (tmp_path / "b").read_bytes()
     (tmp_path / "b").write_bytes(raw.replace(b"true=1", b"true=-2"))
     out = tmp_path / "fusion.txt"

@@ -30,7 +30,7 @@ from goofloc.experiments import (
     simulate_cell,
 )
 from goofloc.fingerprints import KIND_ORDER, FingerprintKind
-from goofloc.forest import PredictionMatrix, predict_matrix, train_bank, worker_count
+from goofloc.forest import predict_matrix, train_bank, worker_count
 
 
 def micro_config(**over):
@@ -618,48 +618,43 @@ class TestReports:
 
     def test_bmatrices_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        matrices = {
-            g: PredictionMatrix(matrix=rng.integers(1, 5, size=(6, 6)), true_label=g)
-            for g in (1, 2, 3)
-        }
+        stack = np.stack([rng.integers(1, 5, size=(6, 6)) for _ in range(3)])
         path = tmp_path / "b.txt"
-        save_bmatrices(path, matrices)
-        back = load_bmatrices(path)
-        assert back.keys() == matrices.keys()
-        for g in matrices:
-            assert np.array_equal(back[g].matrix, matrices[g].matrix)
-            assert back[g].true_label == g
+        save_bmatrices(path, [1, 2, 3], [1, 2, 3], stack)
+        grids, true, back = load_bmatrices(path)
+        assert grids == [1, 2, 3] and true == [1, 2, 3]
+        assert np.array_equal(back, stack)
 
     def test_bmatrices_refuse_what_the_reader_would(self, tmp_path):
         # six columns and at least one sample per matrix, checked before writing
         for matrix in (np.ones((4, 5), int), np.ones((0, 6), int), np.ones((4, 7), int)):
             with pytest.raises(ValueError, match="nonempty Z x 6"):
-                save_bmatrices(tmp_path / "b", {1: PredictionMatrix(matrix, 1)})
+                save_bmatrices(tmp_path / "b", [1], [1], matrix[None])
             assert not (tmp_path / "b").exists()
+        # and distinct grids, one per matrix
+        with pytest.raises(ValueError, match="grid label repeats"):
+            save_bmatrices(tmp_path / "b", [2, 2], [2, 2], np.ones((2, 4, 6), int))
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("grid, label", [(1, 0), (0, 1), (1, -3)])
     def test_bmatrices_refuse_labels_and_grids_below_one(self, tmp_path, grid, label):
-        matrix = np.ones((4, 6), int)
-        matrix[2, 3] = label
-        matrices = {grid: PredictionMatrix(matrix, 1), 2: PredictionMatrix(np.ones((4, 6), int))}
+        stack = np.ones((2, 4, 6), int)
+        stack[0, 2, 3] = label
         with pytest.raises(ValueError, match="must be >= 1"):
-            save_bmatrices(tmp_path / "b", matrices)
+            save_bmatrices(tmp_path / "b", [grid, 2], [1, 0], stack)
         assert not (tmp_path / "b").exists()
 
     def test_bmatrices_refuse_a_negative_true_label(self, tmp_path):
-        matrices = {1: PredictionMatrix(np.ones((4, 6), int), 1),
-                    2: PredictionMatrix(np.ones((4, 6), int), -2)}
+        stack = np.ones((2, 4, 6), int)
         with pytest.raises(ValueError, match="true labels"):
-            save_bmatrices(tmp_path / "b", matrices)
+            save_bmatrices(tmp_path / "b", [1, 2], [1, -2], stack)
         assert not (tmp_path / "b").exists()
-        matrices[2].true_label = 0  # 0, like None, saves as unknown
-        save_bmatrices(tmp_path / "b", matrices)
-        assert load_bmatrices(tmp_path / "b")[2].true_label is None
+        save_bmatrices(tmp_path / "b", [1, 2], [1, 0], stack)  # 0 saves as unknown
+        assert load_bmatrices(tmp_path / "b")[1] == [1, 0]
 
     def test_bmatrices_negative_true_label_names_its_line(self, tmp_path):
         # the writer refuses a negative true label, so it is patched into the file
-        matrices = {g: PredictionMatrix(np.ones((4, 6), int), g) for g in (1, 3)}
-        save_bmatrices(tmp_path / "b", matrices)
+        save_bmatrices(tmp_path / "b", [1, 3], [1, 3], np.ones((2, 4, 6), int))
         raw = (tmp_path / "b").read_bytes()
         (tmp_path / "b").write_bytes(raw.replace(b"true=1,3", b"true=1,-2"))
         with pytest.raises(FormatError, match="line 4: bad true '1,-2'"):
@@ -667,22 +662,21 @@ class TestReports:
 
     def test_bmatrices_reload_and_save_byte_identically(self, tmp_path):
         rng = np.random.default_rng(1)
-        matrices = {g: PredictionMatrix(rng.integers(1, 9, size=(3, 6)), g) for g in (1, 4, 9)}
-        save_bmatrices(tmp_path / "a", matrices)
-        save_bmatrices(tmp_path / "b", load_bmatrices(tmp_path / "a"))
+        stack = np.stack([rng.integers(1, 9, size=(3, 6)) for _ in range(3)])
+        save_bmatrices(tmp_path / "a", [1, 4, 9], [1, 4, 9], stack)
+        save_bmatrices(tmp_path / "b", *load_bmatrices(tmp_path / "a"))
         assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
 
     def test_bmatrices_file_layout(self, tmp_path):
-        matrices = {g: PredictionMatrix(matrix=np.full((2, 6), g), true_label=g) for g in (2, 5)}
-        matrices[5].true_label = None
-        save_bmatrices(tmp_path / "b", matrices)
+        stack = np.stack([np.full((2, 6), g) for g in (2, 5)])
+        save_bmatrices(tmp_path / "b", [2, 5], [2, 0], stack)
         header, payload = (tmp_path / "b").read_bytes().split(b"end-header\n", 1)
         assert header.decode().splitlines() == [
             "GOOF-BMAT 2", "kinds=cmf,rssf,psdf,ssf,focf,flomf", "grids=2,5", "true=2,0",
             "sample_count=2",
         ]
         assert payload == np.repeat([2, 5], 12).astype("<i8").tobytes()
-        assert load_bmatrices(tmp_path / "b")[5].true_label is None
+        assert load_bmatrices(tmp_path / "b")[1] == [2, 0]
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -701,9 +695,8 @@ class TestReports:
              "zero_label", "repeated_grid", "true_count"],
     )
     def test_bmatrices_must_match_their_header(self, tmp_path, corrupt):
-        matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2, 3)}
         path = tmp_path / "b.txt"
-        save_bmatrices(path, matrices)
+        save_bmatrices(path, [1, 2, 3], [1, 2, 3], np.stack([np.full((8, 6), g) for g in (1, 2, 3)]))
         raw = path.read_bytes()
         assert corrupt(raw) != raw
         path.write_bytes(corrupt(raw))
@@ -711,9 +704,8 @@ class TestReports:
             load_bmatrices(path)
 
     def test_bmatrices_bad_label_names_its_byte(self, tmp_path):
-        matrices = {g: PredictionMatrix(matrix=np.full((8, 6), g), true_label=g) for g in (1, 2)}
         path = tmp_path / "b"
-        save_bmatrices(path, matrices)
+        save_bmatrices(path, [1, 2], [1, 2], np.stack([np.full((8, 6), g) for g in (1, 2)]))
         # the writer refuses labels below 1, so they are patched into the file
         raw = bytearray(path.read_bytes())
         labels = np.frombuffer(raw, "<i8", offset=raw.index(b"end-header\n") + 11)

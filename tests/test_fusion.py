@@ -7,8 +7,9 @@ import pytest
 
 from goofloc import prediction_probability, swim
 from goofloc.errors import ConfigError
+from goofloc.fingerprints import KIND_ORDER
 from goofloc.forest import shannon_entropy
-from goofloc.fusion import FusionResult, full_matrix_mode
+from goofloc.fusion import FusionResult, full_matrix_mode, fusion_report_rows
 
 from fusion_reference import constrained_mode, reference_swim, select_classifier
 
@@ -253,8 +254,14 @@ class TestPredictionProbability:
         with pytest.raises(ValueError):
             prediction_probability([], 1)
 
-    def test_result_dataclass_carries_rho(self):
-        result = FusionResult(labels=np.array([1, 1]), selected=np.array([0, 0]), window_length=2)
-        assert result.rho is None
-        result.rho = prediction_probability(result.labels, 1)
-        assert result.rho == 1.0
+    def test_report_rows_give_rho_for_known_labels_only(self):
+        results = [
+            FusionResult(labels=np.array([3, 1]), selected=np.array([0, 1]), window_length=2),
+            FusionResult(labels=np.array([2, 2]), selected=np.array([5, 5]), window_length=2),
+        ]
+        names = [kind.value for kind in KIND_ORDER]
+        # rows come in grid order whatever order the grids are given in
+        assert fusion_report_rows([3, 2], [3, 0], results, 2, names) == [
+            "grid=2 w=2 u=2 rho=none selected=flomf:2",
+            "grid=3 w=2 u=2 rho=0.5 selected=cmf:1,rssf:1",
+        ]

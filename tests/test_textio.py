@@ -19,7 +19,6 @@ from goofloc.experiments import (
 from goofloc.fingerprints import KIND_ORDER, build_goof, load_goof, save_goof
 from goofloc.forest import (
     _COLUMNS,
-    PredictionMatrix,
     WeakLearnerSpec,
     deserialize_forest,
     load_bank,
@@ -121,11 +120,8 @@ def _forest(out):
 
 def _bmat(out):
     rng = np.random.default_rng(0)
-    matrices = {
-        g: PredictionMatrix(matrix=rng.integers(1, 5, size=(3, len(KIND_ORDER))), true_label=g)
-        for g in (1, 2, 3, 4)
-    }
-    save_bmatrices(out / "b.txt", matrices)
+    stack = np.stack([rng.integers(1, 5, size=(3, len(KIND_ORDER))) for _ in range(4)])
+    save_bmatrices(out / "b.txt", [1, 2, 3, 4], [1, 2, 3, 4], stack)
     return [out / "b.txt"], lambda: load_bmatrices(out / "b.txt")
 
 
