@@ -11,8 +11,8 @@ import numpy as np
 from goofloc import ExperimentConfig, WeakLearnerSpec, build_goof, prediction_probability, swim
 from goofloc.experiments import simulate_cell
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import predict_matrix, shannon_entropy, train_bank
-from goofloc.fusion import full_matrix_mode
+from goofloc.forest import predict_matrix, train_bank
+from goofloc.fusion import full_matrix_mode, shannon_entropy
 
 
 def main():

@@ -318,7 +318,7 @@ def add_noise(
     dispersion xi = sigma_s^2 * 10^(-snr/10).
     """
     if noise_spec.snr_db == NOISELESS:
-        return replace(block, data=block.data.copy(), snr_db=NOISELESS)
+        return replace(block, data=block.data.copy(), snr_db=NOISELESS, noise_kind=noise_spec.kind)
     m, length = block.data.shape
     sig_power = block.signal_power
     if sig_power is None:

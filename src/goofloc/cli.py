@@ -75,14 +75,18 @@ def _build_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     config = _build_config(args)
+    names = {(kind, snr): f"snapshots_{kind}_{snr:g}dB.goofsnap"
+             for kind in config.noise_kinds for snr in config.snr_grid_db}
+    if len(set(names.values())) < len(names):
+        raise ConfigError("snr_grid_db", "two values print alike, so they would write one file")
     # every cell is simulated before --out-dir exists, so a failing cell
     # (or a bad repetition) leaves no file behind
-    cells = [(kind, snr, simulate_cell(config, kind, snr, repetition=args.repetition))
-             for kind in config.noise_kinds for snr in config.snr_grid_db]
+    cells = [(name, simulate_cell(config, kind, snr, repetition=args.repetition))
+             for (kind, snr), name in names.items()]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind, snr, blocks in cells:
-        path = out_dir / f"snapshots_{kind}_{snr:g}dB.goofsnap"
+    for name, blocks in cells:
+        path = out_dir / name
         save_snapshot_dataset(path, blocks)
         print(f"wrote {path}")
     return 0
@@ -114,6 +118,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_test(args) -> int:
     goof = load_goof(args.goof)
+    if not 0 <= args.skip_count < goof.group_count:
+        raise ConfigError("skip_count", f"need 0..{goof.group_count - 1} for a "
+                          f"{goof.group_count}-group store; got {args.skip_count}")
     goof = goof.groups(args.skip_count, goof.group_count - args.skip_count)
     bank = load_bank(args.bank)
     for kind, forest in bank.forests.items():

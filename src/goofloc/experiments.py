@@ -34,7 +34,7 @@ from .forest import (
     train_forest,
     worker_count,
 )
-from .fusion import full_matrix_mode, prediction_probability, swim
+from .fusion import full_matrix_mode, swim
 from .textio import (
     comma_list, fmt_value, one_of, positive_int, read_arrays, read_artifact, read_document,
     read_header, write_arrays, write_document,
@@ -102,6 +102,9 @@ class ExperimentConfig:
                 raise ConfigError(name, "must be nonempty")
             if len(set(values)) < len(values):
                 raise ConfigError(name, "must not repeat a value")
+        # nor may two SNRs share one cell key, so one set of random streams
+        if len({_snr_key(snr) for snr in self.snr_grid_db}) < len(self.snr_grid_db):
+            raise ConfigError("snr_grid_db", "two values round to one millidecibel (one cell key)")
         for kind in self.noise_kinds:
             if kind not in channel.NOISE_KINDS:
                 raise ConfigError("noise_kinds", f"unsupported kind {kind!r}")
@@ -247,6 +250,11 @@ class Report:
         self.rows.setdefault(key, []).append(float(rho))
         self.errors_m.setdefault(key, []).append(float(error_m))
 
+    def score(self, kind: str, snr: float, method: str, grid: int, labels, dist) -> None:
+        """Add grid ``grid``'s row for ``method``: the share of ``labels``
+        equal to it and their mean distance ``dist`` from its center."""
+        self.add(kind, snr, method, (labels == grid).mean(), dist[labels - 1, grid - 1].mean())
+
     def add_timing(self, method: str, train_s: float = 0.0, test_s: float = 0.0, predictions: int = 0):
         entry = self.timings.setdefault(method, {"train_s": 0.0, "test_s": 0.0, "predictions": 0})
         entry["train_s"] += train_s
@@ -332,8 +340,8 @@ def _cell_stores(config: ExperimentConfig, cell: tuple, train_count: int, test_c
 
 def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
     """The training half of one SNR-sweep cell: simulate, extract, split,
-    train the bank and predict the test groups. Returns ``(grids, stack,
-    train_s, predict_s)``, ``stack`` the (grids, Z, 6) predictions."""
+    train the bank and predict the test groups. Returns the cell tuple of
+    :func:`_run_cells`, the stack (grids, Z, 6), one method per family."""
     rep, noise_kind, snr = cell
     goof_train, goof_test = _cell_stores(config, cell, config.train_count, config.test_count)
     key = cell_key(config.seed, noise_kind, snr, rep)
@@ -343,22 +351,37 @@ def snr_cell(config: ExperimentConfig, cell: tuple) -> tuple:
     t1 = time.perf_counter()
     pm = predict_matrix(bank, {kind: goof_test.stack(kind)[0] for kind in KIND_ORDER})
     stack = pm.matrix.reshape(len(goof_test.labels), goof_test.group_count, len(KIND_ORDER))
-    return goof_test.grids(), stack, t1 - t0, time.perf_counter() - t1
+    seconds = {"bank": (t1 - t0, time.perf_counter() - t1)}
+    return goof_test.grids(), stack, [kind.value for kind in KIND_ORDER], seconds
 
 
-def _run_cells(config: ExperimentConfig, cells: list, cell_fn, score, name: str,
-               verbose: bool) -> Report:
+def _run_cells(config: ExperimentConfig, cells: list, cell_fn, name: str, verbose: bool,
+               fuse=None) -> Report:
     """Run ``cell_fn(config, cell)`` for every cell on one forked worker
-    per usable CPU (:func:`worker_count`), or here if that is one, and hand
-    each result to ``score(report, cell, result)`` here, in cell order, so
-    the report does not depend on the worker count."""
+    per usable CPU (:func:`worker_count`), or here if that is one, and
+    score each result here, in cell order, so the report does not depend
+    on the worker count. A cell returns ``(grids, stack, methods,
+    seconds)``: ``stack[g, :, i]`` holds grid ``grids[g]``'s labels by
+    ``methods[i]``, and ``seconds`` maps each timing row (of grids x Z
+    predictions) to its ``(train_s, predict_s)``. Every method is scored
+    per grid, then ``fuse(config, dist, report, cell, grids, stack)``, if
+    given, adds the rows of decisions made here."""
     report = Report(config_hash=config_hash(config), seed=config.seed)
+    dist = _distance_matrix(config.scenario())
     run, n = partial(cell_fn, config), worker_count(len(cells))
     with forked(n if n > 1 else 0, run) as workers:
         for cell, result in zip(cells, run_all(workers, run, [(cell,) for cell in cells])):
-            score(report, cell, result)
+            rep, noise_kind, snr = cell
+            grids, stack, methods, seconds = result
+            for row, (train_s, predict_s) in seconds.items():
+                report.add_timing(row, train_s=train_s, test_s=predict_s,
+                                  predictions=stack.shape[0] * stack.shape[1])
+            for grid, b in zip(grids, stack):
+                for method, labels in zip(methods, b.T):
+                    report.score(noise_kind, snr, method, grid, labels, dist)
+            if fuse is not None:
+                fuse(config, dist, report, cell, grids, stack)
             if verbose:
-                rep, noise_kind, snr = cell
                 print(f"[{name}] rep={rep} noise={noise_kind} snr={snr:g} dB done")
     return report
 
@@ -375,41 +398,24 @@ def run_snr_sweep(config: ExperimentConfig, verbose: bool = False) -> Report:
     """
     config.validate()
     cells = list(product(range(config.repetitions), config.noise_kinds, config.snr_grid_db))
-    score = partial(_score_snr_cell, config, _distance_matrix(config.scenario()))
-    return _run_cells(config, cells, snr_cell, score, "sweep-snr", verbose)
+    return _run_cells(config, cells, snr_cell, "sweep-snr", verbose, _fuse_snr_cell)
 
 
-def _score_snr_cell(config, dist, report, cell, result):
+def _fuse_snr_cell(config, dist, report, cell, grids, stack):
+    """Per grid, time and score the full-matrix mode and SWIM at every
+    window, in sorted order."""
     _, noise_kind, snr = cell
-    grids, stack, train_s, predict_s = result
-    report.add_timing("bank", train_s=train_s, test_s=predict_s,
-                      predictions=stack.shape[0] * stack.shape[1])
     for grid, b in zip(grids, stack):
-        for ki, kind in enumerate(KIND_ORDER):
-            rho = float((b[:, ki] == grid).mean())
-            err = float(dist[b[:, ki] - 1, grid - 1].mean())
-            report.add(noise_kind, snr, kind.value, rho, err)
-
         t0 = time.perf_counter()
         mode_label = full_matrix_mode(b, class_count=config.grid_count)
         report.add_timing("mode", test_s=time.perf_counter() - t0, predictions=1)
-        report.add(
-            noise_kind, snr, "mode",
-            1.0 if mode_label == grid else 0.0,
-            float(dist[mode_label - 1, grid - 1]),
-        )
-
+        report.score(noise_kind, snr, "mode", grid, np.array([mode_label]), dist)
         for w in sorted(config.windows):
             t0 = time.perf_counter()
             fused = swim(b, w, class_count=config.grid_count)
-            report.add_timing(
-                f"swim_w{w}", test_s=time.perf_counter() - t0, predictions=fused.prediction_count
-            )
-            report.add(
-                noise_kind, snr, f"swim_w{w}",
-                prediction_probability(fused.labels, grid),
-                float(dist[fused.labels - 1, grid - 1].mean()),
-            )
+            report.add_timing(f"swim_w{w}", test_s=time.perf_counter() - t0,
+                              predictions=fused.prediction_count)
+            report.score(noise_kind, snr, f"swim_w{w}", grid, fused.labels, dist)
 
 
 DEPTH_SWEEP_VALUES = (2, 3, 4, 5, 6, 7, 8)
@@ -418,10 +424,10 @@ TREE_SWEEP_VALUES = (10, 40, 70, 100)
 
 def forest_cell(config: ExperimentConfig, cell: tuple, vary: str, values: tuple) -> tuple:
     """One forest-sweep cell: for each swept value, train an RSSF forest on
-    the first half of the groups and predict the second half. Returns
-    ``(grids, runs)``, one ``(labels, train_s, predict_s)`` run per value,
-    ``labels`` grid-major and ``predict_s`` the seconds of the fastest of
-    three warm calls."""
+    the first half of the groups and predict the second half. Returns the
+    cell tuple of :func:`_run_cells`, one method ``rssf_d<v>`` or
+    ``rssf_t<v>`` and one timing row per value, whose ``predict_s`` is the
+    seconds of the fastest of three warm calls."""
     rep, noise_kind, snr = cell
     half = config.group_count // 2
     goof_train, goof_test = _cell_stores(config, cell, half, config.group_count - half)
@@ -430,7 +436,8 @@ def forest_cell(config: ExperimentConfig, cell: tuple, vary: str, values: tuple)
     x_test = goof_test.stack(rssf)[0]
     key = cell_key(config.seed, noise_kind, snr, rep)
     spec = config.learner_spec()
-    runs = []
+    prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
+    runs, seconds = [], {}
     for value in values:
         depth = value if vary == "tree_depth" else config.depth_limit
         trees = value if vary == "tree_number" else config.tree_count
@@ -450,8 +457,11 @@ def forest_cell(config: ExperimentConfig, cell: tuple, vary: str, values: tuple)
             t0 = time.perf_counter()
             labels = forest.predict_batch(x_test)
             predict_s = min(predict_s, time.perf_counter() - t0)
-        runs.append((labels, train_s, predict_s))
-    return goof_test.grids(), runs
+        runs.append(labels)
+        seconds[f"{prefix}{value}"] = (train_s, predict_s)
+    grids = goof_test.grids()
+    stack = np.stack(runs, axis=-1).reshape(len(grids), goof_test.group_count, len(values))
+    return grids, stack, list(seconds), seconds
 
 
 def run_forest_sweep(
@@ -472,21 +482,9 @@ def run_forest_sweep(
         raise ConfigError("vary", "must be tree_depth or tree_number")
     if values is None:
         values = DEPTH_SWEEP_VALUES if vary == "tree_depth" else TREE_SWEEP_VALUES
-    values = tuple(sorted(values))
     cells = list(product(range(config.repetitions), config.noise_kinds[:1], config.snr_grid_db))
-    prefix = "rssf_d" if vary == "tree_depth" else "rssf_t"
-
-    def score(report, cell, result):
-        _, noise_kind, snr = cell
-        grids, runs = result
-        for value, (labels, train_s, predict_s) in zip(values, runs):
-            method = f"{prefix}{value}"
-            report.add_timing(method, train_s=train_s, test_s=predict_s, predictions=labels.size)
-            for grid, row in zip(grids, labels.reshape(len(grids), -1)):
-                report.add(noise_kind, snr, method, float((row == grid).mean()), 0.0)
-
-    cell_fn = partial(forest_cell, vary=vary, values=values)
-    return _run_cells(config, cells, cell_fn, score, "sweep-forest", verbose)
+    cell_fn = partial(forest_cell, vary=vary, values=tuple(sorted(values)))
+    return _run_cells(config, cells, cell_fn, "sweep-forest", verbose)
 
 
 def emit_report(report: Report, fmt: str, out_dir) -> list:

@@ -43,19 +43,6 @@ from .textio import one_of, positive_int, read_arrays, read_artifact, read_heade
 PRIMITIVES = {"axis_aligned_stump": 1, "oriented_hyperplane_2d": 2}
 
 
-def shannon_entropy(labels, class_count: int) -> float:
-    """Entropy in bits of the empirical label distribution; empty -> 0."""
-    arr = np.asarray(labels, dtype=int).ravel()
-    if arr.size == 0:
-        return 0.0
-    if arr.min() < 1 or arr.max() > class_count:
-        raise ValueError("labels must lie in 1..class_count")
-    counts = np.bincount(arr, minlength=class_count + 1)[1:]
-    p = counts[counts > 0] / arr.size
-    # 0 - sum, not -sum: one label sums to +0.0, which negation turns into -0.0
-    return float(0.0 - (p * np.log2(p)).sum())
-
-
 @dataclass
 class WeakLearnerSpec:
     """Per-node split primitive and its randomization budget."""

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .forest import shannon_entropy
 from .textio import fmt_value
 
 
@@ -38,6 +37,19 @@ def _as_matrix(b) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("prediction matrix must be a nonempty Z x H matrix")
     return mat
+
+
+def shannon_entropy(labels, class_count: int) -> float:
+    """Entropy in bits of the empirical label distribution; empty -> 0."""
+    arr = np.asarray(labels, dtype=int).ravel()
+    if arr.size == 0:
+        return 0.0
+    if arr.min() < 1 or arr.max() > class_count:
+        raise ValueError("labels must lie in 1..class_count")
+    counts = np.bincount(arr, minlength=class_count + 1)[1:]
+    p = counts[counts > 0] / arr.size
+    # 0 - sum, not -sum: one label sums to +0.0, which negation turns into -0.0
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 @lru_cache(maxsize=1 << 12)

@@ -28,8 +28,8 @@ from goofloc.forest import (
     _node_draws,
     _training_set,
     _xlogx,
-    shannon_entropy,
 )
+from goofloc.fusion import shannon_entropy
 from goofloc.textio import write_document
 
 

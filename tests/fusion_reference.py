@@ -10,8 +10,7 @@ labels.
 
 import numpy as np
 
-from goofloc.forest import shannon_entropy
-from goofloc.fusion import _as_matrix
+from goofloc.fusion import _as_matrix, shannon_entropy
 
 
 def select_classifier(window: np.ndarray, class_count: int | None = None) -> int:

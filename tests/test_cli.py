@@ -1,6 +1,8 @@
 """CLI pipeline: simulate -> build-goof -> train -> test -> fuse, sweeps."""
 
 import dataclasses
+import itertools
+import math
 import os
 import shutil
 
@@ -179,14 +181,20 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
         (train + ["--feature-subspace", 99], "feature_subspace"),
         (["train", "--goof", goof, "--train-count", 99, "--seed", 1, "--out", out], "train_count"),
         (["train", "--goof", goof, "--train-count", 0, "--seed", 1, "--out", out], "train_count"),
-        (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out], "train_count"),
-        (["test", "--goof", goof, "--skip-count", 4, "--bank", bank, "--out", out], "train_count"),
+        (["test", "--goof", goof, "--skip-count", 30, "--bank", bank, "--out", out],
+         "skip_count: need 0..3 for a 4-group store; got 30"),
+        (["test", "--goof", goof, "--skip-count", 4, "--bank", bank, "--out", out],
+         "skip_count: need 0..3 for a 4-group store; got 4"),
         (["fuse", "--bmatrices", bmat, "--window", 9], "window"),
         (["fuse", "--bmatrices", bmat, "--window", 0], "window"),
         # a repeated value would run a cell, and count its grids, again
         (simulate + ["--noise-kinds", "gaussian,gaussian"], "noise_kinds"),
         (simulate + ["--snr-grid-db", "10,10"], "snr_grid_db"),
         (simulate + ["--windows", "2,2"], "windows"),
+        # SNRs that share a cell key, or a dataset file name
+        (simulate + ["--snr-grid-db", "10,10.0004"], "snr_grid_db"),
+        (sweep + ["--snr-grid-db", "10,10.0004"], "snr_grid_db"),
+        (simulate + ["--snr-grid-db", "12345.001,12345.002"], "snr_grid_db"),
         # ranges the simulation needs
         (sweep + ["--impulse-alpha", 3], "impulse_alpha"),
         (sweep + ["--impulse-alpha", 0], "impulse_alpha"),
@@ -214,6 +222,7 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
     ]:
         assert main([str(a) for a in argv]) == 2, argv
         assert f"config error: {field}" in capsys.readouterr().err
+    assert not os.path.exists(out)  # no case got as far as writing
 
 
 def test_zero_angular_spread_simulates(tmp_path, capsys):
@@ -379,15 +388,16 @@ def test_format_error_exit_code(tmp_path, capsys):
 
 
 def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
-    cfg = dataclasses.replace(micro_config(), noise_kinds=("gaussian", "color", "impulse"))
+    # a noiseless cell too: its files must keep the noise kind that keys it
+    cfg = dataclasses.replace(micro_config(), noise_kinds=("gaussian", "color", "impulse"),
+                              snr_grid_db=(18.0, math.inf))
     config_file = tmp_path / "config.txt"
     config_file.write_text(config_to_text(cfg), encoding="utf-8")
     report = run_snr_sweep(cfg)
-    snr = cfg.snr_grid_db[0]
     window = cfg.windows[0]
     assert main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path)]) == 0
-    for kind in cfg.noise_kinds:
-        cell = tmp_path / kind
+    for kind, snr in itertools.product(cfg.noise_kinds, cfg.snr_grid_db):
+        cell = tmp_path / f"{kind}_{snr:g}"
         stages = [
             ["build-goof", "--dataset", tmp_path / f"snapshots_{kind}_{snr:g}dB.goofsnap",
              "--group-count", cfg.group_count, "--out", cell / "goof"],
@@ -405,14 +415,14 @@ def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
         grids, true, stack = load_bmatrices(cell / "b.txt")
         # the same cell's bank predicts the same labels, sample for sample
         sweep_grids, sweep_stack, _, _ = snr_cell(cfg, (0, kind, snr))
-        assert grids == sweep_grids == true, kind
-        assert np.array_equal(stack, sweep_stack), kind
+        assert grids == sweep_grids == true, (kind, snr)
+        assert np.array_equal(stack, sweep_stack), (kind, snr)
         for ki, family in enumerate(KIND_ORDER):
             rhos = [float((b[:, ki] == g).mean()) for g, b in zip(grids, stack)]
-            assert rhos == report.rows[(kind, snr, family.value)], (kind, family)
+            assert rhos == report.rows[(kind, snr, family.value)], (kind, snr, family)
         rows = (cell / "fusion.txt").read_text().splitlines()[2:]
         fused = [float(row.split("rho=")[1].split()[0]) for row in rows]
-        assert fused == report.rows[(kind, snr, f"swim_w{window}")], kind
+        assert fused == report.rows[(kind, snr, f"swim_w{window}")], (kind, snr)
     capsys.readouterr()
 
 

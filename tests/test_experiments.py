@@ -291,6 +291,23 @@ class TestForestSweep:
         with pytest.raises(ConfigError):
             run_forest_sweep(micro_config(), "learning_rate")
 
+    def test_errors_are_each_grids_mean_distance(self):
+        # one label at a time: the distance from its grid's center to the
+        # true grid's center, averaged per grid
+        cfg = micro_config(snr_grid_db=(0.0,))
+        report = run_forest_sweep(cfg, "tree_number", values=(1, 3))
+        grids, stack, methods, _ = experiments.forest_cell(
+            cfg, (0, "gaussian", 0.0), "tree_number", (1, 3))
+        dist = experiments._distance_matrix(cfg.scenario())
+        assert methods == ["rssf_t1", "rssf_t3"]
+        for i, method in enumerate(methods):
+            expected = []
+            for g, grid in enumerate(grids):
+                labels = stack[g, :, i].tolist()
+                expected.append(sum(dist[label - 1, grid - 1] for label in labels) / len(labels))
+            assert report.errors_m[("gaussian", 0.0, method)] == pytest.approx(expected, rel=1e-12)
+            assert max(expected) > 0.0  # some label is wrong, so the row is not all 0.0
+
 
 def use_cpus(monkeypatch, count):
     """Make the sweeps see ``count`` usable CPUs."""

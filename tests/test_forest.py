@@ -30,10 +30,10 @@ from goofloc.forest import (
     predict_matrix,
     save_bank,
     serialize_forest,
-    shannon_entropy,
     train_bank,
     train_forest,
 )
+from goofloc.fusion import shannon_entropy
 
 from forest_reference import (
     information_gain,

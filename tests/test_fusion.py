@@ -8,8 +8,9 @@ import pytest
 from goofloc import prediction_probability, swim
 from goofloc.errors import ConfigError
 from goofloc.fingerprints import KIND_ORDER
-from goofloc.forest import shannon_entropy
-from goofloc.fusion import FusionResult, full_matrix_mode, fusion_report_rows
+from goofloc.fusion import (
+    FusionResult, full_matrix_mode, fusion_report_rows, shannon_entropy,
+)
 
 from fusion_reference import constrained_mode, reference_swim, select_classifier
 
