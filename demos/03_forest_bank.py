@@ -39,7 +39,7 @@ def main():
         acc_tr = (forest.predict_batch(xtr) == ytr).mean()
         acc_te = (forest.predict_batch(xte) == yte).mean()
         # one node table per forest; each tree is a slice of its rows
-        nodes = forest.right.size
+        nodes = forest.split.size
         depth = np.mean([t.depth() for t in forest.trees])
         print(f"{kind.value:8s} {acc_tr:10.3f} {acc_te:9.3f} {nodes:6d} {depth:11.2f}")
 

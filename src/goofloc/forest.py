@@ -14,10 +14,13 @@ the same draws would build, and groups of trees grown in the workers of
 a ``_tree_groups`` block (one per usable CPU, shared by a bank's forests)
 concatenate into the table one process would build.
 
-A forest is one node table: flat arrays over every tree's nodes in
-pre-order, tree after tree. A split row's left child is the next row and
-its right child lies ``right`` rows further on; a leaf row has
-``right == 0``.
+A forest is one node table: flat arrays over every tree's nodes in the
+level order they grow in (root, then each level left to right), tree
+after tree. One ``split`` flag per row places every row: the children of
+the table's k-th split (splits counted from row 0), which lies in tree t,
+are rows t + 1 + 2k and t + 2 + 2k, and a tree ends where the running
+count of open child slots, ``cumsum(2 split - 1)``, first reaches a new
+low.
 """
 
 from __future__ import annotations
@@ -67,19 +70,35 @@ class WeakLearnerSpec:
 
 
 # the node table's columns and the little-endian dtype each is stored as
-_COLUMNS = {"features": "<i8", "weights": "<f8", "threshold": "<f8", "right": "<i8",
+_COLUMNS = {"features": "<i8", "weights": "<f8", "threshold": "<f8", "split": "<u1",
             "histogram": "<i8"}
 
 
-def _depth(right: np.ndarray, roots: np.ndarray) -> int:
+def _tree_ends(split: np.ndarray) -> np.ndarray:
+    """Last row of each tree in a ``split`` column: a row fills one open
+    child slot and a split opens two, so a tree ends where the running
+    count ``cumsum(2 split - 1)`` first reaches a new low below 0."""
+    low = np.minimum.accumulate(np.minimum(np.cumsum(2 * split.astype(np.intp) - 1), 0))
+    return np.flatnonzero(np.diff(low, prepend=0))
+
+
+def _left_child(split: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Each split row's left child, t + 1 + 2k for the table's k-th split
+    in tree t (its right child is the next row); unused at a leaf row."""
+    tree = np.zeros(split.size, dtype=np.intp)
+    tree[roots[1:]] = 1
+    return np.cumsum(tree) + 1 + 2 * (np.cumsum(split) - split)
+
+
+def _depth(split: np.ndarray, roots: np.ndarray) -> int:
     """Levels on the longest root-to-leaf path of the trees whose first
-    rows are ``roots`` in a node table with the ``right`` column."""
+    rows are ``roots`` in a node table with the ``split`` column."""
+    left = _left_child(split, roots)
     level, rows = 0, roots
     while rows.size:
         level += 1
-        step = right[rows]
-        rows = rows[step > 0]
-        rows = np.concatenate([rows + 1, rows + step[step > 0]])
+        rows = left[rows[split[rows]]]
+        rows = np.concatenate([rows, rows + 1])
     return level
 
 
@@ -90,15 +109,15 @@ class Tree:
     features: np.ndarray  # (n, arity) feature indices of a split row
     weights: np.ndarray  # (n, arity) projection weights of a split row
     threshold: np.ndarray  # (n,) samples with projection >= threshold go right
-    right: np.ndarray  # (n,) rows from a split to its right child; 0 at a leaf
+    split: np.ndarray  # (n,) bool, whether the row splits
     histogram: np.ndarray  # (n, class_count) class counts of a leaf row
 
     def node_count(self) -> int:
-        return len(self.right)
+        return len(self.split)
 
     def depth(self) -> int:
         """Levels on the longest root-to-leaf path."""
-        return _depth(self.right, np.zeros(1, dtype=int))
+        return _depth(self.split, np.zeros(1, dtype=np.intp))
 
 
 # A node's draws are a counter-based hash (SplitMix64) of its key. The root
@@ -297,37 +316,6 @@ def _split_level(x, rows, label, node, hist, keys, search, spec, xlogx):
     return split, feats, weights, threshold, go_right
 
 
-def _preorder(levels: list, q: int) -> dict:
-    """Node table of the level records ``(split, features, weights,
-    threshold, histogram)``. Each level lists its nodes tree by tree and
-    left to right; the next level holds the children of its split nodes, in
-    (left, right) pairs. Subtree sizes, summed bottom-up, give every split's
-    right offset (one past its left subtree) and, top-down, every row."""
-    sizes = [np.ones(len(levels[-1][0]), dtype=np.intp)]
-    for split, *_ in reversed(levels[:-1]):
-        size = np.ones(len(split), dtype=np.intp)
-        size[split] += sizes[0][0::2] + sizes[0][1::2]
-        sizes.insert(0, size)
-    total, arity = int(sizes[0].sum()), levels[0][1].shape[1]
-    table = {
-        "features": np.zeros((total, arity), dtype=np.intp),
-        "weights": np.zeros((total, arity)),
-        "threshold": np.zeros(total),
-        "right": np.zeros(total, dtype=np.intp),
-        "histogram": np.zeros((total, q), dtype=np.int64),
-        "roots": np.concatenate([[0], np.cumsum(sizes[0])[:-1]]),
-    }
-    row = table["roots"]
-    for i, (split, *columns) in enumerate(levels):
-        for name, column in zip(("features", "weights", "threshold", "histogram"), columns):
-            table[name][row] = column
-        if split.any():
-            parent, below = row[split], sizes[i + 1]
-            table["right"][parent] = right = 1 + below[0::2]
-            row = np.stack([parent + 1, parent + right], axis=1).ravel()
-    return table
-
-
 def _grow_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
     """Node table of the trees grown over the rows ``boots[i]`` of ``x``
     from root keys ``keys[i]``, in this process.
@@ -335,12 +323,16 @@ def _grow_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: 
     All trees grow together, one level per pass; each (tree, sample) pair
     carries its current node. A node splits when it lies above the depth
     limit, holds two or more classes and its best candidate gains more than
-    1e-12 bits; otherwise it is a leaf holding its class histogram.
+    1e-12 bits; otherwise it is a leaf holding its class histogram. Each
+    level lists its nodes tree by tree and left to right, the children of
+    its splits in (left, right) pairs, so sorting the levels' rows stably
+    by tree lays each tree out in level order.
     """
     xlogx = _xlogx(boots.shape[1])
     rows = boots.ravel()
     label = y[rows] - 1
     node = np.repeat(np.arange(len(keys)), boots.shape[1])
+    tree = np.arange(len(keys))
     levels = []
     for level in range(1, depth_limit + 1):
         k = len(keys)
@@ -349,15 +341,18 @@ def _grow_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: 
         split, *columns, go_right = _split_level(x, rows, label, node, hist, keys, search, spec,
                                                  xlogx)
         hist[split] = 0
-        levels.append((split, *columns, hist))
+        levels.append((tree, *columns, split, hist))
         if not split.any():
             break
         keep = split[node]
         child = 2 * (np.cumsum(split) - 1)[node[keep]] + go_right[keep]
         order = np.argsort(child, kind="stable")
         rows, label, node = rows[keep][order], label[keep][order], child[order]
+        tree = np.repeat(tree[split], 2)
         keys = _child_keys(np.repeat(keys[split], 2), np.tile([0, 1], int(split.sum())))
-    return _preorder(levels, q)
+    tree, *columns = (np.concatenate(column) for column in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    return {name: column[order] for name, column in zip(_COLUMNS, columns)}
 
 
 def worker_count(tasks: int) -> int:
@@ -479,9 +474,8 @@ def _tree_groups(trees: int):
 
 
 def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
-    """Node table (the columns of :class:`Tree` and ``roots``) of the
-    trees grown over the rows ``boots[i]`` of ``x`` from root keys
-    ``keys[i]``.
+    """Node table (the columns of :class:`Tree`) of the trees grown over
+    the rows ``boots[i]`` of ``x`` from root keys ``keys[i]``.
 
     Contiguous groups of the trees grow one in this process and one in
     each worker of the open :func:`_tree_groups` block, if any. Each tree's
@@ -494,10 +488,7 @@ def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: i
     tasks = [(x, y, boots[a:b], keys[a:b], depth_limit, spec, q) for a, b in zip(cuts, cuts[1:])]
     others = run_all(workers, _grow_levels, tasks[1:])
     tables = [_grow_levels(*tasks[0]), *others]
-    table = {name: np.concatenate([t[name] for t in tables]) for name in _COLUMNS}
-    starts = np.cumsum([0] + [len(t["right"]) for t in tables[:-1]])
-    table["roots"] = np.concatenate([t["roots"] + start for t, start in zip(tables, starts)])
-    return table
+    return {name: np.concatenate([t[name] for t in tables]) for name in _COLUMNS}
 
 
 def _training_set(samples, labels, tree_count: int, depth_limit: int, spec: WeakLearnerSpec,
@@ -535,14 +526,13 @@ def _forest_draws(seed: int, tree_count: int, n: int):
 @dataclass
 class Forest:
     """A trained forest for one fingerprint family: one node table with
-    the columns of :class:`Tree` over all trees, and each tree's first row."""
+    the columns of :class:`Tree` over all trees."""
 
     features: np.ndarray
     weights: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
+    split: np.ndarray
     histogram: np.ndarray
-    roots: np.ndarray  # (T,) row of each tree's root
     depth_limit: int
     feature_dim: int
     seed: int
@@ -557,9 +547,14 @@ class Forest:
     def tree_count(self) -> int:
         return len(self.roots)
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """(T,) row of each tree's root: one past the previous tree's end."""
+        return np.concatenate([[0], _tree_ends(self.split)[:-1] + 1])
+
     @property
     def trees(self) -> list[Tree]:
-        ends = [*self.roots[1:], len(self.right)]
+        ends = [*self.roots[1:], len(self.split)]
         columns = [getattr(self, name) for name in _COLUMNS]
         return [Tree(*(c[a:b] for c in columns)) for a, b in zip(self.roots, ends)]
 
@@ -570,11 +565,10 @@ class Forest:
         (the first maximum of its histogram), the table's realized depth
         (a loaded table may hold deeper trees than ``depth_limit``) and a
         contiguous (feature, weight) column pair per split operand."""
-        rows = np.arange(len(self.right))
-        split = self.right > 0
-        left = np.where(split, rows + 1, rows)
-        right = rows + self.right
-        depth = _depth(self.right, self.roots)
+        rows = np.arange(len(self.split))
+        left = np.where(self.split, _left_child(self.split, self.roots), rows)
+        right = np.where(self.split, left + 1, rows)
+        depth = _depth(self.split, self.roots)
         operands = [
             (np.ascontiguousarray(self.features[:, i]), np.ascontiguousarray(self.weights[:, i]))
             for i in range(self.features.shape[1])
@@ -701,19 +695,19 @@ def predict_matrix(bank: ClassifierBank, samples_by_kind, true_label=None) -> Pr
 
 
 FOREST_MAGIC = "GOOF-FOREST"
-FOREST_VERSION = 2
+FOREST_VERSION = 3
 
 
 def serialize_forest(forest: Forest) -> bytes:
     """The header fields, then the node table's columns as the fixed
     little-endian arrays of ``_COLUMNS``; byte-identical for identical
-    forests. ``roots`` is not stored: the reader derives it."""
+    forests."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
         "depth_limit": forest.depth_limit,
         "tree_count": forest.tree_count,
-        "node_count": len(forest.right),
+        "node_count": len(forest.split),
         "feature_dim": forest.feature_dim,
         "seed": forest.seed,
         "primitive": forest.spec.primitive,
@@ -724,35 +718,11 @@ def serialize_forest(forest: Forest) -> bytes:
     return write_arrays(FOREST_MAGIC, FOREST_VERSION, header, columns)
 
 
-def _tree_roots(right: list, at: int) -> list:
-    """First row of each tree, after checking in one pass that ``right``
-    (the column's values; ``at`` is its byte offset) holds whole pre-order
-    trees: a stack holds the splits whose left subtree is open (on a
-    ``None`` for the tree), and the leaf that closes one must sit just
-    before that split's right child."""
-    roots, open_splits = [], []
-    for row, step in enumerate(right):
-        if not open_splits:
-            roots.append(row)
-            open_splits.append(None)
-        if step > 0:
-            open_splits.append(row)
-        elif step < 0:
-            raise FormatError(f"negative right offset in row {row}", at + 8 * row)
-        else:
-            split = open_splits.pop()
-            if split is not None and split + right[split] != row + 1:
-                raise FormatError(f"right offset of row {split} is not its right child",
-                                  at + 8 * split)
-    if open_splits:
-        raise FormatError(f"tree {len(roots) - 1} ends before its last leaf", at + 8 * len(right))
-    return roots
-
-
 def deserialize_forest(raw: bytes) -> Forest:
     """Read a :func:`serialize_forest` file, checking what prediction
     relies on: the payload's length, every row's feature indices (leaf rows
-    are gathered too) and that ``right`` forms ``tree_count`` whole trees.
+    are gathered too), split flags of 0 or 1 and that they end exactly at
+    the end of the ``tree_count``-th tree.
     A bad header field is a FormatError naming its line, a bad payload one
     carrying its byte offset."""
     doc, offset = read_header(raw, FOREST_MAGIC, FOREST_VERSION)
@@ -767,7 +737,7 @@ def deserialize_forest(raw: bytes) -> Forest:
         threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
     )
     arity = PRIMITIVES[spec.primitive]
-    shapes = {"features": (n, arity), "weights": (n, arity), "threshold": (n,), "right": (n,),
+    shapes = {"features": (n, arity), "weights": (n, arity), "threshold": (n,), "split": (n,),
               "histogram": (n, class_count)}
     table = dict(zip(_COLUMNS, read_arrays(
         raw, offset, [(dtype, shapes[name]) for name, dtype in _COLUMNS.items()]
@@ -777,15 +747,20 @@ def deserialize_forest(raw: bytes) -> Forest:
         raise FormatError(f"feature index outside 0..{feature_dim - 1}",
                           offset + 8 * int(outside.argmax()))
     at = offset + sum(table[name].nbytes for name in ("features", "weights", "threshold"))
-    roots = _tree_roots(table["right"].tolist(), at)
-    if len(roots) != tree_count:
+    above = table["split"] > 1
+    if above.any():
+        raise FormatError("split flag above 1", at + int(above.argmax()))
+    table["split"] = table["split"].view(bool)
+    ends = _tree_ends(table["split"])
+    if not ends.size or ends[-1] != n - 1:
+        raise FormatError(f"tree {ends.size} is open after the last row", at + n)
+    if ends.size != tree_count:
         raise FormatError(
             f"line {doc.values['tree_count'][1]}: tree_count={tree_count}, "
-            f"but {len(roots)} whole trees follow"
+            f"but {ends.size} whole trees follow"
         )
     return Forest(
         **table,
-        roots=np.array(roots, dtype=np.intp),
         depth_limit=doc.get("depth_limit", positive_int),
         feature_dim=feature_dim,
         seed=doc.get("seed", int),
@@ -803,8 +778,15 @@ def save_bank(bank: ClassifierBank, directory) -> None:
 
 
 def load_bank(directory) -> ClassifierBank:
+    """The bank of a :func:`save_bank` directory. A file whose ``kind`` is
+    not the family its name gives is a FormatError naming its kind line."""
     forests = {}
     for kind in KIND_ORDER:
         path = Path(directory) / f"forest_{kind.value}.goofforest"
-        forests[kind] = deserialize_forest(read_artifact(path))
+        raw = read_artifact(path)
+        forests[kind] = forest = deserialize_forest(raw)
+        if forest.kind is not kind:
+            doc = read_header(raw, FOREST_MAGIC, FOREST_VERSION)[0]
+            text, line = doc.values.get("kind", ("none", doc.line))
+            raise FormatError(f"{path}: line {line}: kind={text}, expected {kind.value}")
     return ClassifierBank(forests=forests)

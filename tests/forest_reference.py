@@ -1,20 +1,24 @@
 """Naive references for the forest, kept beside the tests that compare
 against them.
 
-``reference_table`` grows trees depth first, one node at a time, and
-tests every candidate threshold sample by sample. It reads the same keyed
-draws as the level-wise trainer in ``goofloc.forest``, so the two must
-build identical node tables; ``train_tree`` grows one tree with the
+``reference_table`` grows trees depth first, one node at a time, tests
+every candidate threshold sample by sample and lays each tree out in level
+order with a plain queue. It reads the same keyed draws as the level-wise
+trainer in ``goofloc.forest``, so the two must build identical node
+tables; ``train_tree`` grows one tree with the
 level-wise trainer, and ``node_counts`` and ``information_gain`` are the
 full-tree sizes and the split gain spelled out; ``split_gain`` is the gain
 over count arrays with one lookup per entropy term, which the trainer's
 table lookup must equal bit for bit. ``predict_forest`` walks
-one sample down one tree at a time; ``nonfinite_probe`` makes samples
+one sample down one tree at a time, counting the splits before a row to
+find its children; ``nonfinite_probe`` makes samples
 whose projections include NaN and infinities. ``reference_serialize_forest``
-is the retired ``GOOF-FOREST 1`` text form, one record per table row: a
-canonical dump of a node table, whose digest pins trained tables whatever
-the file format.
+is the retired ``GOOF-FOREST 1`` text form, one record per node in
+pre-order: a canonical dump of a forest's trees, whose digest pins trained
+trees whatever the table layout and file format.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -72,36 +76,41 @@ def _best_split(x_node, y_node, key, spec, q, xlogx):
     return feats[ci], weights[ci], cut[ci, ti], go_right[:, ci, ti]
 
 
-def _grow(x, y, idx, key, level, depth_limit, spec, q, xlogx, rows):
-    """Append the pre-order rows of the subtree over sample rows ``idx``."""
+def _grow(x, y, idx, key, level, depth_limit, spec, q, xlogx):
+    """The subtree over sample rows ``idx``: a leaf's row, or a split's row
+    and its left and right subtrees."""
     hist = np.bincount(y[idx] - 1, minlength=q)
     found = None
     if level < depth_limit and idx.size >= 2 and (hist > 0).sum() > 1:
         found = _best_split(x[idx], y[idx], key, spec, q, xlogx)
     if found is None:
         arity = PRIMITIVES[spec.primitive]
-        rows.append([(0,) * arity, (0.0,) * arity, 0.0, 0, hist])
-        return
+        return [(0,) * arity, (0.0,) * arity, 0.0, False, hist], None, None
     feats, weights, threshold, go_right = found
     left_key, right_key = _child_keys(np.array([key, key]), np.array([0, 1]))
-    at = len(rows)
-    rows.append([feats, weights, threshold, 0, np.zeros(q, dtype=np.int64)])
-    _grow(x, y, idx[~go_right], left_key, level + 1, depth_limit, spec, q, xlogx, rows)
-    rows[at][3] = len(rows) - at
-    _grow(x, y, idx[go_right], right_key, level + 1, depth_limit, spec, q, xlogx, rows)
+    return (
+        [feats, weights, threshold, True, np.zeros(q, dtype=np.int64)],
+        _grow(x, y, idx[~go_right], left_key, level + 1, depth_limit, spec, q, xlogx),
+        _grow(x, y, idx[go_right], right_key, level + 1, depth_limit, spec, q, xlogx),
+    )
 
 
 def reference_table(x, y, boots, keys, depth_limit, spec, q) -> dict:
     """Node table of the trees over rows ``boots[i]`` from root keys
-    ``keys[i]``, grown one tree and one node at a time."""
+    ``keys[i]``, grown one tree and one node at a time, each tree's rows
+    taken off a queue in level order."""
     xlogx = _xlogx(boots.shape[1])
     rows, roots = [], []
     for boot, key in zip(boots, keys):
         roots.append(len(rows))
-        _grow(x, y, boot, key, 1, depth_limit, spec, q, xlogx, rows)
-    features, weights, threshold, right, histogram = (np.array(c) for c in zip(*rows))
+        queue = deque([_grow(x, y, boot, key, 1, depth_limit, spec, q, xlogx)])
+        while queue:
+            row, *subtrees = queue.popleft()
+            rows.append(row)
+            queue.extend(subtree for subtree in subtrees if subtree)
+    features, weights, threshold, split, histogram = (np.array(c) for c in zip(*rows))
     return {
-        "features": features, "weights": weights, "threshold": threshold, "right": right,
+        "features": features, "weights": weights, "threshold": threshold, "split": split,
         "histogram": histogram, "roots": np.array(roots),
     }
 
@@ -149,12 +158,19 @@ def information_gain(parent, left, right) -> float:
     return h_parent - (left.size * h_left + right.size * h_right) / parent.size
 
 
+def children(tree, row: int) -> tuple[int, int]:
+    """Left and right child of a split row of one tree: the k-th split's
+    children follow the root and the 2k children of the splits before it."""
+    left = 1 + 2 * int(np.count_nonzero(tree.split[:row]))
+    return left, left + 1
+
+
 def tree_vote(tree, x) -> int:
     """Walk one sample down one tree, a row at a time."""
     row = 0
-    while tree.right[row]:
+    while tree.split[row]:
         proj = sum(w * x[f] for f, w in zip(tree.features[row], tree.weights[row]))
-        row += int(tree.right[row]) if proj >= tree.threshold[row] else 1
+        row = children(tree, row)[int(proj >= tree.threshold[row])]
     return int(tree.histogram[row].argmax()) + 1
 
 
@@ -184,8 +200,8 @@ def nonfinite_probe(dim: int, seed: int) -> np.ndarray:
 
 def reference_serialize_forest(forest) -> str:
     """The ``GOOF-FOREST 1`` text of a forest: its header fields, then one
-    record per table row in pre-order, a ``tree i`` record before each
-    tree's root; byte-identical for identical tables."""
+    record per node, each tree in pre-order after a ``tree i`` record;
+    byte-identical for identical trees."""
     header = {
         "kind": forest.kind.value if forest.kind else "none",
         "class_count": forest.class_count,
@@ -197,16 +213,19 @@ def reference_serialize_forest(forest) -> str:
         "feature_subspace": forest.spec.feature_subspace_size or 0,
         "threshold_candidates": forest.spec.threshold_candidates,
     }
-    heads = {root: i for i, root in enumerate(forest.roots.tolist())}
     records = []
-    rows = zip(*(getattr(forest, name).tolist() for name in _COLUMNS))
-    for row, (feats, weights, threshold, right, hist) in enumerate(rows):
-        if row in heads:
-            records.append(f"tree {heads[row]}")
-        if right:
-            idx = ",".join(map(str, feats))
-            w = ",".join(v.hex() for v in weights)
-            records.append(f"split {idx} {w} {threshold.hex()}")
+
+    def dump(tree, row):
+        if tree.split[row]:
+            idx = ",".join(map(str, tree.features[row].tolist()))
+            w = ",".join(v.hex() for v in tree.weights[row].tolist())
+            records.append(f"split {idx} {w} {float(tree.threshold[row]).hex()}")
+            for child in children(tree, row):
+                dump(tree, child)
         else:
-            records.append("leaf " + " ".join(map(str, hist)))
+            records.append("leaf " + " ".join(map(str, tree.histogram[row].tolist())))
+
+    for i, tree in enumerate(forest.trees):
+        records.append(f"tree {i}")
+        dump(tree, 0)
     return write_document("GOOF-FOREST", 1, header, records)

@@ -469,6 +469,22 @@ def test_store_directory_exit_code(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def test_forest_of_another_family_exit_code(tmp_path, staged, capsys):
+    # CMF and FOCF forests both take 16 features here: only the kind tells
+    bank = tmp_path / "bank"
+    shutil.copytree(staged / "bank", bank)
+    cmf, focf = bank / "forest_cmf.goofforest", bank / "forest_focf.goofforest"
+    cmf_raw = cmf.read_bytes()
+    cmf.write_bytes(focf.read_bytes())
+    focf.write_bytes(cmf_raw)
+    out = tmp_path / "b.txt"
+    capsys.readouterr()
+    assert main(["test", "--goof", str(staged / "goof"), "--skip-count", "2", "--bank", str(bank),
+                 "--out", str(out)]) == 3
+    assert f"{cmf}: line 2: kind=focf, expected cmf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuse_large_label_exit_code(tmp_path, capsys):
     # SWIM counts the labels that occur, so a huge one allocates nothing
     rng = np.random.default_rng(3)

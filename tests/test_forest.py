@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +153,8 @@ class TestTrainTree:
         x, y = two_blob_data(n=20)
         tree = train_tree(x, y, WeakLearnerSpec(), 4, np.random.default_rng(7))
         assert tree.node_count() > 1
-        assert int(tree.histogram[tree.right == 0].sum()) == 20
-        assert not tree.histogram[tree.right > 0].any()  # split rows count nothing
+        assert int(tree.histogram[~tree.split].sum()) == 20
+        assert not tree.histogram[tree.split].any()  # split rows count nothing
 
     def test_identical_features_make_a_leaf(self):
         x = np.zeros((6, 2))
@@ -197,7 +198,7 @@ class TestTrainForest:
         x, y = two_blob_data(n=24)
         forest = train_forest(x, y, 5, 6, WeakLearnerSpec(), seed=13)
         for tree in forest.trees:
-            assert int(tree.histogram[tree.right == 0].sum()) == 24
+            assert int(tree.histogram[~tree.split].sum()) == 24
 
     def test_batch_and_single_prediction_agree(self):
         rng = np.random.default_rng(14)
@@ -209,16 +210,20 @@ class TestTrainForest:
         assert np.array_equal(batch, single)
 
 
+def table_of(forest) -> dict:
+    return {name: getattr(forest, name) for name in (*_COLUMNS, "roots")}
+
+
 def assert_tables_equal(forest, table):
-    for name in (*_COLUMNS, "roots"):
-        assert np.array_equal(getattr(forest, name), table[name]), name
+    for name, column in table_of(forest).items():
+        assert np.array_equal(column, table[name]), name
 
 
 def assert_whole_bootstrap(forest, n):
     """Each tree's leaves count all n bootstrap draws; split rows count none."""
     for tree in forest.trees:
-        assert int(tree.histogram[tree.right == 0].sum()) == n
-        assert not tree.histogram[tree.right > 0].any()
+        assert int(tree.histogram[~tree.split].sum()) == n
+        assert not tree.histogram[tree.split].any()
 
 
 EDGE_CASES = [
@@ -356,7 +361,7 @@ class TestLevelWiseTrainer:
                                threshold_candidates=thresholds)
         forest = train_forest(x, y, 6, 6, spec, seed=5)
         assert_tables_equal(forest, reference_forest(x, y, 6, 6, spec, 5))
-        assert forest.right.any()
+        assert forest.split.any()
 
     @pytest.mark.parametrize("primitive", list(PRIMITIVES))
     @pytest.mark.parametrize("case", EDGE_CASES)
@@ -376,7 +381,7 @@ class TestLevelWiseTrainer:
         assert forest.tree_count == args[0]
         assert_whole_bootstrap(forest, n)
         if case.get("leaves"):
-            assert not forest.right.any()  # every tree is a single leaf
+            assert not forest.split.any()  # every tree is a single leaf
 
     def test_train_tree_draws_its_root_key_from_rng(self):
         rng = np.random.default_rng(31)
@@ -424,24 +429,24 @@ class TestFlatPredictor:
         x, y = two_blob_data(n=30)
         forest = train_forest(x, y, 4, 5, WeakLearnerSpec(), seed=3)
         trees = forest.trees
-        assert sum(tree.node_count() for tree in trees) == forest.right.size
+        assert sum(tree.node_count() for tree in trees) == forest.split.size
         for tree in trees:
             assert all(np.shares_memory(getattr(tree, c), getattr(forest, c)) for c in _COLUMNS)
 
     # sha256 of fixed inputs' forests: the retired GOOF-FOREST 1 text dump
-    # pins the keyed draws of training (the node tables), and the file pins
-    # the GOOF-FOREST 2 format, so that changing either is a deliberate re-pin
+    # pins the trees the keyed draws of training build, and the file pins
+    # the GOOF-FOREST 3 format, so that changing either is a deliberate re-pin
     @pytest.mark.parametrize("primitive, text_digest, file_digest", [
         pytest.param(
             "axis_aligned_stump",
             "95b7781a5d9a5708158bfaebf1212a600def592b812943270b19cfc45b40d445",
-            "1ea78f8ae74e60bd91e1ffc8e5505f28dd2cc81b9d512ac7e639306d5600f203",
+            "0bfcbf28ca648d5791d59569c95e9014b1617a1ad157305d925ff21080545e4b",
             id="axis_aligned_stump",
         ),
         pytest.param(
             "oriented_hyperplane_2d",
             "8779f5dad725cfc848667cd89883b52826ddddaf10d38c89cd4db52e25149b06",
-            "0300139e21e8ab6185dd32d2793bd9a8df07a15add746127c5d4795b710404de",
+            "e9f39d5d9ba9523902365e1fbcd6baea1a0220abbb64e504d13030a810744c38",
             id="oriented_hyperplane_2d",
         ),
     ])
@@ -456,6 +461,81 @@ class TestFlatPredictor:
         assert hashlib.sha256(serialize_forest(forest)).hexdigest() == file_digest
 
 
+def queue_grown_table(rng, tree_count, depth_limit):
+    """Random tree shapes laid out tree after tree by a naive queue: each
+    row's split flag, left child (-1 at a leaf) and level, and each tree's
+    first row. A node's row is its place in the queue, its children the next
+    two places free when it splits."""
+    split, left, level, roots = [], [], [], []
+    for _ in range(tree_count):
+        roots.append(len(split))
+        queue, free = deque([1]), len(split) + 1
+        while queue:
+            depth = queue.popleft()
+            splits = depth < depth_limit and rng.random() < 0.6
+            split.append(splits)
+            left.append(free if splits else -1)
+            level.append(depth)
+            if splits:
+                queue.extend([depth + 1, depth + 1])
+                free += 2
+    return np.array(split), np.array(left), np.array(level), np.array(roots)
+
+
+def forest_of_shape(split, q=2):
+    """A forest whose table has the ``split`` column, every other column
+    zero but one count of class 1 at each leaf."""
+    n = split.size
+    histogram = np.zeros((n, q), dtype=np.int64)
+    histogram[~split, 0] = 1
+    return Forest(features=np.zeros((n, 1), dtype=np.intp), weights=np.zeros((n, 1)),
+                  threshold=np.zeros(n), split=split, histogram=histogram, depth_limit=1,
+                  feature_dim=1, seed=0)
+
+
+class TestLevelOrderLayout:
+    """Roots, children and depth derived from the split flags alone, against
+    a naive queue's, and the reader's refusal of a table cut off mid-tree."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_derived_rows_equal_the_queues(self, seed):
+        rng = np.random.default_rng(seed)
+        split, left, level, roots = queue_grown_table(rng, int(rng.integers(1, 7)),
+                                                      int(rng.integers(1, 8)))
+        forest = forest_of_shape(split)
+        assert np.array_equal(forest.roots, roots)
+        rows = np.arange(split.size)
+        down_left, down_right, _, depth, _ = forest._descent
+        assert np.array_equal(down_left, np.where(split, left, rows))
+        assert np.array_equal(down_right, np.where(split, left + 1, rows))
+        assert depth == level.max()
+        ends = [*roots[1:], split.size]
+        assert [tree.depth() for tree in forest.trees] == [
+            level[a:b].max() for a, b in zip(roots, ends)
+        ]
+        assert [tree.node_count() for tree in forest.trees] == list(np.diff([*roots, split.size]))
+        back = deserialize_forest(serialize_forest(forest))
+        assert np.array_equal(back.split, split) and np.array_equal(back.roots, roots)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_table_cut_off_mid_tree_is_refused(self, seed):
+        rng = np.random.default_rng(seed)
+        split = queue_grown_table(rng, 3, 6)[0]
+        forest = forest_of_shape(split)
+        whole = {int(end) for end in [*forest.roots[1:], split.size]}
+        for cut in range(1, split.size):
+            raw = serialize_forest(dataclasses.replace(
+                forest, **{name: getattr(forest, name)[:cut] for name in _COLUMNS}
+            ))
+            if cut in whole:
+                assert deserialize_forest(raw).tree_count == sorted(whole).index(cut) + 1
+                continue
+            with pytest.raises(FormatError, match="is open after the last row") as err:
+                deserialize_forest(raw)
+            payload = raw.index(b"end-header\n") + len(b"end-header\n")
+            assert err.value.byte_offset == payload + cut * 25  # the end of the split column
+
+
 def forest_of_leaves(leaf_labels, q=10):
     """One single-leaf tree per label: one table row each."""
     t = len(leaf_labels)
@@ -463,7 +543,7 @@ def forest_of_leaves(leaf_labels, q=10):
     hist[np.arange(t), np.array(leaf_labels) - 1] = 1
     return Forest(
         features=np.zeros((t, 1), dtype=int), weights=np.zeros((t, 1)), threshold=np.zeros(t),
-        right=np.zeros(t, dtype=int), histogram=hist, roots=np.arange(t), depth_limit=1,
+        split=np.zeros(t, dtype=bool), histogram=hist, depth_limit=1,
         feature_dim=2, seed=0,
     )
 
@@ -512,7 +592,7 @@ class TestSerialization:
 
     def test_corrupt_document_rejected(self):
         with pytest.raises(FormatError, match=r"line \d+: "):
-            deserialize_forest(b"GOOF-FOREST 2\nkind=none\ntree_count=1\nend-header\n")
+            deserialize_forest(b"GOOF-FOREST 3\nkind=none\ntree_count=1\nend-header\n")
         # header fields that do not convert, or disagree with the trees that
         # follow, and a file of the retired text format
         rng = np.random.default_rng(19)
@@ -528,7 +608,7 @@ class TestSerialization:
         ]:
             with pytest.raises(FormatError, match=r"line \d+: "):
                 deserialize_forest(raw.replace(old, new, 1))
-        with pytest.raises(FormatError, match="line 1: expected 'GOOF-FOREST 2'"):
+        with pytest.raises(FormatError, match="line 1: expected 'GOOF-FOREST 3'"):
             deserialize_forest(reference_serialize_forest(forest).encode())
 
 
@@ -556,13 +636,16 @@ def _corrupt(case: str):
     error must carry."""
     forest = _codec_forest("stump")
     raw = serialize_forest(forest)
-    n, arity = forest.right.size, forest.features.shape[1]
+    n, arity = forest.split.size, forest.features.shape[1]
     payload = raw.index(b"end-header\n") + len(b"end-header\n")
-    right_at = payload + 16 * n * arity + 8 * n  # after features, weights, threshold
-    split, leaf = int(np.flatnonzero(forest.right)[1]), int(np.flatnonzero(forest.right == 0)[2])
+    split_at = payload + 16 * n * arity + 8 * n  # after features, weights, threshold
+    split, leaf = int(np.flatnonzero(forest.split)[1]), int(np.flatnonzero(~forest.split)[2])
 
     def edited(**columns):
         return serialize_forest(dataclasses.replace(forest, **columns))
+
+    def flag(row, value):
+        return raw[: split_at + row] + bytes([value]) + raw[split_at + row + 1 :]
 
     def column(name, row, value):
         values = getattr(forest, name).copy()
@@ -576,14 +659,16 @@ def _corrupt(case: str):
         "truncated file": (raw[:-1], len(raw) - 1),
         "trailing bytes": (raw + bytes(8), len(raw)),
         "node_count too large": (more, len(more)),
-        "node_count too small": (fewer, len(fewer) - 8 * (2 * arity + 2 + forest.class_count)),
-        "negative right": (edited(**column("right", split, -1)), right_at + 8 * split),
-        "right past its child": (edited(**column("right", 0, forest.right[0] + 1)), right_at),
-        "leaf made a split": (edited(**column("right", leaf, 1)), right_at + 8 * leaf),
+        "node_count too small": (fewer, len(fewer) - 8 * (2 * arity + 1 + forest.class_count) - 1),
+        "split flag of 2": (flag(split, 2), split_at + split),
+        # the last row is a leaf of the last tree, which then stays open
+        "last leaf made a split": (flag(n - 1, 1), split_at + n),
+        # the payload is whole, but its trees end two more times
+        "split made a leaf": (flag(split, 0), None),
         "unfinished tree": (edited(features=forest.features[:-1], weights=forest.weights[:-1],
-                                   threshold=forest.threshold[:-1], right=forest.right[:-1],
+                                   threshold=forest.threshold[:-1], split=forest.split[:-1],
                                    histogram=forest.histogram[:-1]),
-                            payload + (n - 1) * (16 * arity + 16)),  # the end of right
+                            payload + (n - 1) * (16 * arity + 9)),  # the end of split
         "leaf feature past feature_dim": (edited(**column("features", leaf, forest.feature_dim)),
                                           payload + 8 * arity * leaf),
         "negative split feature": (edited(**column("features", split, -1)),
@@ -592,8 +677,8 @@ def _corrupt(case: str):
 
 
 CORRUPTIONS = ["truncated column", "truncated file", "trailing bytes", "node_count too large",
-               "node_count too small", "negative right", "right past its child",
-               "leaf made a split", "unfinished tree", "leaf feature past feature_dim",
+               "node_count too small", "split flag of 2", "last leaf made a split",
+               "split made a leaf", "unfinished tree", "leaf feature past feature_dim",
                "negative split feature"]
 
 
@@ -603,6 +688,9 @@ def test_corrupt_payload_rejected_at_its_offset(case):
     with pytest.raises(FormatError) as err:
         deserialize_forest(raw)
     assert err.value.byte_offset == offset
+    if offset is None:  # a header line is at fault: the tree_count line
+        line = raw[: raw.index(b"tree_count=")].count(b"\n") + 1
+        assert str(err.value) == f"line {line}: tree_count=7, but 9 whole trees follow"
 
 
 class TestColumnCodec:
@@ -656,11 +744,11 @@ class TestLeanDescent:
     def test_stump_weights_other_than_one(self):
         forest = _codec_forest("stump")
         rng = np.random.default_rng(70)
-        split = forest.right > 0
+        split = forest.split
         weights = forest.weights.copy()
         weights[split] = rng.choice([-2.0, -0.5, 0.25, 3.0], size=(split.sum(), 1))
         edited = deserialize_forest(serialize_forest(dataclasses.replace(forest, weights=weights)))
-        assert not (edited.weights[edited.right > 0] == 1.0).any()
+        assert not (edited.weights[edited.split] == 1.0).any()
         probe = nonfinite_probe(edited.feature_dim, seed=71)
         reference = assert_walks_like_the_reference(edited, probe)
         # the weights decide: the same trees with unit weights vote otherwise
@@ -812,7 +900,7 @@ class TestTreeGroups:
             assert len(forks) == min(cpus, trees) - 1
             assert_nothing_left()
             for kind in KIND_ORDER:
-                assert_tables_equal(bank.forests[kind], vars(alone.forests[kind]))
+                assert_tables_equal(bank.forests[kind], table_of(alone.forests[kind]))
 
     @staticmethod
     def failing_family(monkeypatch, goof, family, fail):
