@@ -109,9 +109,11 @@ def est_signal_subspace(covariance: np.ndarray) -> np.ndarray:
     r = _covariances(covariance).astype(complex, copy=False)
     if not np.isfinite(r).all():
         raise NumericalFailure("covariance is not finite: snapshot values overflow")
-    # np.allclose, with the tolerance of each matrix scaled to that matrix alone
+    # np.allclose, with the tolerance of each matrix scaled to that matrix
+    # alone; on finite entries np.isclose is this one comparison
     atol = 1e-8 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))[..., None, None]
-    if not np.isclose(r, _transpose(r.conj()), atol=atol).all():
+    adj = _transpose(r.conj())
+    if not (np.abs(r - adj) <= atol + 1e-5 * np.abs(adj)).all():
         raise ValueError("covariance must be Hermitian")
     try:
         _, vectors = np.linalg.eigh(r)
@@ -263,6 +265,9 @@ def build_goof(
         raise ValueError("all blocks must have the same snapshot count")
     per_group = length // group_count
     blocks = sorted(blocks, key=lambda block: block.grid_label)
+    labels = np.array([block.grid_label for block in blocks], dtype=int)
+    if (np.diff(labels) == 0).any():  # sorted, so only a repeated grid breaks the order
+        raise ValueError("grid labels must be strictly ascending integers")
     # (Q, M, L) -> (Q, G, M, L/G): slice [q, g] is the g-th group of grid q
     y = np.stack([block.data for block in blocks])
     y = y.reshape(*y.shape[:2], group_count, per_group).swapaxes(1, 2)
@@ -284,16 +289,14 @@ def build_goof(
     for kind, x in data.items():
         if not np.isfinite(x).all():
             raise NumericalFailure(f"{kind.value} fingerprints are not finite: snapshots overflow")
-    goof = Goof(
+    return Goof(
         group_count=group_count,
         snapshots_per_group=per_group,
         noise_kind=blocks[0].noise_kind,
         snr_db=blocks[0].snr_db,
-        labels=np.array([block.grid_label for block in blocks], dtype=int),
+        labels=labels,
         data=data,
     )
-    goof.validate()
-    return goof
 
 
 GOOF_MAGIC = "GOOF-FPSTORE"

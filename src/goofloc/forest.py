@@ -561,40 +561,46 @@ class Forest:
     @cached_property
     def _descent(self) -> tuple:
         """What :meth:`predict_batch` walks, derived once: each row's left
-        and right child (a leaf points to itself), its 0-based leaf label
-        (the first maximum of its histogram), the table's realized depth
-        (a loaded table may hold deeper trees than ``depth_limit``) and a
-        contiguous (feature, weight) column pair per split operand."""
-        rows = np.arange(len(self.split))
-        left = np.where(self.split, _left_child(self.split, self.roots), rows)
-        right = np.where(self.split, left + 1, rows)
+        child (a leaf points to itself), its threshold (NaN at a leaf, so
+        that no projection passes it), its 0-based leaf label (the first
+        maximum of its histogram), the table's realized depth (a loaded
+        table may hold deeper trees than ``depth_limit``) and a contiguous
+        (feature, weight) column pair per split operand, the weight None
+        when the only operand weighs exactly 1.0 at every split row."""
+        left = np.where(self.split, _left_child(self.split, self.roots), np.arange(len(self.split)))
+        threshold = np.where(self.split, self.threshold, np.nan)
         depth = _depth(self.split, self.roots)
         operands = [
             (np.ascontiguousarray(self.features[:, i]), np.ascontiguousarray(self.weights[:, i]))
             for i in range(self.features.shape[1])
         ]
-        return left, right, self.histogram.argmax(axis=1), depth, operands
+        if len(operands) == 1 and (self.weights[self.split] == 1.0).all():
+            operands = [(operands[0][0], None)]  # x * 1.0 is x, bit for bit
+        return left, threshold, self.histogram.argmax(axis=1), depth, operands
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Majority-vote labels for an (n, dim) sample matrix. All trees
         descend together: an (n, T) matrix of rows moves one level per
         step, realized depth - 1 steps, each projection gathered from the
-        flat sample matrix."""
+        flat sample matrix; a row steps to its left child plus one if the
+        projection reaches its threshold, so a leaf stays put."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"expected (n, {self.feature_dim}) features")
         n, q = x.shape[0], self.class_count
-        left, right, leaf_label, depth, ((f0, w0), *more) = self._descent
+        left, threshold, leaf_label, depth, ((f0, w0), *more) = self._descent
         flat = x.ravel()
         sample = np.arange(n)[:, None]
         base = sample * self.feature_dim
-        node = np.tile(self.roots, (n, 1))
+        node = np.repeat(self.roots[None], n, axis=0)
         for _ in range(depth - 1):
             # x_f0 * w0 (+ x_f1 * w1): bit for bit the sum over the operands
-            proj = flat[base + f0[node]] * w0[node]
+            proj = flat[base + f0[node]]
+            if w0 is not None:
+                proj = proj * w0[node]
             for f, w in more:
                 proj = proj + flat[base + f[node]] * w[node]
-            node = np.where(proj >= self.threshold[node], right[node], left[node])
+            node = left[node] + (proj >= threshold[node])
         votes = np.bincount((leaf_label[node] + q * sample).ravel(), minlength=n * q)
         return votes.reshape(n, q).argmax(axis=1) + 1  # first max: smallest label wins ties
 

@@ -371,6 +371,32 @@ class TestBatched:
         with pytest.raises(ValueError, match="Hermitian"):
             est_signal_subspace(np.stack([skewed, large]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermitian_verdict_is_np_isclose_per_matrix(self, seed):
+        # one entry of each Hermitian matrix moved by a multiple of its
+        # tolerance, so some matrices pass and some do not
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+        stack = (a @ a.conj().swapaxes(1, 2)) * 10.0 ** rng.uniform(-4, 6, size=(40, 1, 1))
+        verdicts = []
+        for r in stack:
+            i, j = rng.integers(0, 4, size=2)
+            atol = 1e-8 * max(1.0, np.abs(r).max())
+            step = rng.choice([0.5, 0.999, 0.99999999, 1.00000001, 1.001, 2.0])
+            r[i, j] += step * (atol + 1e-5 * abs(r[j, i])) * np.exp(2j * np.pi * rng.random())
+            atol = 1e-8 * max(1.0, np.abs(r).max())
+            verdicts.append(bool(np.isclose(r, r.conj().T, atol=atol).all()))
+            try:
+                est_signal_subspace(r)
+            except ValueError as exc:
+                assert "Hermitian" in str(exc) and not verdicts[-1]
+            else:
+                assert verdicts[-1]
+        assert any(verdicts) and not all(verdicts)
+        with pytest.raises(ValueError, match="Hermitian"):
+            est_signal_subspace(stack)
+        est_signal_subspace(stack[np.array(verdicts)])
+
     def test_one_non_finite_matrix_is_a_numerical_failure(self):
         stack = est_covariance(random_stack(np.random.default_rng(24)))
         stack[0, 1, 2, 2] = np.inf
@@ -527,6 +553,12 @@ class TestBuildGoof:
         corrupt(goof)
         with pytest.raises(ValueError, match=message):
             goof.validate()
+
+    def test_a_repeated_grid_is_refused(self):
+        blocks = make_blocks(q=3)
+        blocks[2].grid_label = 1
+        with pytest.raises(ValueError, match="strictly ascending"):
+            build_goof(blocks, group_count=4)
 
     def test_missing_grid_rejected(self):
         goof = build_goof(make_blocks(), group_count=4)

@@ -505,9 +505,10 @@ class TestLevelOrderLayout:
         forest = forest_of_shape(split)
         assert np.array_equal(forest.roots, roots)
         rows = np.arange(split.size)
-        down_left, down_right, _, depth, _ = forest._descent
+        down_left, threshold, _, depth, _ = forest._descent
         assert np.array_equal(down_left, np.where(split, left, rows))
-        assert np.array_equal(down_right, np.where(split, left + 1, rows))
+        assert np.array_equal(np.isnan(threshold), ~split)
+        assert np.array_equal(threshold[split], forest.threshold[split])
         assert depth == level.max()
         ends = [*roots[1:], split.size]
         assert [tree.depth() for tree in forest.trees] == [
@@ -729,9 +730,10 @@ def assert_walks_like_the_reference(forest, probe):
 # infinities in a hyperplane, give NaN projections, as in the reference walk
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestLeanDescent:
-    """``predict_batch`` (child arrays, leaf labels, realized depth) against
-    the per-sample reference walk, on trained and loaded tables and on
-    loaded tables that training never makes."""
+    """``predict_batch`` (left children, NaN leaf thresholds, leaf labels,
+    realized depth, unit stump weights left out) against the per-sample
+    reference walk, on trained and loaded tables and on tables that
+    training never makes."""
 
     @pytest.mark.parametrize("case", CODEC_CASES)
     def test_trained_and_loaded_tables(self, case):
@@ -752,6 +754,27 @@ class TestLeanDescent:
         probe = nonfinite_probe(edited.feature_dim, seed=71)
         reference = assert_walks_like_the_reference(edited, probe)
         # the weights decide: the same trees with unit weights vote otherwise
+        assert not np.array_equal(forest.predict_batch(probe), reference)
+
+    def test_unit_split_weights_skip_the_multiply(self):
+        forest = _codec_forest("stump")
+        weights = forest.weights.copy()
+        weights[~forest.split] = np.random.default_rng(73).choice([0.0, -3.0, np.nan, np.inf],
+                                                                  size=((~forest.split).sum(), 1))
+        edited = dataclasses.replace(forest, weights=weights)
+        assert (edited.weights[edited.split] == 1.0).all() and (edited.weights != 1.0).any()
+        assert edited._descent[4][0][1] is None
+        assert_walks_like_the_reference(edited, nonfinite_probe(edited.feature_dim, seed=74))
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.5, np.nan, -0.0])
+    def test_one_split_weight_other_than_one_multiplies(self, weight):
+        forest = _codec_forest("stump")
+        weights = forest.weights.copy()
+        weights[0] = weight  # the first tree's root
+        edited = dataclasses.replace(forest, weights=weights)
+        assert edited._descent[4][0][1] is not None
+        probe = nonfinite_probe(edited.feature_dim, seed=75)
+        reference = assert_walks_like_the_reference(edited, probe)
         assert not np.array_equal(forest.predict_batch(probe), reference)
 
     def test_trees_deeper_than_the_header(self):
