@@ -98,6 +98,8 @@ def make_grid_scenario(
     if grid_count < 1:
         raise ValueError("grid_count must be >= 1")
     ny = math.sqrt(grid_count * room_height / room_width)
+    if not math.isfinite(ny):
+        raise ValueError(f"a {room_width}x{room_height} room overflows the grid layout")
     nx = grid_count / ny if ny > 0 else 0
     nxi, nyi = round(nx), round(ny)
     if nxi < 1 or nyi < 1 or nxi * nyi != grid_count:
@@ -229,11 +231,15 @@ def generate_paths(
             break
     else:
         raise NumericalFailure("1000 angle draws all strayed from the cluster centre")
-    delays = np.maximum(rng.uniform(tau0 - half_d, tau0 + half_d, path_count), 0.0)
+    try:
+        delays = np.maximum(rng.uniform(tau0 - half_d, tau0 + half_d, path_count), 0.0)
+    except OverflowError:  # numpy refuses a range that is not finite
+        raise NumericalFailure(f"delay range {tau0:g} +- {half_d:g} s is not finite") from None
     gains = rng.standard_normal(path_count) + 1j * rng.standard_normal(path_count)
     return Paths(gains / np.linalg.norm(gains), aoas, delays)
 
 
+@np.errstate(all="ignore")  # a block that is not finite is raised below, not warned about
 def synthesize_snapshots(
     paths: Paths,
     geometry: ArrayGeometry,
@@ -261,6 +267,8 @@ def synthesize_snapshots(
     t = np.arange(num_snapshots)
     s = np.exp(1j * (2.0 * math.pi * source_freq * t + phase0))
     data = np.outer(g, s)
+    if not np.isfinite(data).all():
+        raise NumericalFailure("the noiseless snapshot block is not finite")
     power = float(np.mean(np.abs(data) ** 2))
     return SnapshotBlock(data=data, grid_label=grid_label, signal_power=power)
 

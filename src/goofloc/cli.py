@@ -128,15 +128,15 @@ def _cmd_test(args) -> int:
             raise FormatError(f"{args.bank}: {kind.value} forest does not fit {args.goof}")
     pm = predict_matrix(bank, {kind: goof.stack(kind)[0] for kind in KIND_ORDER})
     stack = pm.matrix.reshape(len(goof.labels), goof.group_count, len(KIND_ORDER))
-    save_bmatrices(args.out, goof.grids(), goof.grids(), stack)
+    save_bmatrices(args.out, goof.grids(), stack)
     print(f"wrote prediction matrices for {len(stack)} grids -> {args.out}")
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    grids, true, stack = load_bmatrices(args.bmatrices)
+    grids, stack = load_bmatrices(args.bmatrices)
     results = [swim(b, args.window) for b in stack]
-    rows = fusion_report_rows(grids, true, results, args.window, [k.value for k in KIND_ORDER])
+    rows = fusion_report_rows(grids, results, args.window, [k.value for k in KIND_ORDER])
     text = write_document("GOOF-FUSION", 1, {"window": args.window}, rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -34,7 +34,7 @@ from .forest import (
     train_forest,
     worker_count,
 )
-from .fusion import full_matrix_mode, swim
+from .fusion import full_matrix_mode, prediction_probability, swim
 from .textio import (
     comma_list, fmt_value, one_of, positive_int, read_arrays, read_artifact, read_document,
     read_header, write_arrays, write_document,
@@ -47,7 +47,7 @@ REPORT_MAGIC = "GOOF-REPORT"
 REPORT_VERSION = 2
 
 BMAT_MAGIC = "GOOF-BMAT"
-BMAT_VERSION = 2
+BMAT_VERSION = 3
 
 
 @dataclass
@@ -253,7 +253,8 @@ class Report:
     def score(self, kind: str, snr: float, method: str, grid: int, labels, dist) -> None:
         """Add grid ``grid``'s row for ``method``: the share of ``labels``
         equal to it and their mean distance ``dist`` from its center."""
-        self.add(kind, snr, method, (labels == grid).mean(), dist[labels - 1, grid - 1].mean())
+        self.add(kind, snr, method, prediction_probability(labels, grid),
+                 dist[labels - 1, grid - 1].mean())
 
     def add_timing(self, method: str, train_s: float = 0.0, test_s: float = 0.0, predictions: int = 0):
         entry = self.timings.setdefault(method, {"train_s": 0.0, "test_s": 0.0, "predictions": 0})
@@ -582,51 +583,35 @@ def load_report(path) -> Report:
     return report
 
 
-def save_bmatrices(path, grids, true, stack) -> None:
-    """Persist a prediction stack: the header names the grids and their
-    true labels (0 if unknown), then the (grids, sample_count, kinds)
-    ``stack`` follows as one little-endian int64 array."""
+def save_bmatrices(path, grids, stack) -> None:
+    """Persist a prediction stack: the header names the grids, strictly
+    ascending, then the (grids, sample_count, kinds) ``stack`` follows as
+    one little-endian int64 array. ``stack[g]`` holds the labels of the
+    captures taken at grid ``grids[g]``, so that grid is their true label."""
     if stack.ndim != 3 or stack.shape[1] < 1 or stack.shape[2] != len(KIND_ORDER):
         raise ValueError(f"need nonempty Z x {len(KIND_ORDER)} matrices, got {stack.shape[1:]}")
-    if not len(grids) == len(true) == len(stack) >= 1:
-        raise ValueError("need one grid and one true label per matrix, and a matrix at least")
-    if len(set(grids)) < len(grids):
-        raise ValueError("a grid label repeats")
-    if min(grids) < 1 or stack.min() < 1:
+    if not len(grids) == len(stack) >= 1 or (np.diff(grids) <= 0).any():
+        raise ValueError("need one grid per matrix, strictly ascending, and a matrix at least")
+    if grids[0] < 1 or stack.min() < 1:
         raise ValueError("grid keys and predicted labels must be >= 1")
-    if min(true) < 0:
-        raise ValueError("true labels must be >= 1, or 0 if unknown")
-    header = {
-        "kinds": [kind.value for kind in KIND_ORDER],
-        "grids": grids,
-        "true": true,
-        "sample_count": stack.shape[1],
-    }
+    header = {"kinds": [kind.value for kind in KIND_ORDER], "grids": grids,
+              "sample_count": stack.shape[1]}
     Path(path).write_bytes(write_arrays(BMAT_MAGIC, BMAT_VERSION, header, [("<i8", stack)]))
 
 
-def _true_label(text: str) -> int:
-    """A stored true label: a grid label, or 0 if unknown."""
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be >= 1, or 0 if unknown")
-    return value
-
-
 def load_bmatrices(path) -> tuple:
-    """Read :func:`save_bmatrices` output as ``(grids, true, stack)``: the
-    kinds must be the six families, the grids distinct with one true label
-    >= 0 each, and every predicted label >= 1."""
+    """Read :func:`save_bmatrices` output as ``(grids, stack)``: the kinds
+    must be the six families, the grids strictly ascending and every
+    predicted label >= 1."""
     raw = read_artifact(path)
     doc, offset = read_header(raw, BMAT_MAGIC, BMAT_VERSION)
     doc.get("kinds", one_of(fmt_value([kind.value for kind in KIND_ORDER])))
     grids = doc.get("grids", comma_list(positive_int))
-    true = doc.get("true", comma_list(_true_label, len(grids)))
+    if (np.diff(grids) <= 0).any():
+        raise FormatError(f"line {doc.values['grids'][1]}: grid labels must be strictly ascending")
     z = doc.get("sample_count", positive_int)
     (stack,) = read_arrays(raw, offset, [("<i8", (len(grids), z, len(KIND_ORDER)))])
     if stack.min() < 1:
         at = int((stack < 1).argmax())  # the first label below 1, in file order
         raise FormatError(f"prediction label {stack.flat[at]} is below 1", offset + 8 * at)
-    if len(set(grids)) < len(grids):
-        raise FormatError(f"line {doc.values['grids'][1]}: a grid label repeats")
-    return grids, true, stack
+    return grids, stack

@@ -25,7 +25,6 @@ class FusionResult:
 
     labels: np.ndarray  # (U,) fused grid labels
     selected: np.ndarray  # (U,) chosen classifier column indices (0-based)
-    window_length: int
 
     @property
     def prediction_count(self) -> int:
@@ -102,7 +101,7 @@ def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     produced = counts[np.arange(u), selected] > 0
     # first maximum: the smallest label among the most frequent
     labels = values[np.where(produced, counts.sum(axis=1), -1).argmax(axis=1)]
-    return FusionResult(labels=labels, selected=selected, window_length=window_length)
+    return FusionResult(labels=labels, selected=selected)
 
 
 def full_matrix_mode(b, class_count: int | None = None) -> int:
@@ -112,23 +111,23 @@ def full_matrix_mode(b, class_count: int | None = None) -> int:
 
 
 def prediction_probability(labels, true_label: int) -> float:
-    """Fraction of fused predictions equal to the true grid label."""
+    """Fraction of ``labels`` equal to the true grid label: every rho."""
     arr = np.asarray(labels, dtype=int).ravel()
     if arr.size == 0:
         raise ValueError("labels must be nonempty")
     return float((arr == true_label).mean())
 
 
-def fusion_report_rows(grids, true, results, window_length: int, kind_names) -> list[str]:
-    """Structured-text rows, one per grid in label order: (grid, W, U, rho,
-    histogram of selected classifiers across windows). ``results[i]`` is
-    grid ``grids[i]``'s fusion; its rho is ``none`` where ``true[i]`` is 0
-    (unknown)."""
+def fusion_report_rows(grids, results, window_length: int, kind_names) -> list[str]:
+    """Structured-text rows, one per grid in the given order: (grid, W, U,
+    rho, histogram of selected classifiers across windows). ``results[i]``
+    fuses the captures taken at grid ``grids[i]``, so that grid is its
+    true label."""
     rows = []
-    for grid, label, result in sorted(zip(grids, true, results), key=lambda row: row[0]):
+    for grid, result in zip(grids, results):
         hist = Counter(kind_names[int(g)] for g in result.selected)
         hist_text = ",".join(f"{name}:{hist[name]}" for name in sorted(hist))
-        rho = prediction_probability(result.labels, label) if label else None
+        rho = prediction_probability(result.labels, grid)
         rows.append(
             f"grid={grid} w={window_length} u={result.prediction_count} "
             f"rho={fmt_value(rho)} selected={hist_text}"

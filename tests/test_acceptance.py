@@ -15,7 +15,7 @@ from scipy import stats
 
 from goofloc import ExperimentConfig, WeakLearnerSpec, prediction_probability, swim
 from goofloc.channel import NoiseSpec, SnapshotBlock, add_noise, sample_alpha_stable
-from goofloc.experiments import run_forest_sweep, run_snr_sweep
+from goofloc.experiments import emit_report, run_forest_sweep, run_snr_sweep
 from goofloc.fingerprints import (
     KIND_ORDER,
     est_covariance,
@@ -28,6 +28,7 @@ from goofloc.fingerprints import (
 from goofloc.forest import deserialize_forest, serialize_forest, train_forest
 from goofloc.fusion import full_matrix_mode
 
+import digests
 from forest_reference import node_counts
 
 SIOF = [k.value for k in KIND_ORDER]
@@ -86,6 +87,11 @@ def desk_sweep():
     report = run_snr_sweep(DESK_CONFIG)
     elapsed = time.perf_counter() - t0
     return report, elapsed
+
+
+def test_desk_curves_are_byte_pinned(desk_sweep, tmp_path):
+    emit_report(desk_sweep[0], "csv", tmp_path)
+    digests.assert_digests(tmp_path, digests.DESK)
 
 
 # criterion 1: fingerprint estimators vs independent oracles ----------------
@@ -424,8 +430,22 @@ def forest_sweep_config():
     )
 
 
-def test_criterion_6_hyperparameter_trends(forest_sweep_config):
-    depth_report = run_forest_sweep(forest_sweep_config, "tree_depth", values=(2, 8))
+@pytest.fixture(scope="module")
+def forest_sweeps(forest_sweep_config):
+    return {
+        "tree_depth": run_forest_sweep(forest_sweep_config, "tree_depth", values=(2, 8)),
+        "tree_number": run_forest_sweep(forest_sweep_config, "tree_number"),
+    }
+
+
+def test_criterion_6_curves_are_byte_pinned(forest_sweeps, tmp_path):
+    for vary, report in forest_sweeps.items():
+        emit_report(report, "csv", tmp_path / vary)
+    digests.assert_digests(tmp_path, digests.FOREST)
+
+
+def test_criterion_6_hyperparameter_trends(forest_sweeps):
+    depth_report = forest_sweeps["tree_depth"]
     acc = {
         d: float(
             np.mean(
@@ -441,7 +461,7 @@ def test_criterion_6_hyperparameter_trends(forest_sweep_config):
     }
     depth_ok = acc[8] >= acc[2]
 
-    tree_report = run_forest_sweep(forest_sweep_config, "tree_number")
+    tree_report = forest_sweeps["tree_number"]
     times = {n: tree_report.timings[f"rssf_t{n}"]["test_s"] for n in (10, 40, 70, 100)}
     timing_ok = times[100] > times[10]
     monotone = all(times[a] < times[b] for a, b in ((10, 40), (40, 70), (70, 100)))

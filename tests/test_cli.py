@@ -17,6 +17,8 @@ from goofloc.experiments import (
 )
 from goofloc.fingerprints import KIND_ORDER
 
+import digests
+
 
 def micro_config():
     return ExperimentConfig(
@@ -64,6 +66,10 @@ def staged(tmp_path_factory):
     for argv in stages:
         assert main([str(a) for a in argv]) == 0
     return root
+
+
+def test_staged_artifacts_are_byte_pinned(staged):
+    digests.assert_digests(staged, digests.STAGED)
 
 
 def test_stagewise_pipeline(tmp_path, config_file, capsys):
@@ -340,6 +346,36 @@ def test_overflowing_noise_exit_code(tmp_path, capsys, argv):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+# finite config values too large for the simulation: (flags, exit code,
+# message start); only the 1e200 room warns, as numpy's norm overflows
+HUGE_VALUES = [
+    (["--room-width", "1e308", "--room-height", "1e308"], 2, "config error: grid_count"),
+    (["--room-width", "1e200", "--room-height", "1e200"], 4, "numerical failure: delay range"),
+    (["--carrier-frequency", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
+    (["--source-freq", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
+    (["--spacing-over-wavelength", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
+    (["--delay-spread-ratio", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "sweep-snr"])
+@pytest.mark.parametrize("flags, code, message", HUGE_VALUES,
+                         ids=["room=1e308", "room=1e200", "carrier-frequency", "source-freq",
+                              "spacing-over-wavelength", "delay-spread-ratio"])
+def test_huge_config_value_exit_code(tmp_path, capsys, command, flags, code, message):
+    out = tmp_path / "out"
+    argv = [command, "--seed", "1", "--grid-count", "4", "--noise-kinds", "gaussian",
+            "--snr-grid-db", "10", *flags, "--out-dir", str(out)]
+    if "1e200" in flags:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == code
+    else:
+        assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_degenerate_snapshots_exit_code(tmp_path, staged, capsys):
     # an all-zero antenna row leaves the PSD fingerprint undefined
     blocks = load_snapshot_dataset(staged / "snapshots_gaussian_18dB.goofsnap")
@@ -412,10 +448,10 @@ def test_staged_cli_reproduces_sweep_cells(tmp_path, capsys):
         for argv in stages:
             assert main([str(a) for a in argv]) == 0
 
-        grids, true, stack = load_bmatrices(cell / "b.txt")
+        grids, stack = load_bmatrices(cell / "b.txt")
         # the same cell's bank predicts the same labels, sample for sample
         sweep_grids, sweep_stack, _, _ = snr_cell(cfg, (0, kind, snr))
-        assert grids == sweep_grids == true, (kind, snr)
+        assert grids == sweep_grids, (kind, snr)
         assert np.array_equal(stack, sweep_stack), (kind, snr)
         for ki, family in enumerate(KIND_ORDER):
             rhos = [float((b[:, ki] == g).mean()) for g, b in zip(grids, stack)]
@@ -490,7 +526,7 @@ def test_fuse_large_label_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(3)
     matrix = rng.integers(1, 4, size=(8, len(KIND_ORDER)))
     matrix[2, 1] = 10**15
-    save_bmatrices(tmp_path / "b", [1], [1], matrix[None])
+    save_bmatrices(tmp_path / "b", [1], matrix[None])
     out = tmp_path / "fusion.txt"
     assert main(["fuse", "--bmatrices", str(tmp_path / "b"), "--window", "5",
                  "--out", str(out)]) == 0
@@ -498,14 +534,15 @@ def test_fuse_large_label_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fuse_negative_true_label_exit_code(tmp_path, capsys):
-    save_bmatrices(tmp_path / "b", [1], [1], np.ones((1, 4, len(KIND_ORDER)), int))
-    raw = (tmp_path / "b").read_bytes()
-    (tmp_path / "b").write_bytes(raw.replace(b"true=1", b"true=-2"))
+def test_version_2_bmatrices_exit_code(tmp_path, capsys):
+    # GOOF-BMAT 2 stored a true label per grid beside the grid; it is not read
+    matrix = np.ones((1, 4, len(KIND_ORDER)), "<i8")
+    (tmp_path / "b").write_bytes(b"GOOF-BMAT 2\nkinds=cmf,rssf,psdf,ssf,focf,flomf\ngrids=1\n"
+                                 b"true=1\nsample_count=4\nend-header\n" + matrix.tobytes())
     out = tmp_path / "fusion.txt"
     assert main(["fuse", "--bmatrices", str(tmp_path / "b"), "--window", "2",
                  "--out", str(out)]) == 3
-    assert "line 4: bad true '-2'" in capsys.readouterr().err
+    assert "line 1: expected 'GOOF-BMAT 3', got 'GOOF-BMAT 2'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -637,83 +637,75 @@ class TestReports:
         rng = np.random.default_rng(0)
         stack = np.stack([rng.integers(1, 5, size=(6, 6)) for _ in range(3)])
         path = tmp_path / "b.txt"
-        save_bmatrices(path, [1, 2, 3], [1, 2, 3], stack)
-        grids, true, back = load_bmatrices(path)
-        assert grids == [1, 2, 3] and true == [1, 2, 3]
+        save_bmatrices(path, [1, 2, 3], stack)
+        grids, back = load_bmatrices(path)
+        assert grids == [1, 2, 3]
         assert np.array_equal(back, stack)
 
     def test_bmatrices_refuse_what_the_reader_would(self, tmp_path):
         # six columns and at least one sample per matrix, checked before writing
         for matrix in (np.ones((4, 5), int), np.ones((0, 6), int), np.ones((4, 7), int)):
             with pytest.raises(ValueError, match="nonempty Z x 6"):
-                save_bmatrices(tmp_path / "b", [1], [1], matrix[None])
+                save_bmatrices(tmp_path / "b", [1], matrix[None])
             assert not (tmp_path / "b").exists()
-        # and distinct grids, one per matrix
-        with pytest.raises(ValueError, match="grid label repeats"):
-            save_bmatrices(tmp_path / "b", [2, 2], [2, 2], np.ones((2, 4, 6), int))
-        assert not (tmp_path / "b").exists()
+        # and one grid per matrix, strictly ascending
+        for grids in ([2, 2], [3, 2], [2]):
+            with pytest.raises(ValueError, match="one grid per matrix, strictly ascending"):
+                save_bmatrices(tmp_path / "b", grids, np.ones((2, 4, 6), int))
+            assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("grids", [b"3,1", b"1,1"])
+    def test_bmatrices_grids_out_of_order_name_their_line(self, tmp_path, grids):
+        # the writer refuses them, so they are patched into the file
+        save_bmatrices(tmp_path / "b", [1, 3], np.ones((2, 4, 6), int))
+        raw = (tmp_path / "b").read_bytes()
+        (tmp_path / "b").write_bytes(raw.replace(b"grids=1,3", b"grids=" + grids))
+        with pytest.raises(FormatError, match="line 3: grid labels must be strictly ascending"):
+            load_bmatrices(tmp_path / "b")
 
     @pytest.mark.parametrize("grid, label", [(1, 0), (0, 1), (1, -3)])
     def test_bmatrices_refuse_labels_and_grids_below_one(self, tmp_path, grid, label):
         stack = np.ones((2, 4, 6), int)
         stack[0, 2, 3] = label
         with pytest.raises(ValueError, match="must be >= 1"):
-            save_bmatrices(tmp_path / "b", [grid, 2], [1, 0], stack)
+            save_bmatrices(tmp_path / "b", [grid, 2], stack)
         assert not (tmp_path / "b").exists()
-
-    def test_bmatrices_refuse_a_negative_true_label(self, tmp_path):
-        stack = np.ones((2, 4, 6), int)
-        with pytest.raises(ValueError, match="true labels"):
-            save_bmatrices(tmp_path / "b", [1, 2], [1, -2], stack)
-        assert not (tmp_path / "b").exists()
-        save_bmatrices(tmp_path / "b", [1, 2], [1, 0], stack)  # 0 saves as unknown
-        assert load_bmatrices(tmp_path / "b")[1] == [1, 0]
-
-    def test_bmatrices_negative_true_label_names_its_line(self, tmp_path):
-        # the writer refuses a negative true label, so it is patched into the file
-        save_bmatrices(tmp_path / "b", [1, 3], [1, 3], np.ones((2, 4, 6), int))
-        raw = (tmp_path / "b").read_bytes()
-        (tmp_path / "b").write_bytes(raw.replace(b"true=1,3", b"true=1,-2"))
-        with pytest.raises(FormatError, match="line 4: bad true '1,-2'"):
-            load_bmatrices(tmp_path / "b")
 
     def test_bmatrices_reload_and_save_byte_identically(self, tmp_path):
         rng = np.random.default_rng(1)
         stack = np.stack([rng.integers(1, 9, size=(3, 6)) for _ in range(3)])
-        save_bmatrices(tmp_path / "a", [1, 4, 9], [1, 4, 9], stack)
+        save_bmatrices(tmp_path / "a", [1, 4, 9], stack)
         save_bmatrices(tmp_path / "b", *load_bmatrices(tmp_path / "a"))
         assert (tmp_path / "b").read_bytes() == (tmp_path / "a").read_bytes()
 
     def test_bmatrices_file_layout(self, tmp_path):
         stack = np.stack([np.full((2, 6), g) for g in (2, 5)])
-        save_bmatrices(tmp_path / "b", [2, 5], [2, 0], stack)
+        save_bmatrices(tmp_path / "b", [2, 5], stack)
         header, payload = (tmp_path / "b").read_bytes().split(b"end-header\n", 1)
         assert header.decode().splitlines() == [
-            "GOOF-BMAT 2", "kinds=cmf,rssf,psdf,ssf,focf,flomf", "grids=2,5", "true=2,0",
-            "sample_count=2",
+            "GOOF-BMAT 3", "kinds=cmf,rssf,psdf,ssf,focf,flomf", "grids=2,5", "sample_count=2",
         ]
         assert payload == np.repeat([2, 5], 12).astype("<i8").tobytes()
-        assert load_bmatrices(tmp_path / "b")[1] == [2, 0]
 
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda raw: raw[:-48],  # one row fewer than sample_count
             lambda raw: raw + np.ones(6, "<i8").tobytes(),  # one row more
-            lambda raw: raw.replace(b"grids=1,2,3\ntrue=1,2,3", b"grids=1,2\ntrue=1,2"),
+            lambda raw: raw.replace(b"grids=1,2,3", b"grids=1,2"),
             lambda raw: raw.replace(b"kinds=cmf,", b"kinds="),
             _with_seventh_column,
             lambda raw: raw.replace(b"sample_count=8", b"sample_count=7"),
             lambda raw: raw[:-8] + np.zeros(1, "<i8").tobytes(),  # label 0
             lambda raw: raw.replace(b"grids=1,2,3", b"grids=1,1,3"),
-            lambda raw: raw.replace(b"true=1,2,3", b"true=1,2"),
+            lambda raw: raw.replace(b"grids=1,2,3", b"grids=1,3,2"),
         ],
         ids=["dropped_row", "extra_row", "grid_count", "kinds", "wide_row", "sample_count",
-             "zero_label", "repeated_grid", "true_count"],
+             "zero_label", "repeated_grid", "descending_grid"],
     )
     def test_bmatrices_must_match_their_header(self, tmp_path, corrupt):
         path = tmp_path / "b.txt"
-        save_bmatrices(path, [1, 2, 3], [1, 2, 3], np.stack([np.full((8, 6), g) for g in (1, 2, 3)]))
+        save_bmatrices(path, [1, 2, 3], np.stack([np.full((8, 6), g) for g in (1, 2, 3)]))
         raw = path.read_bytes()
         assert corrupt(raw) != raw
         path.write_bytes(corrupt(raw))
@@ -722,7 +714,7 @@ class TestReports:
 
     def test_bmatrices_bad_label_names_its_byte(self, tmp_path):
         path = tmp_path / "b"
-        save_bmatrices(path, [1, 2], [1, 2], np.stack([np.full((8, 6), g) for g in (1, 2)]))
+        save_bmatrices(path, [1, 2], np.stack([np.full((8, 6), g) for g in (1, 2)]))
         # the writer refuses labels below 1, so they are patched into the file
         raw = bytearray(path.read_bytes())
         labels = np.frombuffer(raw, "<i8", offset=raw.index(b"end-header\n") + 11)

@@ -186,7 +186,7 @@ class TestSwimReference:
             labels, selected = reference_swim(mat, window, q)
             assert np.array_equal(result.labels, labels)
             assert np.array_equal(result.selected, selected)
-            assert result.labels.dtype == labels.dtype and result.window_length == window
+            assert result.labels.dtype == labels.dtype
             wide += any(len(np.unique(mat[u : u + window])) > 8
                         for u in range(len(mat) - window + 1))
         assert wide > 50  # many windows hold more than eight distinct labels
@@ -255,14 +255,14 @@ class TestPredictionProbability:
         with pytest.raises(ValueError):
             prediction_probability([], 1)
 
-    def test_report_rows_give_rho_for_known_labels_only(self):
+    def test_report_rows_give_rho_per_grid_in_the_given_order(self):
         results = [
-            FusionResult(labels=np.array([3, 1]), selected=np.array([0, 1]), window_length=2),
-            FusionResult(labels=np.array([2, 2]), selected=np.array([5, 5]), window_length=2),
+            FusionResult(labels=np.array([3, 1]), selected=np.array([0, 1])),
+            FusionResult(labels=np.array([2, 2, 7]), selected=np.array([5, 5, 0])),
         ]
         names = [kind.value for kind in KIND_ORDER]
-        # rows come in grid order whatever order the grids are given in
-        assert fusion_report_rows([3, 2], [3, 0], results, 2, names) == [
-            "grid=2 w=2 u=2 rho=none selected=flomf:2",
+        # each grid is the true label of its own result's captures
+        assert fusion_report_rows([3, 2], results, 2, names) == [
             "grid=3 w=2 u=2 rho=0.5 selected=cmf:1,rssf:1",
+            f"grid=2 w=2 u=3 rho={2 / 3!r} selected=cmf:1,flomf:2",
         ]

@@ -121,7 +121,7 @@ def _forest(out):
 def _bmat(out):
     rng = np.random.default_rng(0)
     stack = np.stack([rng.integers(1, 5, size=(3, len(KIND_ORDER))) for _ in range(4)])
-    save_bmatrices(out / "b.txt", [1, 2, 3, 4], [1, 2, 3, 4], stack)
+    save_bmatrices(out / "b.txt", [1, 2, 3, 4], stack)
     return [out / "b.txt"], lambda: load_bmatrices(out / "b.txt")
 
 
