@@ -163,6 +163,10 @@ class ExperimentConfig:
             for kind in KIND_ORDER:
                 spec.subspace(feature_dim(kind, self.num_elements,
                                           self.psd_points or snapshots_per_group))
+        # the scenario's array normal is the room diagonal, whose norm squares the sides
+        width, height = self.room_width, self.room_height
+        if not math.isfinite(width * width + height * height):
+            raise ConfigError("room_width", "the room's diagonal overflows")
         try:
             self.scenario()
         except ValueError as exc:

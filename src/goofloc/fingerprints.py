@@ -1,25 +1,27 @@
 """The six fingerprint families (the GOOF) and their extraction.
 
-From one M x L snapshot block, six statistics are estimated and flattened
+From one M x L snapshot block, six statistics are estimated and turned
 into real feature vectors. Every estimator also takes a stack (..., M, L)
 of blocks and gives each block the same result, bit for bit, as it gives
-that block alone, so a whole store is extracted with one call per family:
+that block alone, so a whole store is extracted with one call per family.
+:func:`build_goof` forms each family's features from its estimate:
 
-  CMF    sample covariance matrix              abs(reshape)   M^2
-  RSSF   per-element received signal strength  none           M
-  PSDF   normalized per-element power spectrum reshape        M*K
-  SSF    principal covariance eigenvector      abs            M
-  FoCF   fourth-order cross cumulants          abs(reshape)   M^2
-  FLOMF  fractional low-order moments          abs(reshape)   M^2
+  CMF    sample covariance matrix              abs(flatten)   M^2
+  RSSF   per-element received signal strength  as is          M
+  PSDF   normalized per-element power spectrum flatten        M*K
+  SSF    principal eigenvector magnitudes      as is          M
+  FoCF   fourth-order cross cumulants          abs(flatten)   M^2
+  FLOMF  fractional low-order moments          abs(flatten)   M^2
 
-Reshape order is column-major throughout; it only has to match between
-training and testing. Phases are dropped (absolute values) because they
-are fragile under noise; RSSF and PSDF are already real.
+Flattening is column-major; it only has to match between training and
+testing. Phases are dropped (absolute values) because they are fragile
+under noise; the RSSF, PSDF and SSF estimates are already real and
+non-negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -53,8 +55,7 @@ def feature_dim(kind: FingerprintKind, num_elements: int, psd_points: int) -> in
 
 
 def _block_data(block) -> np.ndarray:
-    data = block.data if isinstance(block, SnapshotBlock) else np.asarray(block)
-    data = np.asarray(data, dtype=complex)
+    data = np.asarray(block, dtype=complex)
     if data.ndim < 2:
         raise ValueError("block must be an M x L matrix or a stack of them")
     if data.shape[-1] < 1 or data.shape[-2] < 1:
@@ -165,18 +166,9 @@ def est_flom(block, p: float = 1.2, conj=None) -> np.ndarray:
     return (y @ _transpose(weighted)) / length
 
 
-def vectorize(values: np.ndarray, kind: FingerprintKind) -> np.ndarray:
-    """Flatten an estimate, or a stack of them, into its family's real feature layout."""
-    arr = np.asarray(values)
-    if kind in (FingerprintKind.RSSF, FingerprintKind.SSF):
-        if arr.ndim < 1:
-            raise ValueError(f"{kind.value} expects a vector")
-        return np.abs(arr) if kind is FingerprintKind.SSF else np.real(arr).copy()
-    if arr.ndim < 2 or (kind is not FingerprintKind.PSDF and arr.shape[-1] != arr.shape[-2]):
-        raise ValueError(f"{kind.value} expects a square matrix (psdf: M x K)")
-    # F order over the whole stack keeps the leading axes in place
-    flat = arr.reshape(*arr.shape[:-2], -1, order="F")
-    return np.real(flat) if kind is FingerprintKind.PSDF else np.abs(flat)
+def _flatten(values: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack, column-major; the leading axes stay in place."""
+    return values.reshape(*values.shape[:-2], -1, order="F")
 
 
 @dataclass
@@ -188,12 +180,15 @@ class Goof:
     ``labels`` is strictly ascending.
     """
 
-    group_count: int
     snapshots_per_group: int
-    noise_kind: str = "none"
-    snr_db: float = float("inf")
-    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    data: dict = field(default_factory=dict)  # kind -> (Q, group_count, dim) array
+    noise_kind: str
+    snr_db: float
+    labels: np.ndarray
+    data: dict  # kind -> (Q, group_count, dim) array
+
+    @property
+    def group_count(self) -> int:
+        return self.data[KIND_ORDER[0]].shape[1]
 
     def grids(self) -> list[int]:
         return self.labels.tolist()
@@ -218,28 +213,12 @@ class Goof:
                 f"need >= 1 of the {self.group_count} groups from group {start} on; got {count}",
             )
         data = {kind: x[:, start : start + count] for kind, x in self.data.items()}
-        return replace(self, group_count=count, data=data)
+        return replace(self, data=data)
 
     def split(self, train_count: int, test_count: int) -> tuple["Goof", "Goof"]:
         """First ``train_count`` groups per grid for training, the next
         ``test_count`` for testing (groups are i.i.d. given the block)."""
         return self.groups(0, train_count), self.groups(train_count, test_count)
-
-    def validate(self) -> None:
-        if self.group_count < 1:
-            raise ValueError("group_count must be >= 1")
-        labels = self.labels
-        if labels.ndim != 1 or labels.dtype.kind not in "iu" or (np.diff(labels) <= 0).any():
-            raise ValueError("grid labels must be strictly ascending integers")
-        expected = (labels.size, self.group_count)
-        for kind in KIND_ORDER:
-            x = self.data.get(kind)
-            if x is None:
-                raise ValueError(f"missing fingerprint kind {kind.value}")
-            if x.ndim != 3 or x.shape[:2] != expected or x.shape[2] < 1:
-                raise ValueError(f"{kind.value}: shape {x.shape}, expected {expected + ('dim',)}")
-            if not np.isfinite(x).all():
-                raise ValueError(f"{kind.value}: features contain non-finite entries")
 
 
 def build_goof(
@@ -277,20 +256,18 @@ def build_goof(
     covariance = est_covariance(y, yc)
     foc, flom = est_foc(y, covariance, yc), est_flom(y, flom_p, yc)
     del yc
-    estimates = {
-        FingerprintKind.CMF: covariance,
+    data = {
+        FingerprintKind.CMF: np.abs(_flatten(covariance)),
         FingerprintKind.RSSF: extract_rss(covariance),
-        FingerprintKind.PSDF: est_psd(y, psd_points),
+        FingerprintKind.PSDF: _flatten(est_psd(y, psd_points)),
         FingerprintKind.SSF: est_signal_subspace(covariance),
-        FingerprintKind.FOCF: foc,
-        FingerprintKind.FLOMF: flom,
+        FingerprintKind.FOCF: np.abs(_flatten(foc)),
+        FingerprintKind.FLOMF: np.abs(_flatten(flom)),
     }
-    data = {kind: vectorize(values, kind) for kind, values in estimates.items()}
     for kind, x in data.items():
         if not np.isfinite(x).all():
             raise NumericalFailure(f"{kind.value} fingerprints are not finite: snapshots overflow")
     return Goof(
-        group_count=group_count,
         snapshots_per_group=per_group,
         noise_kind=blocks[0].noise_kind,
         snr_db=blocks[0].snr_db,
@@ -322,22 +299,24 @@ def save_goof(goof: Goof, path) -> None:
 
 
 def load_goof(path) -> Goof:
-    """Read a store written by :func:`save_goof`. A malformed header,
-    payload or store raises :class:`FormatError`."""
+    """Read a store written by :func:`save_goof`. Grids that are not
+    strictly ascending positive integers raise :class:`FormatError`
+    naming the ``grids`` line, a bad payload or its first non-finite
+    feature one carrying its byte offset."""
     raw = read_artifact(path)
     doc, offset = read_header(raw, GOOF_MAGIC, GOOF_VERSION)
-    goof = Goof(
-        group_count=doc.get("group_count", positive_int),
-        snapshots_per_group=doc.get("snapshots_per_group", positive_int),
-        noise_kind=doc.get("noise_kind", default="none"),
-        snr_db=doc.get("snr_db", float, float("inf")),
-        labels=doc.get("grids", lambda text: np.array(comma_list(int)(text), dtype=int)),
+    group_count, per_group = (
+        doc.get(key, positive_int) for key in ("group_count", "snapshots_per_group")
     )
+    noise_kind = doc.get("noise_kind", default="none")
+    snr_db = doc.get("snr_db", float, float("inf"))
+    labels = doc.get("grids", lambda text: np.array(comma_list(positive_int)(text), dtype=int))
+    if (np.diff(labels) <= 0).any():
+        raise FormatError(f"line {doc.values['grids'][1]}: grid labels must be strictly ascending")
     dims = doc.get("dims", comma_list(positive_int, len(KIND_ORDER)))
-    layout = [("<f8", (goof.labels.size, goof.group_count, dim)) for dim in dims]
-    goof.data = dict(zip(KIND_ORDER, read_arrays(raw, offset, layout)))
-    try:
-        goof.validate()
-    except ValueError as exc:
-        raise FormatError(f"malformed fingerprint store {path}: {exc}") from exc
-    return goof
+    layout = [("<f8", (labels.size, group_count, dim)) for dim in dims]
+    data = dict(zip(KIND_ORDER, read_arrays(raw, offset, layout)))
+    finite = np.isfinite(np.frombuffer(raw, "<f8", offset=offset))
+    if not finite.all():
+        raise FormatError("non-finite fingerprint feature", offset + 8 * int(finite.argmin()))
+    return Goof(per_group, noise_kind, snr_db, labels, data)

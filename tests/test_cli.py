@@ -347,10 +347,11 @@ def test_overflowing_noise_exit_code(tmp_path, capsys, argv):
 
 
 # finite config values too large for the simulation: (flags, exit code,
-# message start); only the 1e200 room warns, as numpy's norm overflows
+# message start); a room whose diagonal overflows is refused before numpy
+# squares its sides
 HUGE_VALUES = [
-    (["--room-width", "1e308", "--room-height", "1e308"], 2, "config error: grid_count"),
-    (["--room-width", "1e200", "--room-height", "1e200"], 4, "numerical failure: delay range"),
+    (["--room-width", "1e308", "--room-height", "1e308"], 2, "config error: room_width"),
+    (["--room-width", "1e200", "--room-height", "1e200"], 2, "config error: room_width"),
     (["--carrier-frequency", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
     (["--source-freq", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
     (["--spacing-over-wavelength", "1e308"], 4, "numerical failure: the noiseless snapshot block"),
@@ -367,11 +368,7 @@ def test_huge_config_value_exit_code(tmp_path, capsys, command, flags, code, mes
     out = tmp_path / "out"
     argv = [command, "--seed", "1", "--grid-count", "4", "--noise-kinds", "gaussian",
             "--snr-grid-db", "10", *flags, "--out-dir", str(out)]
-    if "1e200" in flags:
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(argv) == code
-    else:
-        assert main(argv) == code
+    assert main(argv) == code
     assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
@@ -488,6 +485,24 @@ def test_malformed_store_exit_code(tmp_path, config_file, capsys, old, new):
     code = main(["train", "--goof", str(goof), "--seed", "1", "--out", str(tmp_path / "b")])
     assert code == 3
     assert "format error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["0", "-1"])
+@pytest.mark.parametrize("stage", ["train", "test"])
+def test_store_grid_below_one_exit_code(tmp_path, staged, capsys, stage, label):
+    goof = tmp_path / "goof"
+    raw = (staged / "goof").read_bytes()
+    assert b"\ngrids=1,2,3,4\n" in raw
+    goof.write_bytes(raw.replace(b"\ngrids=1,", f"\ngrids={label},".encode()))
+    argv = {
+        "train": ["train", "--goof", goof, "--seed", 1, "--out", tmp_path / "bank"],
+        "test": ["test", "--goof", goof, "--skip-count", 2, "--bank", staged / "bank",
+                 "--out", tmp_path / "b.txt"],
+    }[stage]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 3
+    assert capsys.readouterr().err.startswith(f"format error: line 6: bad grids '{label},2,3,4'")
+    assert not (tmp_path / "bank").exists() and not (tmp_path / "b.txt").exists()
 
 
 def test_store_directory_exit_code(tmp_path, capsys):

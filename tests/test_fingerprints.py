@@ -23,7 +23,6 @@ from goofloc.fingerprints import (
     feature_dim,
     load_goof,
     save_goof,
-    vectorize,
 )
 
 from fingerprint_reference import extract_group, reference_store
@@ -260,24 +259,7 @@ class TestFlom:
 
 
 class TestVectorize:
-    def test_rssf_identity(self):
-        assert np.allclose(vectorize(np.array([1.0, 2.0, 3.0]), FingerprintKind.RSSF), [1, 2, 3])
-
-    def test_cmf_abs_of_reshape(self):
-        r = np.array([[1.0, -1j], [1j, 1.0]])
-        assert np.allclose(vectorize(r, FingerprintKind.CMF), [1, 1, 1, 1])
-
-    def test_psdf_column_major_order(self):
-        mat = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        flat = vectorize(mat, FingerprintKind.PSDF)
-        assert np.allclose(flat, [1, 4, 2, 5, 3, 6])
-        assert np.allclose(flat.reshape(mat.shape, order="F"), mat)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            vectorize(np.ones((2, 3)), FingerprintKind.CMF)
-        with pytest.raises(ValueError):
-            vectorize(np.ones(4), FingerprintKind.PSDF)
+    """Each family's feature vector, as the module docstring's table gives it."""
 
     def test_dims_match_declared_table(self):
         rng = np.random.default_rng(14)
@@ -311,14 +293,6 @@ BLOCK_ESTIMATORS = {
     "flom_2": lambda y: est_flom(y, 2.0),
 }
 COVARIANCE_ESTIMATORS = {"rss": extract_rss, "signal_subspace": est_signal_subspace}
-VECTORIZE_INPUTS = {
-    FingerprintKind.CMF: est_covariance,
-    FingerprintKind.RSSF: lambda y: extract_rss(est_covariance(y)),
-    FingerprintKind.PSDF: lambda y: est_psd(y, 7),
-    FingerprintKind.SSF: lambda y: est_signal_subspace(est_covariance(y)),
-    FingerprintKind.FOCF: est_foc,
-    FingerprintKind.FLOMF: est_flom,
-}
 ESTIMATOR_NAMES = (
     "est_covariance", "extract_rss", "est_psd", "est_signal_subspace", "est_foc", "est_flom",
 )
@@ -340,13 +314,6 @@ class TestBatched:
         assert stack.shape == (2, 3, 5, 5)
         estimate = COVARIANCE_ESTIMATORS[name]
         assert np.array_equal(estimate(stack), per_slice(estimate, stack))
-
-    @pytest.mark.parametrize("kind", KIND_ORDER, ids=[k.value for k in KIND_ORDER])
-    def test_vectorize_stack_equals_per_slice(self, kind):
-        values = VECTORIZE_INPUTS[kind](random_stack(np.random.default_rng(22)))
-        got = vectorize(values, kind)
-        assert got.shape == (2, 3, feature_dim(kind, 4, 7))
-        assert np.array_equal(got, per_slice(lambda v: vectorize(v, kind), values))
 
     def test_one_non_hermitian_matrix_rejected(self):
         stack = est_covariance(random_stack(np.random.default_rng(23)))
@@ -523,36 +490,12 @@ class TestBuildGoof:
         goof = build_goof(make_blocks(length=32), group_count=8)
         train, test = goof.split(5, 3)
         assert train.group_count == 5 and test.group_count == 3
-        train.validate()
-        test.validate()
         joined = np.concatenate(
             [train.features(FingerprintKind.SSF, 1), test.features(FingerprintKind.SSF, 1)]
         )
         assert np.array_equal(joined, goof.features(FingerprintKind.SSF, 1))
         with pytest.raises(ValueError):
             goof.split(6, 3)
-
-    def test_sample_validation(self):
-        goof = build_goof(make_blocks(), group_count=4)
-        goof.data[FingerprintKind.RSSF][0, 1, 2] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            goof.validate()
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda g: g.data.pop(FingerprintKind.SSF), "missing fingerprint kind ssf"),
-            (lambda g: g.data.update({FingerprintKind.CMF: g.data[FingerprintKind.CMF][:, :3]}),
-             "cmf: shape"),
-            (lambda g: setattr(g, "labels", np.array([2, 1])), "strictly ascending"),
-            (lambda g: setattr(g, "labels", np.array([1.0, 2.0])), "strictly ascending"),
-        ],
-    )
-    def test_store_validation(self, corrupt, message):
-        goof = build_goof(make_blocks(), group_count=4)
-        corrupt(goof)
-        with pytest.raises(ValueError, match=message):
-            goof.validate()
 
     def test_a_repeated_grid_is_refused(self):
         blocks = make_blocks(q=3)
@@ -599,6 +542,40 @@ class TestGoofPersistence:
         with pytest.raises(FormatError) as err:
             load_goof(tmp_path / "store")
         assert err.value.byte_offset == target.stat().st_size
+
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            ("2,1", "grid labels must be strictly ascending"),
+            ("1,1", "grid labels must be strictly ascending"),
+            ("1.0,2.0", "bad grids '1.0,2.0'"),
+        ],
+        ids=["descending", "repeated", "float"],
+    )
+    def test_bad_grids_name_their_line(self, tmp_path, grids, message):
+        save_goof(build_goof(make_blocks(), group_count=4), tmp_path / "store")
+        raw = (tmp_path / "store").read_bytes()
+        (tmp_path / "store").write_bytes(raw.replace(b"grids=1,2", f"grids={grids}".encode()))
+        with pytest.raises(FormatError, match=f"^line 6: {re.escape(message)}"):
+            load_goof(tmp_path / "store")
+
+    @pytest.mark.parametrize(
+        "kind", [FingerprintKind.CMF, FingerprintKind.FOCF], ids=["cmf", "focf"]
+    )
+    def test_first_non_finite_feature_names_its_offset(self, tmp_path, kind):
+        goof = build_goof(make_blocks(), group_count=4)
+        save_goof(goof, tmp_path / "store")
+        raw = bytearray((tmp_path / "store").read_bytes())
+        # an inf at (grid row 1, group 1, feature 3) of one family, a NaN after it
+        before = sum(goof.data[k].size for k in KIND_ORDER[: KIND_ORDER.index(kind)])
+        index = before + np.ravel_multi_index((1, 1, 3), goof.data[kind].shape)
+        at = raw.index(b"end-header\n") + len(b"end-header\n") + 8 * index
+        raw[at : at + 8] = np.array([np.inf], "<f8").tobytes()
+        raw[-8:] = np.array([np.nan], "<f8").tobytes()
+        (tmp_path / "store").write_bytes(raw)
+        with pytest.raises(FormatError, match="non-finite fingerprint feature") as err:
+            load_goof(tmp_path / "store")
+        assert err.value.byte_offset == at
 
 
 def _bad_group_count(raw):
