@@ -271,8 +271,14 @@ class Report:
 
 
 def _snr_key(snr_db: float) -> int:
-    """Non-negative cell-key component for an SNR value (inf allowed)."""
-    return (int(round(snr_db * 1000)) + 2**31) if math.isfinite(snr_db) else 2**62
+    """Non-negative cell-key component for an SNR value (inf allowed); an
+    SNR below -2^31 millidecibels has none."""
+    if not math.isfinite(snr_db):
+        return 2**62
+    key = int(round(snr_db * 1000)) + 2**31
+    if key < 0:
+        raise ConfigError("snr_grid_db", f"{snr_db:g} dB is below -2147483.648 dB")
+    return key
 
 
 def cell_key(seed: int, noise_kind: str, snr_db: float, repetition: int = 0) -> tuple:

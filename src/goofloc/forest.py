@@ -90,36 +90,6 @@ def _left_child(split: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.cumsum(tree) + 1 + 2 * (np.cumsum(split) - split)
 
 
-def _depth(split: np.ndarray, roots: np.ndarray) -> int:
-    """Levels on the longest root-to-leaf path of the trees whose first
-    rows are ``roots`` in a node table with the ``split`` column."""
-    left = _left_child(split, roots)
-    level, rows = 0, roots
-    while rows.size:
-        level += 1
-        rows = left[rows[split[rows]]]
-        rows = np.concatenate([rows, rows + 1])
-    return level
-
-
-@dataclass
-class Tree:
-    """The rows of one tree in a node table (views into the forest's)."""
-
-    features: np.ndarray  # (n, arity) feature indices of a split row
-    weights: np.ndarray  # (n, arity) projection weights of a split row
-    threshold: np.ndarray  # (n,) samples with projection >= threshold go right
-    split: np.ndarray  # (n,) bool, whether the row splits
-    histogram: np.ndarray  # (n, class_count) class counts of a leaf row
-
-    def node_count(self) -> int:
-        return len(self.split)
-
-    def depth(self) -> int:
-        """Levels on the longest root-to-leaf path."""
-        return _depth(self.split, np.zeros(1, dtype=np.intp))
-
-
 # A node's draws are a counter-based hash (SplitMix64) of its key. The root
 # key comes from the tree's rng and each child's key hashes its parent's
 # key with its side, so a key names a position (seed, tree, level, heap
@@ -474,7 +444,7 @@ def _tree_groups(trees: int):
 
 
 def _fit_levels(x, y, boots, keys, depth_limit: int, spec: WeakLearnerSpec, q: int) -> dict:
-    """Node table (the columns of :class:`Tree`) of the trees grown over
+    """Node table (the columns of :class:`Forest`) of the trees grown over
     the rows ``boots[i]`` of ``x`` from root keys ``keys[i]``.
 
     Contiguous groups of the trees grow one in this process and one in
@@ -525,14 +495,14 @@ def _forest_draws(seed: int, tree_count: int, n: int):
 
 @dataclass
 class Forest:
-    """A trained forest for one fingerprint family: one node table with
-    the columns of :class:`Tree` over all trees."""
+    """A trained forest for one fingerprint family: one node table over
+    all its trees."""
 
-    features: np.ndarray
-    weights: np.ndarray
-    threshold: np.ndarray
-    split: np.ndarray
-    histogram: np.ndarray
+    features: np.ndarray  # (n, arity) feature indices of a split row
+    weights: np.ndarray  # (n, arity) projection weights of a split row
+    threshold: np.ndarray  # (n,) samples with projection >= threshold go right
+    split: np.ndarray  # (n,) bool, whether the row splits
+    histogram: np.ndarray  # (n, class_count) class counts of a leaf row
     depth_limit: int
     feature_dim: int
     seed: int
@@ -552,11 +522,27 @@ class Forest:
         """(T,) row of each tree's root: one past the previous tree's end."""
         return np.concatenate([[0], _tree_ends(self.split)[:-1] + 1])
 
+    def node_count(self) -> int:
+        return len(self.split)
+
+    def depth(self) -> int:
+        """Levels on the longest root-to-leaf path of the deepest tree."""
+        left = _left_child(self.split, self.roots)
+        level, rows = 0, self.roots
+        while rows.size:
+            level += 1
+            rows = left[rows[self.split[rows]]]
+            rows = np.concatenate([rows, rows + 1])
+        return level
+
     @property
-    def trees(self) -> list[Tree]:
+    def trees(self) -> list[Forest]:
+        """Each tree as a one-tree forest whose columns are views into this
+        one's; a tree's seed and spec are its forest's."""
         ends = [*self.roots[1:], len(self.split)]
         columns = [getattr(self, name) for name in _COLUMNS]
-        return [Tree(*(c[a:b] for c in columns)) for a, b in zip(self.roots, ends)]
+        return [Forest(*(c[a:b] for c in columns), self.depth_limit, self.feature_dim, self.seed,
+                       self.spec, self.kind) for a, b in zip(self.roots, ends)]
 
     @cached_property
     def _descent(self) -> tuple:
@@ -569,14 +555,13 @@ class Forest:
         when the only operand weighs exactly 1.0 at every split row."""
         left = np.where(self.split, _left_child(self.split, self.roots), np.arange(len(self.split)))
         threshold = np.where(self.split, self.threshold, np.nan)
-        depth = _depth(self.split, self.roots)
         operands = [
             (np.ascontiguousarray(self.features[:, i]), np.ascontiguousarray(self.weights[:, i]))
             for i in range(self.features.shape[1])
         ]
         if len(operands) == 1 and (self.weights[self.split] == 1.0).all():
             operands = [(operands[0][0], None)]  # x * 1.0 is x, bit for bit
-        return left, threshold, self.histogram.argmax(axis=1), depth, operands
+        return left, threshold, self.histogram.argmax(axis=1), self.depth(), operands
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Majority-vote labels for an (n, dim) sample matrix. All trees
@@ -713,7 +698,7 @@ def serialize_forest(forest: Forest) -> bytes:
         "class_count": forest.class_count,
         "depth_limit": forest.depth_limit,
         "tree_count": forest.tree_count,
-        "node_count": len(forest.split),
+        "node_count": forest.node_count(),
         "feature_dim": forest.feature_dim,
         "seed": forest.seed,
         "primitive": forest.spec.primitive,

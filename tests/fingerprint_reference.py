@@ -5,6 +5,10 @@ checked against.
 each estimator once. This module walks the same groups one by one with
 plain 2-D arithmetic on each M x L/G block, as extraction did before it
 was batched. The two must agree bit for bit.
+
+``power_iteration_principal`` and ``foc_quadruple_loop`` are the
+independent oracles of two estimators: the dominant eigenvector by plain
+power iteration, and the fourth-order cumulants entry by entry.
 """
 
 import numpy as np
@@ -55,3 +59,38 @@ def reference_store(blocks, group_count, flom_p=1.2, psd_points=None):
         for block in sorted(blocks, key=lambda block: block.grid_label)
     ]
     return {kind: np.array([[g[kind] for g in row] for row in groups]) for kind in KIND_ORDER}
+
+
+def power_iteration_principal(r, iters=50_000, tol=1e-14):
+    """Independent oracle: dominant eigenvector by plain power iteration."""
+    rng = np.random.default_rng(4242)
+    v = rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = r @ v
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return np.abs(v)
+        w /= nw
+        if np.linalg.norm(np.abs(w) - np.abs(v)) < tol:
+            v = w
+            break
+        v = w
+    return np.abs(v)
+
+
+def foc_quadruple_loop(y):
+    """Independent oracle: entry-by-entry sample cumulants, no vectorization."""
+    m, length = y.shape
+    out = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for k in range(m):
+            e_full = np.mean(y[i] * y[k] * np.conj(y[i]) * np.conj(y[k]))
+            e_ii = np.mean(y[i] * np.conj(y[i]))
+            e_kk = np.mean(y[k] * np.conj(y[k]))
+            e_ik = np.mean(y[i] * np.conj(y[k]))
+            e_ki = np.mean(y[k] * np.conj(y[i]))
+            e_prod = np.mean(y[i] * y[k])
+            e_conj = np.mean(np.conj(y[i]) * np.conj(y[k]))
+            out[i, k] = e_full - e_ii * e_kk - e_ik * e_ki - e_prod * e_conj
+    return out

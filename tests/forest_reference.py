@@ -23,9 +23,8 @@ from collections import deque
 import numpy as np
 
 from goofloc.forest import (
-    _COLUMNS,
     PRIMITIVES,
-    Tree,
+    Forest,
     _child_keys,
     _fit_levels,
     _forest_draws,
@@ -124,13 +123,14 @@ def reference_forest(samples, labels, tree_count, depth_limit, spec, seed, class
     return reference_table(x, y, boots, keys, depth_limit, spec, q)
 
 
-def train_tree(samples, labels, spec, depth_limit, rng, class_count=None) -> Tree:
+def train_tree(samples, labels, spec, depth_limit, rng, class_count=None) -> Forest:
     """Grow one decision tree on all samples with the level-wise trainer,
-    from a root key drawn from ``rng``."""
+    from a root key drawn from ``rng``: a one-tree forest whose seed, 0,
+    played no part (the key came from ``rng``)."""
     x, y, q = _training_set(samples, labels, 1, depth_limit, spec, class_count)
     keys = rng.integers(0, 2**64, size=1, dtype=np.uint64)
     table = _fit_levels(x, y, np.arange(len(y))[None], keys, depth_limit, spec, q)
-    return Tree(*(table[name] for name in _COLUMNS))
+    return Forest(**table, depth_limit=depth_limit, feature_dim=x.shape[1], seed=0, spec=spec)
 
 
 def node_counts(depth_limit: int) -> tuple[int, int, int]:

@@ -29,6 +29,7 @@ from goofloc.forest import deserialize_forest, serialize_forest, train_forest
 from goofloc.fusion import full_matrix_mode
 
 import digests
+from fingerprint_reference import foc_quadruple_loop, power_iteration_principal
 from forest_reference import node_counts
 
 SIOF = [k.value for k in KIND_ORDER]
@@ -97,37 +98,6 @@ def test_desk_curves_are_byte_pinned(desk_sweep, tmp_path):
 # criterion 1: fingerprint estimators vs independent oracles ----------------
 
 
-def _power_iteration(r, iters=50_000, tol=1e-14):
-    rng = np.random.default_rng(4242)
-    v = rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = r @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        w /= nw
-        if np.linalg.norm(np.abs(w) - np.abs(v)) < tol:
-            v = w
-            break
-        v = w
-    return np.abs(v)
-
-
-def _foc_loops(y):
-    m = y.shape[0]
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            out[i, k] = (
-                np.mean(y[i] * y[k] * np.conj(y[i]) * np.conj(y[k]))
-                - np.mean(y[i] * np.conj(y[i])) * np.mean(y[k] * np.conj(y[k]))
-                - np.mean(y[i] * np.conj(y[k])) * np.mean(y[k] * np.conj(y[i]))
-                - np.mean(y[i] * y[k]) * np.mean(np.conj(y[i]) * np.conj(y[k]))
-            )
-    return out
-
-
 def test_criterion_1_fingerprint_oracles():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1001)
@@ -149,9 +119,9 @@ def test_criterion_1_fingerprint_oracles():
         worst["psd"] = max(worst["psd"], np.abs(psd.sum(axis=1) - 1.0).max())
 
         worst["ssf"] = max(
-            worst["ssf"], np.abs(est_signal_subspace(r) - _power_iteration(r)).max()
+            worst["ssf"], np.abs(est_signal_subspace(r) - power_iteration_principal(r)).max()
         )
-        worst["foc"] = max(worst["foc"], np.abs(est_foc(y) - _foc_loops(y)).max())
+        worst["foc"] = max(worst["foc"], np.abs(est_foc(y) - foc_quadruple_loop(y)).max())
         worst["flom"] = max(worst["flom"], np.abs(est_flom(y, 2.0) - r).max())
 
     elapsed = time.perf_counter() - t0

@@ -266,6 +266,23 @@ class TestAddNoise:
         _, pvalue = stats.kstest(draws, "norm", args=(0.0, math.sqrt(2.0)))
         assert pvalue > 0.01
 
+    @pytest.mark.parametrize("alpha, beta, scale, delta, n", [
+        (1.0, 0.5, 2.0, 0.3, 400_000),  # the alpha = 1 transform
+        (1.4, 0.5, 1.0, 0.0, 200_000),  # skewed
+        (0.8, -0.7, 1.0, 0.0, 200_000),
+    ])
+    def test_alpha_stable_matches_scipy_quantiles(self, monkeypatch, alpha, beta, scale, delta,
+                                                  n):
+        # Chambers-Mallows-Stuck samples Nolan's S1 form. scipy's ppf is used,
+        # not its cdf, which at alpha = 1, beta != 0 disagrees with its ppf
+        monkeypatch.setattr(stats.levy_stable, "parameterization", "S1")
+        p = np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+        ppf = stats.levy_stable.ppf(p, alpha, beta, loc=delta, scale=scale)
+        draws = sample_alpha_stable(alpha, beta, scale, delta, n, np.random.default_rng(12))
+        below = (draws[:, None] < ppf).mean(axis=0)
+        # the share of draws below each quantile is binomial: within 5 sigma
+        assert np.all(np.abs(below - p) < 5 * np.sqrt(p * (1 - p) / n))
+
     def test_impulse_dispersion_convention(self):
         # at alpha=2 each quadrature is N(0, 2*xi) with xi = sigma_s^2 * 10^(-snr/10)
         block = self.make_block(m=2, length=50_000)

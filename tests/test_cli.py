@@ -72,6 +72,12 @@ def test_staged_artifacts_are_byte_pinned(staged):
     digests.assert_digests(staged, digests.STAGED)
 
 
+def test_fuse_without_out_prints_the_file(staged, capsysbinary):
+    capsysbinary.readouterr()
+    assert main(["fuse", "--bmatrices", str(staged / "b.txt"), "--window", "2"]) == 0
+    assert capsysbinary.readouterr().out == (staged / "fusion.txt").read_bytes()
+
+
 def test_stagewise_pipeline(tmp_path, config_file, capsys):
     data_dir = tmp_path / "data"
     assert main(["simulate", "--config", str(config_file), "--out-dir", str(data_dir)]) == 0
@@ -503,6 +509,26 @@ def test_store_grid_below_one_exit_code(tmp_path, staged, capsys, stage, label):
     assert main([str(a) for a in argv]) == 3
     assert capsys.readouterr().err.startswith(f"format error: line 6: bad grids '{label},2,3,4'")
     assert not (tmp_path / "bank").exists() and not (tmp_path / "b.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-snr", "train"])
+def test_snr_without_a_cell_key_exit_code(tmp_path, staged, capsys, command):
+    # an SNR's cell key is its millidecibels plus 2^31, so none lies below
+    # -2147483.648 dB
+    out = tmp_path / "out"
+    if command == "train":
+        goof = tmp_path / "goof"
+        raw = (staged / "goof").read_bytes()
+        assert b"\nsnr_db=18.0\n" in raw
+        goof.write_bytes(raw.replace(b"\nsnr_db=18.0\n", b"\nsnr_db=-10000000.0\n"))
+        argv = ["train", "--goof", goof, "--seed", 1, "--out", out]
+    else:
+        argv = [command, "--seed", 1, "--grid-count", 4, "--noise-kinds", "gaussian",
+                "--snr-grid-db", -3000000, "--out-dir", out]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: snr_grid_db: ")
+    assert not out.exists()
 
 
 def test_store_directory_exit_code(tmp_path, capsys):

@@ -53,6 +53,24 @@ def micro_config(**over):
     return ExperimentConfig(**base)
 
 
+# one case per check of validate() that no other test reaches:
+# (override, field, message)
+VALIDATE_CHECKS = [
+    ({"seed": 1.5}, "seed", "a fixed integer seed is mandatory"),
+    ({"grid_count": 0}, "grid_count", "must be >= 1"),
+    ({"num_elements": 1}, "num_elements", "must be >= 2"),
+    ({"noise_kinds": ("pink",)}, "noise_kinds", "unsupported kind 'pink'"),
+    ({"test_count": 0}, "train_count", "train and test counts must be >= 1"),
+    ({"tree_count": 0}, "tree_count", "must be >= 1"),
+    ({"depth_limit": 0}, "depth_limit", "must be >= 1"),
+    ({"flom_exponent": 1.0}, "flom_exponent", "must be in (1, 2]"),
+    ({"psd_points": 0}, "psd_points", "must be in 1..16"),
+    ({"repetitions": 0}, "repetitions", "must be >= 1"),
+    # scenario() refuses a grid count that does not tile the room
+    ({"grid_count": 7}, "grid_count", "grid_count=7 does not tile a 8.0x8.0 room evenly"),
+]
+
+
 class TestConfig:
     def test_validation_names_offending_field(self):
         with pytest.raises(ConfigError) as err:
@@ -70,6 +88,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             micro_config(seed=-1).validate()
         assert "seed" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "over, field, message", VALIDATE_CHECKS,
+        ids=[",".join(f"{k}={v}" for k, v in over.items()) for over, _, _ in VALIDATE_CHECKS],
+    )
+    def test_each_check_names_its_field(self, over, field, message):
+        with pytest.raises(ConfigError) as err:
+            micro_config(**over).validate()
+        assert (err.value.field, err.value.message) == (field, message)
 
     def test_impulse_shape_is_free_without_impulse_noise(self):
         # simulate_cell reads alpha and beta only for impulse noise

@@ -25,48 +25,15 @@ from goofloc.fingerprints import (
     save_goof,
 )
 
-from fingerprint_reference import extract_group, reference_store
+from fingerprint_reference import (
+    extract_group, foc_quadruple_loop, power_iteration_principal, reference_store,
+)
 
 
 def random_block(rng, m=None, length=None):
     m = m or int(rng.integers(2, 9))
     length = length or int(rng.integers(8, 257))
     return rng.standard_normal((m, length)) + 1j * rng.standard_normal((m, length))
-
-
-def power_iteration_principal(r, iters=20_000, tol=1e-13):
-    """Independent oracle: dominant eigenvector by plain power iteration."""
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = r @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return np.abs(v)
-        w /= nw
-        if np.linalg.norm(np.abs(w) - np.abs(v)) < tol:
-            v = w
-            break
-        v = w
-    return np.abs(v)
-
-
-def foc_quadruple_loop(y):
-    """Independent oracle: entry-by-entry sample cumulants, no vectorization."""
-    m, length = y.shape
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            e_full = np.mean(y[i] * y[k] * np.conj(y[i]) * np.conj(y[k]))
-            e_ii = np.mean(y[i] * np.conj(y[i]))
-            e_kk = np.mean(y[k] * np.conj(y[k]))
-            e_ik = np.mean(y[i] * np.conj(y[k]))
-            e_ki = np.mean(y[k] * np.conj(y[i]))
-            e_prod = np.mean(y[i] * y[k])
-            e_conj = np.mean(np.conj(y[i]) * np.conj(y[k]))
-            out[i, k] = e_full - e_ii * e_kk - e_ik * e_ki - e_prod * e_conj
-    return out
 
 
 class TestCovariance:
