@@ -128,20 +128,21 @@ def est_signal_subspace(covariance: np.ndarray) -> np.ndarray:
     return np.abs(principal / norm)
 
 
-def est_foc(block, covariance=None, conj=None) -> np.ndarray:
+def est_foc(block, covariance=None) -> np.ndarray:
     """Fourth-order cumulant matrix, entry (i,k) = cum{y_i, y_k, y_i*, y_k*}.
 
     All expectations are sample means over the snapshots:
     E{y_i y_k y_i* y_k*} - E{y_i y_i*} E{y_k y_k*}
     - E{y_i y_k*} E{y_k y_i*} - E{y_i y_k} E{y_i* y_k*}.
-    ``covariance`` (E{y_i y_k*}, as :func:`est_covariance` returns it) and
-    ``conj``, if given, are used instead of being formed again.
+    The first is E{|y_i|^2 |y_k|^2}, one real matrix product of the
+    snapshot powers. ``covariance`` (E{y_i y_k*}, as :func:`est_covariance`
+    returns it), if given, is used instead of being formed again.
     """
     y = _block_data(block)
     length = y.shape[-1]
-    yc = y.conj() if conj is None else conj
-    mom4 = np.einsum("...it,...kt,...it,...kt->...ik", y, y, yc, yc) / length
-    r = (y @ _transpose(yc)) / length if covariance is None else covariance  # E{y_i y_k*}
+    power = y.real**2 + y.imag**2
+    mom4 = (power @ _transpose(power)) / length
+    r = (y @ _transpose(y.conj())) / length if covariance is None else covariance  # E{y_i y_k*}
     c = (y @ _transpose(y)) / length  # E{y_i y_k}
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return mom4 - d[..., :, None] * d[..., None, :] - r * _transpose(r) - c * c.conj()
@@ -250,11 +251,11 @@ def build_goof(
     # (Q, M, L) -> (Q, G, M, L/G): slice [q, g] is the g-th group of grid q
     y = np.stack([block.data for block in blocks])
     y = y.reshape(*y.shape[:2], group_count, per_group).swapaxes(1, 2)
-    # the conjugate stack is formed once for the three moment estimators,
+    # the conjugate stack is formed once for the covariance and the FLOM,
     # and released before the PSD's transform so that the peak stays put
     yc = y.conj()
     covariance = est_covariance(y, yc)
-    foc, flom = est_foc(y, covariance, yc), est_flom(y, flom_p, yc)
+    foc, flom = est_foc(y, covariance), est_flom(y, flom_p, yc)
     del yc
     data = {
         FingerprintKind.CMF: np.abs(_flatten(covariance)),

@@ -44,6 +44,7 @@ from .textio import one_of, positive_int, read_arrays, read_artifact, read_heade
 
 # split primitive -> feature indices (and weights) per split
 PRIMITIVES = {"axis_aligned_stump": 1, "oriented_hyperplane_2d": 2}
+_MAX_CANDIDATES = 1 << 16  # the bound on t: a node's m t draws are one array (_node_draws)
 
 
 @dataclass
@@ -57,8 +58,8 @@ class WeakLearnerSpec:
     def __post_init__(self):
         if self.primitive not in PRIMITIVES:
             raise ConfigError("primitive", f"unknown primitive {self.primitive!r}")
-        if self.threshold_candidates < 1:
-            raise ConfigError("threshold_candidates", "must be >= 1")
+        if not 1 <= self.threshold_candidates <= _MAX_CANDIDATES:
+            raise ConfigError("threshold_candidates", f"must be in 1..{_MAX_CANDIDATES}")
 
     def subspace(self, dim: int) -> int:
         m = self.feature_subspace_size
@@ -565,19 +566,18 @@ class Forest:
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         """Majority-vote labels for an (n, dim) sample matrix. All trees
-        descend together: an (n, T) matrix of rows moves one level per
-        step, realized depth - 1 steps, each projection gathered from the
-        flat sample matrix; a row steps to its left child plus one if the
-        projection reaches its threshold, so a leaf stays put."""
+        descend together: a flat, sample-major (n T,) vector of rows moves
+        one level per step, realized depth - 1 steps; a row steps to its left
+        child plus one if its projection reaches its threshold, so a leaf stays put."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.feature_dim:
             raise ValueError(f"expected (n, {self.feature_dim}) features")
         n, q = x.shape[0], self.class_count
         left, threshold, leaf_label, depth, ((f0, w0), *more) = self._descent
         flat = x.ravel()
-        sample = np.arange(n)[:, None]
+        sample = np.repeat(np.arange(n), self.tree_count)
         base = sample * self.feature_dim
-        node = np.repeat(self.roots[None], n, axis=0)
+        node = np.tile(self.roots, n)
         for _ in range(depth - 1):
             # x_f0 * w0 (+ x_f1 * w1): bit for bit the sum over the operands
             proj = flat[base + f0[node]]
@@ -586,7 +586,7 @@ class Forest:
             for f, w in more:
                 proj = proj + flat[base + f[node]] * w[node]
             node = left[node] + (proj >= threshold[node])
-        votes = np.bincount((leaf_label[node] + q * sample).ravel(), minlength=n * q)
+        votes = np.bincount(leaf_label[node] + q * sample, minlength=n * q)
         return votes.reshape(n, q).argmax(axis=1) + 1  # first max: smallest label wins ties
 
 
@@ -722,11 +722,14 @@ def deserialize_forest(raw: bytes) -> Forest:
     feature_dim = doc.get("feature_dim", positive_int)
     tree_count = doc.get("tree_count", positive_int)
     n = doc.get("node_count", positive_int)
-    spec = WeakLearnerSpec(
-        primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
-        feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
-        threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
-    )
+    try:
+        spec = WeakLearnerSpec(
+            primitive=doc.get("primitive", one_of(*PRIMITIVES), "axis_aligned_stump"),
+            feature_subspace_size=doc.get("feature_subspace", int, 0) or None,
+            threshold_candidates=doc.get("threshold_candidates", positive_int, 10),
+        )
+    except ConfigError as exc:  # a bound of the spec's own, such as t <= 2^16
+        raise FormatError(f"line {doc.values[exc.field][1]}: {exc}") from None
     arity = PRIMITIVES[spec.primitive]
     shapes = {"features": (n, arity), "weights": (n, arity), "threshold": (n,), "split": (n,),
               "histogram": (n, class_count)}

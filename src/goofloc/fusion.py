@@ -81,12 +81,13 @@ def swim(b, window_length: int, class_count: int | None = None) -> FusionResult:
     z, h = mat.shape
     if not 1 <= window_length <= z:
         raise ConfigError("window", f"window length {window_length} outside 1..{z}")
-    values, index = np.unique(mat, return_inverse=True)
+    flat = np.sort(mat, axis=None)  # not np.unique: its first call adds ~1.5 MB of RSS
+    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     if values[0] < 1 or (class_count is not None and values[-1] > class_count):
         raise ValueError("labels must lie in 1..class_count")
     top = values.size
     running = np.zeros((z + 1, h, top), dtype=np.intp)
-    np.cumsum(index.reshape(z, h, 1) == np.arange(top), axis=0, out=running[1:])
+    np.cumsum(values.searchsorted(mat)[..., None] == np.arange(top), axis=0, out=running[1:])
     counts = running[window_length:] - running[:-window_length]  # (U, H, top)
     u = counts.shape[0]
     # each (window, column)'s nonzero counts first, in label order; a

@@ -37,7 +37,7 @@ STAGED = {
     "config.txt": "a036cec6568003224acd59be7d268f4983b1511a932a573e1bbaa47a21c5df5e",
     "snapshots_gaussian_18dB.goofsnap":
         "35d55e46214a23bdc9bee29fcd5a93f70b6f18058c1cb12058bbf85c76b06951",
-    "goof": "669b8db28980f91b8ab30a866c3de8c9a7209cd03217823392107f663a86f81b",
+    "goof": "94dff604d090f060ffeec8302ba5f006561ae50abcd615c0261f35db04614bdc",
     "bank/forest_cmf.goofforest":
         "106684260f53f1724fe8ba56c2ec40be3c06122262fa594d543b40657c6ee7a0",
     "bank/forest_rssf.goofforest":
@@ -47,7 +47,7 @@ STAGED = {
     "bank/forest_ssf.goofforest":
         "5051093927977d5c297ed636b9dbe3eab9722d13a5043efe718398209dc78fcb",
     "bank/forest_focf.goofforest":
-        "1700718ec8c10a29ec5bbff601b5a5d921921e685cbc3000fe4f93e34a7e9547",
+        "70cc52892902f155458a48c79ebaff291ffa8041cfa0e27c874ec1ea7b477ca7",
     "bank/forest_flomf.goofforest":
         "9cb1d3a317b9723011001a8f4fc08fd025f04b79c43754055d54e369fe1645eb",
     "b.txt": "742b206ff027bf623f1e61ebc98bf119384899ebb43b6b574be2fd96b777a579",  # GOOF-BMAT 3

@@ -29,7 +29,8 @@ def extract_group(block, flom_p=1.2, psd_points=None):
     r = (y @ yc.T) / length
     c = (y @ y.T) / length
     d = np.diag(r)
-    mom4 = np.einsum("it,kt,it,kt->ik", y, y, yc, yc) / length
+    power = y.real**2 + y.imag**2
+    mom4 = (power @ power.T) / length  # E{|y_i|^2 |y_k|^2}
     foc = mom4 - np.outer(d, d) - r * r.T - c * c.conj()
     if flom_p == 2.0:
         flom = (y @ y.conj().T) / length

@@ -189,6 +189,9 @@ def test_config_error_exit_code(tmp_path, staged, capsys):
         (train + ["--primitive", "foo"], "primitive"),
         (train + ["--tree-count", 0], "tree_count"),
         (train + ["--threshold-candidates", 0], "threshold_candidates"),
+        # refused before training draws m t uniforms per node in one array
+        (train + ["--threshold-candidates", 65537], "threshold_candidates"),
+        (train + ["--threshold-candidates", 10**14], "threshold_candidates"),
         (train + ["--depth-limit", 0], "depth_limit"),
         (train + ["--feature-subspace", 99], "feature_subspace"),
         (["train", "--goof", goof, "--train-count", 99, "--seed", 1, "--out", out], "train_count"),
@@ -559,6 +562,23 @@ def test_forest_of_another_family_exit_code(tmp_path, staged, capsys):
     assert main(["test", "--goof", str(staged / "goof"), "--skip-count", "2", "--bank", str(bank),
                  "--out", str(out)]) == 3
     assert f"{cmf}: line 2: kind=focf, expected cmf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forest_threshold_candidates_above_bound_exit_code(tmp_path, staged, capsys):
+    # the trainer's bound of 2^16 candidates holds for a forest file too
+    bank = tmp_path / "bank"
+    shutil.copytree(staged / "bank", bank)
+    path = bank / "forest_psdf.goofforest"
+    path.write_bytes(path.read_bytes().replace(b"threshold_candidates=10\n",
+                                               b"threshold_candidates=65537\n"))
+    out = tmp_path / "b.txt"
+    capsys.readouterr()
+    assert main(["test", "--goof", str(staged / "goof"), "--skip-count", "2", "--bank", str(bank),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ")
+    assert "line 11: threshold_candidates: must be in 1..65536" in err
     assert not out.exists()
 
 

@@ -175,6 +175,15 @@ class TestFoc:
         y = mixing @ symbols[None, :]
         assert np.abs(est_foc(y) - foc_quadruple_loop(y)).max() < 1e-10
 
+    def test_impulse_blocks_match_oracle(self):
+        # alpha-stable noise at -2 dB: single snapshots carry up to about
+        # 6e5 times the median power, so a few terms dominate E{|y_i|^2 |y_k|^2}
+        config = ExperimentConfig(seed=7, grid_count=4, num_elements=7, snapshot_count=640,
+                                  group_count=20, train_count=1, test_count=1)
+        for block in simulate_cell(config, "impulse", -2.0):
+            oracle = foc_quadruple_loop(block.data)
+            assert np.abs(est_foc(block.data) - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
 
 class TestFlom:
     def test_p2_equals_covariance(self):

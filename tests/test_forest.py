@@ -612,6 +612,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match="line 1: expected 'GOOF-FOREST 3'"):
             deserialize_forest(reference_serialize_forest(forest).encode())
 
+    def test_threshold_candidates_are_bounded(self):
+        # a node's m t threshold draws are one array: t stops at 2^16, in
+        # a spec and in a file alike
+        assert WeakLearnerSpec(threshold_candidates=1 << 16).threshold_candidates == 1 << 16
+        with pytest.raises(ConfigError, match=r"threshold_candidates: must be in 1\.\.65536"):
+            WeakLearnerSpec(threshold_candidates=(1 << 16) + 1)
+        rng = np.random.default_rng(21)
+        raw = serialize_forest(train_forest(rng.standard_normal((20, 3)),
+                                            rng.integers(1, 3, size=20), 2, 3,
+                                            WeakLearnerSpec(), seed=22))
+        line = raw[: raw.index(b"threshold_candidates=")].count(b"\n") + 1
+        edge = raw.replace(b"threshold_candidates=10", b"threshold_candidates=65536")
+        assert deserialize_forest(edge).spec.threshold_candidates == 1 << 16
+        with pytest.raises(FormatError, match=f"line {line}: threshold_candidates: must be in"):
+            deserialize_forest(raw.replace(b"threshold_candidates=10",
+                                           b"threshold_candidates=65537"))
+
 
 def _codec_forest(case: str) -> Forest:
     rng = np.random.default_rng(60)
